@@ -2,11 +2,12 @@
 
 /**
  * @file
- * Shared helpers for the per-figure benchmark harnesses: scheduler
- * construction with paper-default configurations, speedup tables and
- * geometric means. Each bench binary regenerates the rows/series of one
- * paper exhibit; absolute numbers differ from the paper (different
- * energy tables / DRAM timing) but the comparative shape is the target.
+ * Shared helpers for the per-figure benchmark harnesses: requests with
+ * paper-default scheduler configurations, submission to the process-wide
+ * SchedulerService, speedup tables and geometric means. Each bench
+ * binary regenerates the rows/series of one paper exhibit; absolute
+ * numbers differ from the paper (different energy tables / DRAM timing)
+ * but the comparative shape is the target.
  *
  * Environment knobs:
  *   COSA_BENCH_QUICK=1   subsample layers for a fast smoke run
@@ -18,10 +19,11 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hpp"
 #include "common/math_utils.hpp"
 #include "common/table.hpp"
 #include "cosa/scheduler.hpp"
-#include "engine/scheduling_engine.hpp"
+#include "engine/scheduler_service.hpp"
 #include "mapper/hybrid_mapper.hpp"
 #include "mapper/random_mapper.hpp"
 #include "problem/workloads.hpp"
@@ -96,41 +98,57 @@ subsetOf(const Workload& workload)
 }
 
 /**
- * Submit @p workloads as an async engine job, stream per-problem
- * progress lines to stderr under @p tag (long bench runs would
- * otherwise sit silent for minutes), and block for the results.
+ * Submit @p request to the process-wide service and block for its
+ * results. @p on_progress is installed at submit, so it observes every
+ * event live.
  */
 inline std::vector<NetworkResult>
-runWithProgress(const std::string& tag, const SchedulingEngine& engine,
+schedule(ScheduleRequest request,
+         ScheduleJob::ProgressCallback on_progress = {})
+{
+    SubmitResult submitted = SchedulerService::defaultService().submit(
+        std::move(request), std::move(on_progress));
+    // The default service has unlimited admission.
+    COSA_ASSERT(submitted.accepted(), "default service rejected a job");
+    return submitted.takeJob().wait();
+}
+
+/**
+ * Schedule @p workloads on @p arch with @p request's scheduler, stream
+ * per-problem progress lines to stderr under @p tag (long bench runs
+ * would otherwise sit silent for minutes), and block for the results.
+ */
+inline std::vector<NetworkResult>
+runWithProgress(const std::string& tag, ScheduleRequest request,
                 const std::vector<Workload>& workloads, const ArchSpec& arch)
 {
-    ScheduleJob job = engine.submit(workloads, arch);
-    job.onProgress([tag](const JobProgress& p) {
+    request.workloads = workloads;
+    request.arch = arch;
+    return schedule(std::move(request), [tag](const JobProgress& p) {
         std::cerr << "[" << tag << "] " << p.completed << "/" << p.total
                   << " " << p.layer << (p.from_cache ? " (cached)" : "")
                   << "\n";
     });
-    return job.wait();
 }
 
 /**
- * Engine configuration with the paper-default tunables of @p kind.
- * Caching/dedup stay on: the figure benches compare schedule *quality*,
- * which memoization cannot change. Benches that measure per-layer
- * time-to-solution (Table VI) must disable both so every instance pays
- * its real solve cost.
+ * A request with the paper-default tunables of @p kind (no workloads or
+ * arch yet). Caching/dedup stay on: the figure benches compare schedule
+ * *quality*, which memoization cannot change. Benches that measure
+ * per-layer time-to-solution (Table VI) must disable both so every
+ * instance pays its real solve cost.
  */
-inline EngineConfig
-defaultEngineConfig(SchedulerKind kind,
-                    SearchObjective objective = SearchObjective::Latency)
+inline ScheduleRequest
+defaultRequest(SchedulerKind kind,
+               SearchObjective objective = SearchObjective::Latency)
 {
-    EngineConfig config;
-    config.scheduler = kind;
-    config.objective = objective;
-    config.cosa = defaultCosaConfig();
-    config.random = defaultRandomConfig(objective);
-    config.hybrid = defaultHybridConfig(objective);
-    return config;
+    ScheduleRequest request;
+    request.scheduler = kind;
+    request.objective = objective;
+    request.cosa = defaultCosaConfig();
+    request.random = defaultRandomConfig(objective);
+    request.hybrid = defaultHybridConfig(objective);
+    return request;
 }
 
 } // namespace cosa::bench

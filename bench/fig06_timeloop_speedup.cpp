@@ -4,8 +4,8 @@
  * schedules relative to Random search on the Timeloop-style analytical
  * platform, for all four DNN workloads, plus per-network and overall
  * geomeans (paper: CoSA 5.2x, TLH 3.5x overall). Each scheduler runs
- * as one engine over the whole suite batch, so shapes recurring across
- * networks (e.g. the ResNet/ResNeXt stem) are solved once.
+ * as one request over the whole suite batch, so shapes recurring
+ * across networks (e.g. the ResNet/ResNeXt stem) are solved once.
  */
 
 #include "bench_util.hpp"
@@ -20,18 +20,13 @@ main()
     for (const Workload& suite : workloads::allSuites())
         suites.push_back(bench::subsetOf(suite));
 
-    const SchedulingEngine random_engine(
-        bench::defaultEngineConfig(SchedulerKind::Random));
-    const SchedulingEngine hybrid_engine(
-        bench::defaultEngineConfig(SchedulerKind::Hybrid));
-    const SchedulingEngine cosa_engine(
-        bench::defaultEngineConfig(SchedulerKind::Cosa));
-    const auto r_rnd =
-        bench::runWithProgress("fig06/Random", random_engine, suites, arch);
-    const auto r_tlh =
-        bench::runWithProgress("fig06/TLH", hybrid_engine, suites, arch);
-    const auto r_cosa =
-        bench::runWithProgress("fig06/CoSA", cosa_engine, suites, arch);
+    const auto run = [&](const char* tag, SchedulerKind kind) {
+        return bench::runWithProgress(tag, bench::defaultRequest(kind),
+                                      suites, arch);
+    };
+    const auto r_rnd = run("fig06/Random", SchedulerKind::Random);
+    const auto r_tlh = run("fig06/TLH", SchedulerKind::Hybrid);
+    const auto r_cosa = run("fig06/CoSA", SchedulerKind::Cosa);
 
     std::vector<double> tlh_all, cosa_all;
     for (std::size_t n = 0; n < suites.size(); ++n) {

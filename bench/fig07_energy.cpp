@@ -4,7 +4,7 @@
  * CoSA schedules over Random search per network (all schedulers
  * optimizing for energy), normalized to Random, on the analytical
  * energy model (paper: TLH 2.7x, CoSA 3.3x overall). Each scheduler is
- * one engine batch over all four suites.
+ * one request batching all four suites.
  */
 
 #include "bench_util.hpp"
@@ -19,18 +19,14 @@ main()
     for (const Workload& suite : workloads::allSuites())
         suites.push_back(bench::subsetOf(suite));
 
-    const SchedulingEngine random_engine(bench::defaultEngineConfig(
-        SchedulerKind::Random, SearchObjective::Energy));
-    const SchedulingEngine hybrid_engine(bench::defaultEngineConfig(
-        SchedulerKind::Hybrid, SearchObjective::Energy));
-    const SchedulingEngine cosa_engine(bench::defaultEngineConfig(
-        SchedulerKind::Cosa, SearchObjective::Energy));
-    const auto r_rnd =
-        bench::runWithProgress("fig07/Random", random_engine, suites, arch);
-    const auto r_tlh =
-        bench::runWithProgress("fig07/TLH", hybrid_engine, suites, arch);
-    const auto r_cosa =
-        bench::runWithProgress("fig07/CoSA", cosa_engine, suites, arch);
+    const auto run = [&](const char* tag, SchedulerKind kind) {
+        return bench::runWithProgress(
+            tag, bench::defaultRequest(kind, SearchObjective::Energy), suites,
+            arch);
+    };
+    const auto r_rnd = run("fig07/Random", SchedulerKind::Random);
+    const auto r_tlh = run("fig07/TLH", SchedulerKind::Hybrid);
+    const auto r_cosa = run("fig07/CoSA", SchedulerKind::Cosa);
 
     TextTable table("Fig. 7: energy improvement over Random");
     table.setHeader({"network", "tlh_x", "cosa_x"});

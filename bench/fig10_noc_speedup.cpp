@@ -22,9 +22,9 @@
  * gained — quantifying how often the two platforms disagree about
  * which schedule is best.
  *
- * Runs entirely through the scheduling engine: each scheduler searches
+ * Runs entirely through the scheduler service: each scheduler searches
  * against the analytical model exactly as the historical hand-rolled
- * loop did, and the engine re-scores winners with full
+ * loop did, and the service re-scores winners with full
  * ScheduleSimulator runs — with batch dedup, async submission and live
  * progress instead of a bespoke per-layer loop.
  */
@@ -58,21 +58,20 @@ main(int argc, char** argv)
     for (const Workload& suite : workloads::allSuites())
         suites.push_back(bench::subsetOf(suite));
 
-    // One backend instance per platform, shared by the engines.
+    // One backend instance per platform, shared by the requests.
     const auto noc_sim = std::make_shared<NocSimEvaluator>();
     const auto cascade = std::make_shared<CascadeEvaluator>();
     auto scheduleAll = [&](SchedulerKind kind,
                            std::shared_ptr<const Evaluator> evaluator,
                            const char* tag) {
-        EngineConfig config = bench::defaultEngineConfig(kind);
-        config.evaluator = std::move(evaluator);
+        ScheduleRequest request = bench::defaultRequest(kind);
+        request.evaluator = std::move(evaluator);
         // Parity with the historical direct per-layer loop (and the
         // paper's protocol): every solve is cold, no cross-layer seeds.
-        config.warm_start_hints = false;
-        const SchedulingEngine engine(config);
+        request.warm_start_hints = false;
         return bench::runWithProgress(
-            std::string("fig10/") + tag + schedulerKindName(kind), engine,
-            suites, arch);
+            std::string("fig10/") + tag + schedulerKindName(kind),
+            std::move(request), suites, arch);
     };
     const SchedulerKind kinds[3] = {SchedulerKind::Random,
                                     SchedulerKind::Hybrid,

@@ -4,15 +4,15 @@
  * samples drawn and valid schedules evaluated per layer for CoSA,
  * Random (5x) and Timeloop-Hybrid search over a representative layer
  * set (paper: 4.2s / 4.6s / 379.9s per layer; 1 / 20K / 67M samples;
- * 1 / 5 / 16K+ evaluations). Runs through the engine with dedup and
- * caching OFF: this bench measures per-layer solve cost, so every
- * instance must pay its real solve.
+ * 1 / 5 / 16K+ evaluations). Runs through the scheduler service with
+ * dedup and caching OFF: this bench measures per-layer solve cost, so
+ * every instance must pay its real solve.
  *
  * Solver-core mode:
  *   bench_tab06_time_to_solution --solver-json [path] [--compare-basis]
- * runs CoSA alone over the 23 unique ResNet-50 layers, one engine
- * query per layer so each solve can warm-start from the nearest
- * previously solved shape, and writes machine-readable per-layer
+ * runs CoSA alone over the 23 unique ResNet-50 layers, one request
+ * per layer on a shared cache so each solve can warm-start from the
+ * nearest previously solved shape, and writes machine-readable per-layer
  * records (solve time, LP iterations, branch-and-bound nodes,
  * warm-start hits, schedule metrics) plus the geomean solve time to
  * @p path (default BENCH_solver.json). This is the solver's perf
@@ -20,7 +20,7 @@
  * a fixed work budget.
  *
  * --compare-basis re-runs the sweep with the dense-inverse basis
- * (MipParams::basis_mode) on a fresh engine and appends its geomean
+ * (MipParams::basis_mode) on a fresh cache and appends its geomean
  * plus the LU speedup — the two runs perform identical pivot
  * sequences, so the ratio isolates the representation's cost.
  *
@@ -59,22 +59,24 @@ SweepTotals
 runSolverSweep(solver::BasisMode basis_mode, SearchObjective objective,
                std::ofstream* out)
 {
-    const ArchSpec arch = ArchSpec::simbaBaseline();
     const Workload net = workloads::resNet50();
 
-    EngineConfig config =
-        bench::defaultEngineConfig(SchedulerKind::Cosa, objective);
-    config.num_threads = 1; // sequential: times must be contention-free
-    config.cosa.mip.basis_mode = basis_mode;
-    const SchedulingEngine engine(config);
+    ScheduleRequest request =
+        bench::defaultRequest(SchedulerKind::Cosa, objective);
+    request.arch = ArchSpec::simbaBaseline();
+    request.max_parallelism = 1; // sequential: contention-free times
+    request.cosa.mip.basis_mode = basis_mode;
+    // One cache for the whole sweep: later layers see the earlier
+    // schedules and warm-start from their nearest neighbor.
+    request.cache = std::make_shared<ScheduleCache>();
 
     SweepTotals totals;
     double log_sum = 0.0;
     for (std::size_t l = 0; l < net.layers.size(); ++l) {
         const LayerSpec& layer = net.layers[l];
-        // One query per layer: later layers see the earlier schedules
-        // in the cache and warm-start from their nearest neighbor.
-        const SearchResult result = engine.scheduleLayer(layer, arch);
+        request.workloads = {Workload{"layer:" + layer.name, {layer}}};
+        const NetworkResult run = bench::schedule(request).front();
+        const SearchResult& result = run.layers.front().result;
         const SearchStats& st = result.stats;
 
         if (out != nullptr) {
@@ -121,8 +123,7 @@ solverJsonMode(const std::string& path, SearchObjective objective,
                bool compare_basis)
 {
     const Workload net = workloads::resNet50();
-    const EngineConfig config =
-        bench::defaultEngineConfig(SchedulerKind::Cosa, objective);
+    const solver::MipParams mip = bench::defaultCosaConfig().mip;
 
     std::ofstream out(path);
     if (!out) {
@@ -132,17 +133,14 @@ solverJsonMode(const std::string& path, SearchObjective objective,
     out.precision(17);
     out << "{\n  \"bench\": \"tab06_solver_core\",\n";
     out << "  \"arch\": \"" << ArchSpec::simbaBaseline().name << "\",\n";
-    out << "  \"work_limit\": " << config.cosa.mip.work_limit << ",\n";
-    out << "  \"presolve\": " << (config.cosa.mip.presolve ? "true" : "false")
-        << ",\n";
+    out << "  \"work_limit\": " << mip.work_limit << ",\n";
+    out << "  \"presolve\": " << (mip.presolve ? "true" : "false") << ",\n";
     out << "  \"basis_mode\": \""
-        << (config.cosa.mip.basis_mode == solver::BasisMode::Lu ? "lu"
-                                                                : "dense")
+        << (mip.basis_mode == solver::BasisMode::Lu ? "lu" : "dense")
         << "\",\n";
     out << "  \"layers\": [\n";
 
-    const SweepTotals totals =
-        runSolverSweep(config.cosa.mip.basis_mode, objective, &out);
+    const SweepTotals totals = runSolverSweep(mip.basis_mode, objective, &out);
     out << "  ],\n";
     out << "  \"num_layers\": " << net.layers.size() << ",\n";
     out << "  \"num_found\": " << totals.solved << ",\n";
@@ -161,16 +159,15 @@ solverJsonMode(const std::string& path, SearchObjective objective,
         << totals.lu_refactor_requests << ",\n";
     out << "  \"total_warm_start_hits\": " << totals.warm_hits;
 
-    if (compare_basis &&
-        config.cosa.mip.basis_mode != solver::BasisMode::Lu) {
+    if (compare_basis && mip.basis_mode != solver::BasisMode::Lu) {
         // Dense-vs-dense would record a meaningless ~1.0 "speedup".
         std::cerr << "--compare-basis skipped: primary sweep already "
                      "runs the dense basis (COSA_BASIS_MODE)\n";
         compare_basis = false;
     }
     if (compare_basis) {
-        // Same sweep, dense-inverse basis, fresh engine and cache. The
-        // pivot sequences are identical by contract (same nodes, same
+        // Same sweep, dense-inverse basis, fresh cache. The pivot
+        // sequences are identical by contract (same nodes, same
         // iterations), so the time ratio is pure representation cost.
         const SweepTotals dense =
             runSolverSweep(solver::BasisMode::Dense, objective, nullptr);
@@ -246,12 +243,13 @@ main(int argc, char** argv)
                                     SchedulerKind::Hybrid};
     NetworkResult results[3];
     for (int s = 0; s < 3; ++s) {
-        EngineConfig config = bench::defaultEngineConfig(kinds[s], objective);
-        config.deduplicate = false; // every instance pays its solve
-        config.use_cache = false;
-        config.num_threads = 1; // sequential: times must be contention-free
-        const SchedulingEngine engine(config);
-        results[s] = engine.scheduleNetwork(layers, arch);
+        ScheduleRequest request = bench::defaultRequest(kinds[s], objective);
+        request.workloads = {layers};
+        request.arch = arch;
+        request.deduplicate = false; // every instance pays its solve
+        request.use_cache = false;
+        request.max_parallelism = 1; // sequential: contention-free times
+        results[s] = bench::schedule(std::move(request)).front();
     }
 
     TextTable table("Table VI: time-to-solution over " +

@@ -273,7 +273,7 @@ ScheduleCache::clear()
 
 // --- persistence ---------------------------------------------------------
 //
-// Line-oriented text format (see docs/serving.md):
+// Line-oriented text format (see docs/cache-store.md):
 //   cosa-schedule-cache v3
 //   capacity <N>
 //   entry

@@ -2,7 +2,7 @@
 
 /**
  * @file
- * Memoization of scheduling results across engine queries.
+ * Memoization of scheduling results across scheduling queries.
  *
  * The cache key is the quadruple (canonical layer key, arch
  * fingerprint, scheduler config key, evaluator fingerprint): two
@@ -17,7 +17,7 @@
  * Beyond exact hits, the cache answers nearest-neighbor queries: for a
  * layer shape it has never seen, it returns the cached schedule of the
  * closest *different* shape solved under the same arch and scheduler
- * (distance on the log2 dimension vector). The engine refits that
+ * (distance on the log2 dimension vector). The service refits that
  * schedule as a MIP warm start, so effort spent on one layer primes
  * branch-and-bound on its relatives — the cross-layer analogue of the
  * per-node dual warm starts inside one solve.
@@ -25,7 +25,7 @@
  * The cache also persists across processes: save() writes a versioned
  * text snapshot (bit-exact doubles) and load() merges one back, so
  * repeated CLI runs and CI jobs reuse solves and revive cross-layer
- * warm starts (see the README for the format schema).
+ * warm starts (format: docs/cache-store.md, "Text snapshot format").
  *
  * Long-lived services can bound the cache with an optional LRU
  * capacity (entries, not bytes): when set, inserting beyond it evicts
@@ -55,7 +55,7 @@ struct ScheduleCacheKey
 {
     std::string layer_key;     //!< LayerSpec::canonicalKey()
     std::string arch_key;      //!< ArchSpec::fingerprint()
-    std::string scheduler_key; //!< engine-serialized scheduler config
+    std::string scheduler_key; //!< schedulerConfigKey() of the query
     std::string evaluator_key; //!< Evaluator::fingerprint()
 
     /** Flat string form used as the map key. */
@@ -95,11 +95,11 @@ double canonicalLayerDistance(const LayerSpec& a, const LayerSpec& b);
 /**
  * Thread-safe (layer, arch, scheduler) -> SearchResult memo table.
  *
- * The class is the polymorphic cache interface of the engine: every
+ * The class is the polymorphic cache interface of the service: every
  * method a job touches is virtual, so a request can mount a different
  * tier (cachestore::PersistentScheduleCache, the sharded on-disk
  * store) behind the same `std::shared_ptr<ScheduleCache>` without the
- * engine knowing. The base class is the process-local in-memory
+ * service knowing. The base class is the process-local in-memory
  * implementation.
  */
 class ScheduleCache

@@ -5,7 +5,7 @@ namespace cosa {
 ScheduleJob::~ScheduleJob()
 {
     if (state_)
-        wait(); // never leak the runner thread or its pool work
+        wait(); // never abandon the job's in-flight executor work
 }
 
 ScheduleJob&

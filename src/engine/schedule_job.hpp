@@ -2,16 +2,15 @@
 
 /**
  * @file
- * The asynchronous job front door of the scheduling engine (the
+ * The asynchronous job handle of the scheduler service (the
  * session-style submit -> observe -> cancel -> collect protocol).
  *
- * `SchedulerService::submit()` (and the `SchedulingEngine::submit()`
- * compatibility wrappers over the default service) return immediately
- * with a ScheduleJob handle; the batch advances continuation-style on
- * the service's shared work-stealing executor (prologue task → solve
- * task set → epilogue continuation), so a queued or waiting job holds
- * *no* thread of its own — thousands of queued jobs cost queue entries,
- * not runner threads. The handle exposes:
+ * `SchedulerService::submit()` returns immediately with a ScheduleJob
+ * handle; the batch advances continuation-style on the service's
+ * shared work-stealing executor (prologue task → solve task set →
+ * epilogue continuation), so a queued or waiting job holds *no*
+ * thread of its own — thousands of queued jobs cost queue entries, not
+ * runner threads. The handle exposes:
  *
  *  - wait()        block until the batch finishes (or has been
  *                  cancelled) and collect the results;
@@ -30,7 +29,7 @@
  * receives them first (replayed, in order), so registration timing
  * cannot drop events.
  *
- * Callbacks run on engine worker threads with the job lock held:
+ * Callbacks run on executor worker threads with the job lock held:
  * calling cancel() from a callback is supported (that is how tests
  * cancel deterministically mid-batch); calling wait() or onProgress()
  * from a callback deadlocks.
@@ -74,14 +73,14 @@ struct JobProgress
             cancel_hook();
     }
 
-    /** Engine-bound cancellation hook behind requestCancel(). */
+    /** Job-bound cancellation hook behind requestCancel(). */
     std::function<void()> cancel_hook;
 };
 
 /**
  * Handle to one submitted batch. Move-only; the destructor waits for
  * the batch (like std::future from std::async), so dropping a handle
- * never abandons its in-flight executor work. The engine must outlive
+ * never abandons its in-flight executor work. The service must outlive
  * every job submitted on it.
  */
 class ScheduleJob
@@ -128,7 +127,7 @@ class ScheduleJob
     /**
      * Subscribe to job completion: @p callback runs exactly once, when
      * the batch finishes (normally or cancelled) — immediately (on the
-     * caller) if it already has, else on the engine worker running the
+     * caller) if it already has, else on the executor worker running the
      * job's epilogue. Like progress callbacks it runs with the job
      * lock held: cancel() is safe inside it, wait() deadlocks. This is
      * what lets an observer (e.g. a daemon's event stream) learn of
@@ -137,9 +136,9 @@ class ScheduleJob
     void onDone(std::function<void()> callback);
 
     /** Shared state between the handle and the service's executor-side
-     *  continuations (engine/service-internal; use the member
-     *  functions). Note there is no thread here: a job — queued or
-     *  running — owns no runner, and wait() is purely a condition on
+     *  continuations (service-internal; use the member functions).
+     *  Note there is no thread here: a job — queued or running — owns
+     *  no runner, and wait() is purely a condition on
      *  `finished`/`done_cv` advanced by the epilogue continuation. */
     struct State
     {
@@ -161,7 +160,6 @@ class ScheduleJob
     };
 
   private:
-    friend class SchedulingEngine;
     friend class SchedulerService;
     explicit ScheduleJob(std::shared_ptr<State> state)
         : state_(std::move(state))

@@ -69,8 +69,8 @@ parsePriorityFlag(int argc, char** argv, int* a, JobPriority* priority)
 }
 
 // --- scheduler config key ------------------------------------------------
-// Byte-compatible with the historical SchedulingEngine::schedulerKey()
-// so existing ScheduleCache snapshots keep hitting.
+// Byte-stable across releases so existing ScheduleCache snapshots and
+// cachestore directories keep hitting.
 
 namespace {
 

@@ -12,8 +12,7 @@
  * value type, `ScheduleRequest` — workloads, arch, scheduler kind and
  * tunables, evaluation backend, objective, budgets, priority, fair-
  * share weight, optional deadline — and `submit(ScheduleRequest)` is
- * the one entry point. `SchedulingEngine::submit/scheduleNetwork*`
- * remain as thin compatibility wrappers over `defaultService()`.
+ * the one entry point.
  *
  * Scheduling semantics:
  *  - strict priority tiers (`JobPriority`): no Batch task is
@@ -53,11 +52,11 @@
  * state — the cross-query `ScheduleCache` — is therefore *opt-in* per
  * request: a null `ScheduleRequest::cache` gives the job a private
  * cache (dedup still collapses duplicates within the batch). Passing a
- * shared cache (e.g. an engine's, or one shared by an arch sweep)
- * trades that guarantee for cross-query memoization and cross-layer
- * warm starts, whose outcome then depends on cache history — the same
- * contract the engine has always documented. Deadlines are inherently
- * wall-clock: an expired job's result is a *prefix* of the
+ * shared cache (e.g. one shared by an arch sweep or a sequence of
+ * per-layer queries) trades that guarantee for cross-query memoization
+ * and cross-layer warm starts, whose outcome then depends on cache
+ * history: determinism is per query *sequence*. Deadlines are
+ * inherently wall-clock: an expired job's result is a *prefix* of the
  * deterministic one.
  *
  * Failure containment (docs/robustness.md): every layer solve runs
@@ -131,10 +130,10 @@ bool parseJobPriority(const std::string& text, JobPriority* out);
 bool parsePriorityFlag(int argc, char** argv, int* a, JobPriority* priority);
 
 /**
- * One scheduling query, self-contained: everything that was spread
- * over `EngineConfig` + three submit()/scheduleNetwork* overloads.
- * Value type — copy it, stash it, replay it; a fixed request is the
- * unit of the determinism contract above.
+ * One scheduling query, self-contained: what to schedule, on which
+ * arch, with which scheduler and tunables, and how the job competes
+ * on the shared executor. Value type — copy it, stash it, replay it; a
+ * fixed request is the unit of the determinism contract above.
  */
 struct ScheduleRequest
 {
@@ -184,8 +183,7 @@ struct ScheduleRequest
      */
     double deadline_sec = 0.0;
     /** Max concurrently running tasks of this job on the shared
-     *  executor; 0 = unlimited. 1 solves in unique-problem order
-     *  (the historical single-thread engine semantics). */
+     *  executor; 0 = unlimited. 1 solves in unique-problem order. */
     int max_parallelism = 0;
     /**
      * Retries the failure firewall grants a layer solve that fails
@@ -213,8 +211,7 @@ struct ScheduleRequest
 /**
  * Serialization of every scheduler tunable of @p request that can
  * change a solve's outcome — the third component of the cache key
- * (byte-compatible with the historical engine key, so cache snapshots
- * stay valid).
+ * (byte-stable across releases, so cache snapshots stay valid).
  */
 std::string schedulerConfigKey(const ScheduleRequest& request);
 
@@ -392,7 +389,7 @@ class SchedulerService
 
     /**
      * The shared work-stealing executor. Exposed for background
-     * maintenance work that should ride the engine's worker crew as
+     * maintenance work that should ride the service's worker crew as
      * threadless continuations (e.g. cachestore compaction) instead of
      * owning a thread; submit such sets on the lowest-priority tier so
      * they never delay a solve. Valid for the service's lifetime.
@@ -401,9 +398,9 @@ class SchedulerService
 
     /**
      * The process-wide default service (hardware-width executor,
-     * unlimited admission): what the SchedulingEngine compatibility
-     * wrappers submit to, so every engine in the process shares one
-     * worker crew.
+     * unlimited admission): what in-process callers that need no limits
+     * of their own (the quickstart, the benches) submit to, so their
+     * queries share one worker crew and are never rejected.
      */
     static SchedulerService& defaultService();
 

@@ -2,8 +2,7 @@
 
 /**
  * @file
- * The shared work executor behind the scheduling engine and the
- * multi-tenant SchedulerService.
+ * The shared work executor behind the multi-tenant SchedulerService.
  *
  * `Executor` owns a fixed crew of long-lived worker threads and
  * multiplexes *task sets* — indexed batches [0, n) of per-layer solves,
@@ -23,24 +22,17 @@
  *    runnable;
  *  - per-set parallelism caps (`max_parallelism`) bound how many tasks
  *    of one set run concurrently — cap 1 serializes a set in index
- *    order, which is how the engine preserves its historical
- *    `num_threads = 1` semantics on a wide shared executor;
+ *    order even on a wide shared executor;
  *  - work stealing across jobs: a worker whose set has no claimable
  *    task immediately migrates to the best runnable co-tenant set
  *    instead of idling; the `steals` counter tracks those cross-set
  *    migrations (it is also the observable of fair-share interleaving).
  *
- * Determinism contract (unchanged from the per-job pool era): the
- * executor only decides *which worker runs which task when*; callers
- * write task i's output into a pre-sized slot i, so a set's results
- * are identical for any worker count, any co-tenant mix and any
- * dispatch interleaving as long as each task is a pure function of its
- * index.
- *
- * `ThreadPool` survives as the historical fixed-batch façade (a
- * transient private Executor per run) for callers that want the
- * pre-service behavior — notably the throughput bench's "every job
- * spins its own pool" baseline.
+ * Determinism contract: the executor only decides *which worker runs
+ * which task when*; callers write task i's output into a pre-sized
+ * slot i, so a set's results are identical for any worker count, any
+ * co-tenant mix and any dispatch interleaving as long as each task is
+ * a pure function of its index.
  */
 
 #include <atomic>
@@ -209,35 +201,6 @@ class Executor
     std::int64_t sets_submitted_ = 0;
     std::int64_t sets_completed_ = 0;
     std::vector<std::thread> workers_;
-};
-
-/**
- * Historical fixed-batch façade: run one indexed batch and block. Each
- * run() spins a private Executor (the pre-service "every job owns a
- * pool" behavior, thread spawn/join cost included), degrading to
- * inline execution for a single worker.
- */
-class ThreadPool
-{
-  public:
-    /**
-     * @param num_threads worker count; values < 1 clamp to 1, and the
-     *        pool degrades to inline execution for a single worker.
-     */
-    explicit ThreadPool(int num_threads);
-
-    /**
-     * Run @p task(i) for every i in [0, num_tasks) across the workers.
-     * Blocks until all tasks complete. A throwing task is contained by
-     * the executor firewall (logged + counted), never rethrown here.
-     */
-    void run(std::size_t num_tasks,
-             const std::function<void(std::size_t)>& task) const;
-
-    int numThreads() const { return num_threads_; }
-
-  private:
-    int num_threads_ = 1;
 };
 
 } // namespace cosa

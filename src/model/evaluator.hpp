@@ -97,7 +97,7 @@ class BoundEvaluator
 
 /**
  * A mapping-evaluation backend. Stateless and thread-safe; share one
- * instance (e.g. via `EngineConfig::evaluator`) across engines and
+ * instance (e.g. via `ScheduleRequest::evaluator`) across requests and
  * worker threads.
  */
 class Evaluator

@@ -5,14 +5,15 @@
 #include <string>
 
 #include "cachestore/store.hpp"
-#include "engine/scheduling_engine.hpp"
+#include "../engine/service_test_util.hpp"
+#include "engine/scheduler_service.hpp"
 #include "server/wire.hpp"
 
 namespace cosa {
 namespace {
 
 // The store's acceptance bar: a fixed request produces *byte-identical*
-// wire results no matter which cache tier sits behind the engine —
+// wire results no matter which cache tier sits behind the request —
 // private in-memory map, fresh persistent store, warm reloaded store,
 // 1 shard or 16, even a store that just recovered a torn log tail.
 // resultsToJson is the canonical deterministic serialization, so
@@ -34,24 +35,14 @@ class TempDir
     std::string path_;
 };
 
-EngineConfig
-fastRandomConfig()
-{
-    EngineConfig config;
-    config.scheduler = SchedulerKind::Random;
-    config.num_threads = 2;
-    config.random.max_samples = 500;
-    config.random.target_valid = 1;
-    return config;
-}
-
 std::string
 runFixedRequest(const std::shared_ptr<ScheduleCache>& cache)
 {
-    const SchedulingEngine engine(fastRandomConfig(), cache);
+    ScheduleRequest request = test::fastRandomRequest(2);
+    request.cache = cache;
     std::vector<NetworkResult> results;
-    results.push_back(engine.scheduleNetwork(workloads::resNet50(),
-                                             ArchSpec::simbaBaseline()));
+    results.push_back(test::scheduleNetwork(
+        std::move(request), workloads::resNet50(), ArchSpec::simbaBaseline()));
     return server::resultsToJson(results).dump();
 }
 
@@ -109,7 +100,7 @@ TEST(CachestoreInvariance, EveryTierProducesIdenticalWireBytes)
     }
 
     // Tear the tail off one warm shard: recovery drops the damaged
-    // record, the engine re-solves just that layer, and the response
+    // record, the service re-solves just that layer, and the response
     // bytes still match.
     const std::string log = dir1.path() + "/shard-0000.log";
     const auto size = std::filesystem::file_size(log);

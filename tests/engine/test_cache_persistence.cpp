@@ -4,10 +4,14 @@
 #include <fstream>
 #include <string>
 
-#include "engine/scheduling_engine.hpp"
+#include "engine/scheduler_service.hpp"
+#include "service_test_util.hpp"
 
 namespace cosa {
 namespace {
+
+using test::scheduleLayer;
+using test::scheduleNetwork;
 
 /** Self-deleting temp path under the build dir. */
 class TempFile
@@ -25,15 +29,13 @@ class TempFile
     std::string path_;
 };
 
-EngineConfig
-fastRandomConfig()
+/** The cheap Random request of these tests, on @p cache. */
+ScheduleRequest
+randomRequestOn(std::shared_ptr<ScheduleCache> cache)
 {
-    EngineConfig config;
-    config.scheduler = SchedulerKind::Random;
-    config.num_threads = 2;
-    config.random.max_samples = 500;
-    config.random.target_valid = 1;
-    return config;
+    ScheduleRequest request = test::fastRandomRequest(2);
+    request.cache = std::move(cache);
+    return request;
 }
 
 TEST(ScheduleCachePersistence, RoundTripIsBitExact)
@@ -43,8 +45,8 @@ TEST(ScheduleCachePersistence, RoundTripIsBitExact)
     const ArchSpec arch = ArchSpec::simbaBaseline();
 
     auto cache = std::make_shared<ScheduleCache>();
-    const SchedulingEngine engine(fastRandomConfig(), cache);
-    const NetworkResult original = engine.scheduleNetwork(net, arch);
+    const NetworkResult original =
+        scheduleNetwork(randomRequestOn(cache), net, arch);
     ASSERT_EQ(original.num_solved, 23);
 
     const auto saved = cache->save(file.path());
@@ -58,8 +60,8 @@ TEST(ScheduleCachePersistence, RoundTripIsBitExact)
     EXPECT_EQ(loaded.entries, 23);
     EXPECT_EQ(revived->stats().entries, 23);
 
-    const SchedulingEngine engine2(fastRandomConfig(), revived);
-    const NetworkResult replayed = engine2.scheduleNetwork(net, arch);
+    const NetworkResult replayed =
+        scheduleNetwork(randomRequestOn(revived), net, arch);
     EXPECT_EQ(replayed.num_cache_hits, 23);
     EXPECT_EQ(replayed.num_solved, 0);
     ASSERT_EQ(replayed.layers.size(), original.layers.size());
@@ -84,8 +86,7 @@ TEST(ScheduleCachePersistence, RoundTripsLruCapacity)
     const ArchSpec arch = ArchSpec::simbaBaseline();
 
     auto cache = std::make_shared<ScheduleCache>(/*capacity=*/5);
-    const SchedulingEngine engine(fastRandomConfig(), cache);
-    engine.scheduleNetwork(net, arch);
+    scheduleNetwork(randomRequestOn(cache), net, arch);
     ASSERT_EQ(cache->size(), 5u);
     const auto saved = cache->save(file.path());
     ASSERT_TRUE(saved.ok) << saved.error;
@@ -138,23 +139,23 @@ TEST(ScheduleCachePersistence, PreservesEvaluatorPartitioning)
     const ArchSpec arch = ArchSpec::simbaBaseline();
 
     auto cache = std::make_shared<ScheduleCache>();
-    EngineConfig analytical_config = fastRandomConfig();
-    EngineConfig sim_config = analytical_config;
-    sim_config.evaluator = std::make_shared<NocSimEvaluator>();
-    SchedulingEngine(analytical_config, cache).scheduleLayer(layer, arch);
-    SchedulingEngine(sim_config, cache).scheduleLayer(layer, arch);
+    ScheduleRequest analytical = randomRequestOn(cache);
+    ScheduleRequest simulated = analytical;
+    simulated.evaluator = std::make_shared<NocSimEvaluator>();
+    scheduleLayer(analytical, layer, arch);
+    scheduleLayer(simulated, layer, arch);
     ASSERT_EQ(cache->stats().entries, 2);
     ASSERT_TRUE(cache->save(file.path()).ok);
 
     // After a reload, the analytical entry still never answers a
-    // simulator-backed query (and vice versa): both engines hit their
+    // simulator-backed query (and vice versa): both requests hit their
     // own entry, neither solves.
     auto revived = std::make_shared<ScheduleCache>();
     ASSERT_TRUE(revived->load(file.path()).ok);
-    const SchedulingEngine analytical(analytical_config, revived);
-    const SchedulingEngine simulated(sim_config, revived);
-    const SearchResult a = analytical.scheduleLayer(layer, arch);
-    const SearchResult s = simulated.scheduleLayer(layer, arch);
+    analytical.cache = revived;
+    simulated.cache = revived;
+    const SearchResult a = scheduleLayer(analytical, layer, arch);
+    const SearchResult s = scheduleLayer(simulated, layer, arch);
     EXPECT_EQ(revived->stats().hits, 2);
     EXPECT_EQ(revived->stats().misses, 0);
     EXPECT_EQ(revived->stats().entries, 2);
@@ -169,13 +170,13 @@ TEST(ScheduleCachePersistence, RevivesNearestNeighborWarmStarts)
     const LayerSpec layer = LayerSpec::fromLabel("1_7_64_32_1");
     const ArchSpec arch = ArchSpec::simbaBaseline();
 
-    EngineConfig config; // CoSA, warm hints on
-    config.num_threads = 1;
-    config.cosa.mip.work_limit = 4000;
+    ScheduleRequest request; // CoSA, warm hints on
+    request.max_parallelism = 1;
+    request.cosa.mip.work_limit = 4000;
     {
         auto cache = std::make_shared<ScheduleCache>();
-        const SchedulingEngine engine(config, cache);
-        ASSERT_TRUE(engine.scheduleLayer(layer, arch).found);
+        request.cache = cache;
+        ASSERT_TRUE(scheduleLayer(request, layer, arch).found);
         ASSERT_TRUE(cache->save(file.path()).ok);
     }
 
@@ -184,9 +185,9 @@ TEST(ScheduleCachePersistence, RevivesNearestNeighborWarmStarts)
     // persistence to enable).
     auto revived = std::make_shared<ScheduleCache>();
     ASSERT_TRUE(revived->load(file.path()).ok);
-    const SchedulingEngine engine(config, revived);
-    const SearchResult sibling = engine.scheduleLayer(
-        LayerSpec::fromLabel("1_7_64_64_1"), arch);
+    request.cache = revived;
+    const SearchResult sibling =
+        scheduleLayer(request, LayerSpec::fromLabel("1_7_64_64_1"), arch);
     ASSERT_TRUE(sibling.found);
     EXPECT_EQ(revived->stats().neighbor_hits, 1);
     EXPECT_GE(sibling.stats.warm_starts_installed, 1);

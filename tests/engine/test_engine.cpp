@@ -4,71 +4,61 @@
 #include <atomic>
 #include <mutex>
 #include <set>
+#include <string>
 #include <vector>
 
-#include "engine/scheduling_engine.hpp"
-#include "engine/thread_pool.hpp"
+#include "engine/scheduler_service.hpp"
+#include "service_test_util.hpp"
 
 namespace cosa {
 namespace {
 
-/** Cheap deterministic engine config for fast tests. */
-EngineConfig
-fastRandomConfig(int num_threads)
-{
-    EngineConfig config;
-    config.scheduler = SchedulerKind::Random;
-    config.num_threads = num_threads;
-    config.random.max_samples = 500;
-    config.random.target_valid = 1;
-    return config;
-}
-
-TEST(ThreadPool, RunsEveryTaskExactlyOnce)
-{
-    for (int threads : {1, 2, 4, 7}) {
-        const std::size_t n = 100;
-        std::vector<std::atomic<int>> hits(n);
-        ThreadPool pool(threads);
-        pool.run(n, [&](std::size_t i) { ++hits[i]; });
-        for (std::size_t i = 0; i < n; ++i)
-            EXPECT_EQ(hits[i].load(), 1) << "task " << i << " with "
-                                         << threads << " threads";
-    }
-}
-
-TEST(ThreadPool, HandlesFewerTasksThanThreads)
-{
-    std::vector<std::atomic<int>> hits(2);
-    ThreadPool pool(8);
-    pool.run(2, [&](std::size_t i) { ++hits[i]; });
-    EXPECT_EQ(hits[0].load(), 1);
-    EXPECT_EQ(hits[1].load(), 1);
-    pool.run(0, [&](std::size_t) { FAIL() << "no tasks to run"; });
-}
+using test::fastRandomRequest;
+using test::scheduleLayer;
+using test::scheduleNetwork;
 
 TEST(Executor, RunsEveryTaskOfEverySetOnce)
 {
-    Executor executor(4);
-    const std::size_t n = 64;
-    std::vector<std::atomic<int>> hits_a(n), hits_b(n);
-    auto set_a = executor.submit(n, [&](std::size_t i) { ++hits_a[i]; });
-    Executor::TaskSetOptions batch;
-    batch.tier = 2;
-    auto set_b = executor.submit(
-        n, [&](std::size_t i) { ++hits_b[i]; }, batch);
-    set_a->wait();
-    set_b->wait();
-    EXPECT_TRUE(set_a->done());
-    EXPECT_TRUE(set_b->done());
-    for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(hits_a[i].load(), 1);
-        EXPECT_EQ(hits_b[i].load(), 1);
+    // Per case, one executor runs a pair of sets (two tiers) for each
+    // size in turn: widths from a lone worker up to more workers than
+    // tasks, and an empty pair after a tiny one.
+    struct Case
+    {
+        int threads;
+        std::vector<std::size_t> sizes;
+    };
+    const std::vector<Case> cases = {
+        {4, {64, 100}}, {1, {100}}, {2, {100}}, {7, {100}}, {8, {2, 0}}};
+    for (const Case& c : cases) {
+        SCOPED_TRACE(std::to_string(c.threads) + " threads");
+        Executor executor(c.threads);
+        std::int64_t tasks = 0;
+        for (const std::size_t n : c.sizes) {
+            // at(): a stray index throws instead of corrupting memory;
+            // the executor contains it and tasks_executed counts it.
+            std::vector<std::atomic<int>> hits_a(n), hits_b(n);
+            auto set_a =
+                executor.submit(n, [&](std::size_t i) { ++hits_a.at(i); });
+            Executor::TaskSetOptions batch;
+            batch.tier = 2;
+            auto set_b = executor.submit(
+                n, [&](std::size_t i) { ++hits_b.at(i); }, batch);
+            set_a->wait();
+            set_b->wait();
+            EXPECT_TRUE(set_a->done());
+            EXPECT_TRUE(set_b->done());
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(hits_a[i].load(), 1) << "task " << i << " of " << n;
+                EXPECT_EQ(hits_b[i].load(), 1) << "task " << i << " of " << n;
+            }
+            tasks += static_cast<std::int64_t>(2 * n);
+        }
+        const ExecutorStats stats = executor.stats();
+        const auto sets = static_cast<std::int64_t>(2 * c.sizes.size());
+        EXPECT_EQ(stats.tasks_executed, tasks);
+        EXPECT_EQ(stats.sets_submitted, sets);
+        EXPECT_EQ(stats.sets_completed, sets);
     }
-    const ExecutorStats stats = executor.stats();
-    EXPECT_EQ(stats.tasks_executed, static_cast<std::int64_t>(2 * n));
-    EXPECT_EQ(stats.sets_submitted, 2);
-    EXPECT_EQ(stats.sets_completed, 2);
 }
 
 TEST(Executor, MaxParallelismOneRunsInIndexOrder)
@@ -319,11 +309,13 @@ TEST(Workloads, ResNet50FullHas53InstancesOf23Shapes)
     EXPECT_EQ(unique_keys, reference_keys);
 }
 
-TEST(SchedulingEngine, DedupSolvesResNet50FullExactly23Times)
+TEST(NetworkScheduling, DedupSolvesResNet50FullExactly23Times)
 {
-    const SchedulingEngine engine(fastRandomConfig(2));
-    const NetworkResult result = engine.scheduleNetwork(
-        workloads::resNet50Full(), ArchSpec::simbaBaseline());
+    auto cache = std::make_shared<ScheduleCache>();
+    ScheduleRequest request = fastRandomRequest(2);
+    request.cache = cache;
+    const NetworkResult result = scheduleNetwork(
+        request, workloads::resNet50Full(), ArchSpec::simbaBaseline());
 
     EXPECT_EQ(result.num_layers, 53);
     EXPECT_EQ(result.num_unique, 23);
@@ -333,7 +325,7 @@ TEST(SchedulingEngine, DedupSolvesResNet50FullExactly23Times)
 
     // The cache counters certify 23 solves: every unique shape missed
     // once (then was inserted); no other lookups happened.
-    const ScheduleCacheStats stats = engine.cacheStats();
+    const ScheduleCacheStats stats = cache->stats();
     EXPECT_EQ(stats.misses, 23);
     EXPECT_EQ(stats.hits, 0);
     EXPECT_EQ(stats.entries, 23);
@@ -353,11 +345,11 @@ TEST(SchedulingEngine, DedupSolvesResNet50FullExactly23Times)
     }
 
     // A repeated query is served entirely from the cache.
-    const NetworkResult again = engine.scheduleNetwork(
-        workloads::resNet50Full(), ArchSpec::simbaBaseline());
+    const NetworkResult again = scheduleNetwork(
+        request, workloads::resNet50Full(), ArchSpec::simbaBaseline());
     EXPECT_EQ(again.num_cache_hits, 23);
     EXPECT_EQ(again.num_solved, 0);
-    EXPECT_EQ(engine.cacheStats().hits, 23);
+    EXPECT_EQ(cache->stats().hits, 23);
     for (std::size_t l = 0; l < again.layers.size(); ++l) {
         EXPECT_TRUE(again.layers[l].from_cache ||
                     again.layers[l].deduplicated);
@@ -368,29 +360,28 @@ TEST(SchedulingEngine, DedupSolvesResNet50FullExactly23Times)
     EXPECT_DOUBLE_EQ(again.total_energy_pj, result.total_energy_pj);
 }
 
-TEST(SchedulingEngine, DedupOffSolvesEveryInstance)
+TEST(NetworkScheduling, DedupOffSolvesEveryInstance)
 {
-    EngineConfig config = fastRandomConfig(2);
-    config.deduplicate = false;
-    config.use_cache = false;
-    const SchedulingEngine engine(config);
-    const NetworkResult result = engine.scheduleNetwork(
-        workloads::resNet50Full(), ArchSpec::simbaBaseline());
+    auto cache = std::make_shared<ScheduleCache>();
+    ScheduleRequest request = fastRandomRequest(2);
+    request.cache = cache;
+    request.deduplicate = false;
+    request.use_cache = false;
+    const NetworkResult result = scheduleNetwork(
+        request, workloads::resNet50Full(), ArchSpec::simbaBaseline());
     EXPECT_EQ(result.num_layers, 53);
     EXPECT_EQ(result.num_unique, 53);
     EXPECT_EQ(result.num_solved, 53);
-    EXPECT_EQ(engine.cacheStats().misses, 0); // cache never touched
+    EXPECT_EQ(cache->stats().misses, 0); // cache never touched
 }
 
-TEST(SchedulingEngine, NThreadRunMatchesOneThreadRunExactly)
+TEST(NetworkScheduling, ParallelRunMatchesSerialRunExactly)
 {
     const Workload net = workloads::resNet50Full();
     const ArchSpec arch = ArchSpec::simbaBaseline();
 
-    const SchedulingEngine one(fastRandomConfig(1));
-    const SchedulingEngine many(fastRandomConfig(4));
-    const NetworkResult r1 = one.scheduleNetwork(net, arch);
-    const NetworkResult rn = many.scheduleNetwork(net, arch);
+    const NetworkResult r1 = scheduleNetwork(fastRandomRequest(1), net, arch);
+    const NetworkResult rn = scheduleNetwork(fastRandomRequest(4), net, arch);
 
     ASSERT_EQ(r1.layers.size(), rn.layers.size());
     for (std::size_t l = 0; l < r1.layers.size(); ++l) {
@@ -415,26 +406,27 @@ TEST(SchedulingEngine, NThreadRunMatchesOneThreadRunExactly)
     EXPECT_EQ(r1.search.valid_evaluated, rn.search.valid_evaluated);
 }
 
-TEST(SchedulingEngine, ArchSweepPartitionsAndReusesCache)
+TEST(NetworkScheduling, ArchSweepPartitionsAndReusesCache)
 {
     // One shared cache across the sweep, as an arch exploration would.
     auto cache = std::make_shared<ScheduleCache>();
-    const SchedulingEngine engine(fastRandomConfig(2), cache);
+    ScheduleRequest request = fastRandomRequest(2);
+    request.cache = cache;
     const Workload net = workloads::resNet50();
 
-    engine.scheduleNetwork(net, ArchSpec::simbaBaseline());
+    scheduleNetwork(request, net, ArchSpec::simbaBaseline());
     EXPECT_EQ(cache->stats().misses, 23);
     EXPECT_EQ(cache->stats().hits, 0);
 
     // A different arch fingerprint shares nothing: all misses again.
-    engine.scheduleNetwork(net, ArchSpec::simba8x8());
+    scheduleNetwork(request, net, ArchSpec::simba8x8());
     EXPECT_EQ(cache->stats().misses, 46);
     EXPECT_EQ(cache->stats().hits, 0);
     EXPECT_EQ(cache->stats().entries, 46);
 
     // Revisiting a swept arch is free: all hits, no new entries.
     const NetworkResult back =
-        engine.scheduleNetwork(net, ArchSpec::simbaBaseline());
+        scheduleNetwork(request, net, ArchSpec::simbaBaseline());
     EXPECT_EQ(back.num_cache_hits, 23);
     EXPECT_EQ(back.num_solved, 0);
     EXPECT_EQ(cache->stats().hits, 23);
@@ -442,53 +434,50 @@ TEST(SchedulingEngine, ArchSweepPartitionsAndReusesCache)
     EXPECT_EQ(cache->stats().entries, 46);
 }
 
-TEST(SchedulingEngine, SchedulerConfigPartitionsCache)
+TEST(NetworkScheduling, SchedulerConfigPartitionsCache)
 {
-    EngineConfig a = fastRandomConfig(1);
-    EngineConfig b = fastRandomConfig(1);
-    b.random.seed = a.random.seed + 1;
-    const SchedulingEngine ea(a);
-    const SchedulingEngine eb(b);
-    EXPECT_NE(ea.schedulerKey(), eb.schedulerKey());
-
     auto cache = std::make_shared<ScheduleCache>();
-    const SchedulingEngine shared_a(a, cache);
-    const SchedulingEngine shared_b(b, cache);
+    ScheduleRequest a = fastRandomRequest(1);
+    a.cache = cache;
+    ScheduleRequest b = a;
+    b.random.seed = a.random.seed + 1;
+    EXPECT_NE(schedulerConfigKey(a), schedulerConfigKey(b));
+
     const LayerSpec layer = workloads::listing1Layer();
     const ArchSpec arch = ArchSpec::simbaBaseline();
-    shared_a.scheduleLayer(layer, arch);
-    shared_b.scheduleLayer(layer, arch);
+    scheduleLayer(a, layer, arch);
+    scheduleLayer(b, layer, arch);
     EXPECT_EQ(cache->stats().misses, 2); // no false sharing
     EXPECT_EQ(cache->stats().entries, 2);
 }
 
-TEST(SchedulingEngine, EvaluatorFingerprintPartitionsCache)
+TEST(NetworkScheduling, EvaluatorFingerprintPartitionsCache)
 {
     // Same layer, arch and scheduler config — only the evaluation
     // backend differs. The shared cache must keep the results apart:
     // an entry solved under the analytical model is never served to a
-    // simulator-backed engine (whose cycles mean something else).
+    // simulator-backed request (whose cycles mean something else).
     auto cache = std::make_shared<ScheduleCache>();
-    EngineConfig config = fastRandomConfig(1);
-    EngineConfig sim_config = config;
-    sim_config.evaluator = std::make_shared<NocSimEvaluator>();
-    const SchedulingEngine analytical(config, cache);
-    const SchedulingEngine simulated(sim_config, cache);
-    ASSERT_EQ(analytical.schedulerKey(), simulated.schedulerKey());
-    EXPECT_NE(analytical.evaluator().fingerprint(),
-              simulated.evaluator().fingerprint());
+    ScheduleRequest analytical = fastRandomRequest(1);
+    analytical.cache = cache;
+    analytical.evaluator = std::make_shared<AnalyticalEvaluator>();
+    ScheduleRequest simulated = analytical;
+    simulated.evaluator = std::make_shared<NocSimEvaluator>();
+    ASSERT_EQ(schedulerConfigKey(analytical), schedulerConfigKey(simulated));
+    EXPECT_NE(analytical.evaluator->fingerprint(),
+              simulated.evaluator->fingerprint());
 
     const LayerSpec layer = workloads::listing1Layer();
     const ArchSpec arch = ArchSpec::simbaBaseline();
-    const SearchResult a1 = analytical.scheduleLayer(layer, arch);
+    const SearchResult a1 = scheduleLayer(analytical, layer, arch);
     EXPECT_EQ(cache->stats().misses, 1);
-    const SearchResult s1 = simulated.scheduleLayer(layer, arch);
+    const SearchResult s1 = scheduleLayer(simulated, layer, arch);
     EXPECT_EQ(cache->stats().misses, 2); // no false hit across backends
     EXPECT_EQ(cache->stats().entries, 2);
 
-    // Each engine re-queries its own entry.
-    analytical.scheduleLayer(layer, arch);
-    simulated.scheduleLayer(layer, arch);
+    // Each backend re-queries its own entry.
+    scheduleLayer(analytical, layer, arch);
+    scheduleLayer(simulated, layer, arch);
     EXPECT_EQ(cache->stats().hits, 2);
     EXPECT_EQ(cache->stats().entries, 2);
 
@@ -503,11 +492,11 @@ TEST(SchedulingEngine, EvaluatorFingerprintPartitionsCache)
     EXPECT_EQ(s1.eval.cycles, static_cast<double>(sim.cycles));
 }
 
-TEST(SchedulingEngine, ScheduleLayerFindsValidSchedule)
+TEST(NetworkScheduling, OneLayerQueryFindsValidSchedule)
 {
-    const SchedulingEngine engine(fastRandomConfig(1));
-    const SearchResult result = engine.scheduleLayer(
-        workloads::listing1Layer(), ArchSpec::simbaBaseline());
+    const SearchResult result =
+        scheduleLayer(fastRandomRequest(1), workloads::listing1Layer(),
+                      ArchSpec::simbaBaseline());
     ASSERT_TRUE(result.found);
     EXPECT_GT(result.eval.cycles, 0.0);
     const ValidationResult valid =
@@ -516,19 +505,23 @@ TEST(SchedulingEngine, ScheduleLayerFindsValidSchedule)
     EXPECT_TRUE(valid.valid) << valid.reason;
 }
 
-TEST(SchedulingEngine, PortfolioKeepsBestMemberAndMergesStats)
+/** A cheap Portfolio request: CoSA, Random and Hybrid race per layer. */
+ScheduleRequest
+portfolioRequest()
 {
-    EngineConfig config;
-    config.scheduler = SchedulerKind::Portfolio;
-    config.num_threads = 1;
-    config.cosa.mip.work_limit = 2000;
-    config.random.max_samples = 500;
-    config.random.target_valid = 1;
-    config.hybrid.num_threads = 2;
-    config.hybrid.victory_condition = 50;
-    const SchedulingEngine engine(config);
-    const SearchResult result = engine.scheduleLayer(
-        workloads::listing1Layer(), ArchSpec::simbaBaseline());
+    ScheduleRequest request = fastRandomRequest(1);
+    request.scheduler = SchedulerKind::Portfolio;
+    request.cosa.mip.work_limit = 2000;
+    request.hybrid.num_threads = 2;
+    request.hybrid.victory_condition = 50;
+    return request;
+}
+
+TEST(NetworkScheduling, PortfolioKeepsBestMemberAndMergesStats)
+{
+    const SearchResult result =
+        scheduleLayer(portfolioRequest(), workloads::listing1Layer(),
+                      ArchSpec::simbaBaseline());
     ASSERT_TRUE(result.found);
     EXPECT_TRUE(result.scheduler.rfind("Portfolio[", 0) == 0)
         << result.scheduler;
@@ -536,23 +529,14 @@ TEST(SchedulingEngine, PortfolioKeepsBestMemberAndMergesStats)
     EXPECT_GT(result.stats.samples, 1);
 }
 
-TEST(SchedulingEngine, PortfolioRecordsPerMemberWinCounts)
+TEST(NetworkScheduling, PortfolioRecordsPerMemberWinCounts)
 {
-    EngineConfig config;
-    config.scheduler = SchedulerKind::Portfolio;
-    config.num_threads = 1;
-    config.cosa.mip.work_limit = 2000;
-    config.random.max_samples = 500;
-    config.random.target_valid = 1;
-    config.hybrid.num_threads = 2;
-    config.hybrid.victory_condition = 50;
-    const SchedulingEngine engine(config);
     Workload net;
     net.name = "portfolio-wins";
     net.layers.push_back(workloads::listing1Layer());
     net.layers.push_back(LayerSpec::fromLabel("1_7_32_16_1"));
     const NetworkResult result =
-        engine.scheduleNetwork(net, ArchSpec::simbaBaseline());
+        scheduleNetwork(portfolioRequest(), net, ArchSpec::simbaBaseline());
     // Every solved problem has exactly one winning member.
     EXPECT_EQ(result.portfolio_wins.cosa + result.portfolio_wins.random +
                   result.portfolio_wins.hybrid,
@@ -602,41 +586,43 @@ TEST(ScheduleCache, NearestNeighborRanksByShapeThenArch)
     EXPECT_EQ(cache.stats().neighbor_hits, 4);
 }
 
-TEST(SchedulingEngine, CosaArchSweepInstallsAndCountsWarmStarts)
+TEST(NetworkScheduling, CosaArchSweepInstallsAndCountsWarmStarts)
 {
-    EngineConfig config; // CoSA with warm hints on by default
-    config.num_threads = 1;
-    config.cosa.mip.work_limit = 4000; // keep the test fast
-    const SchedulingEngine engine(config);
+    auto cache = std::make_shared<ScheduleCache>();
+    ScheduleRequest request; // CoSA with warm hints on by default
+    request.max_parallelism = 1;
+    request.cosa.mip.work_limit = 4000; // keep the test fast
+    request.cache = cache;
     const LayerSpec layer = LayerSpec::fromLabel("1_7_64_32_1");
 
     const SearchResult first =
-        engine.scheduleLayer(layer, ArchSpec::simbaBaseline());
+        scheduleLayer(request, layer, ArchSpec::simbaBaseline());
     ASSERT_TRUE(first.found);
-    EXPECT_EQ(engine.cacheStats().neighbor_hits, 0); // cold cache
+    EXPECT_EQ(cache->stats().neighbor_hits, 0); // cold cache
 
     // Second arch: the baseline schedule is the nearest neighbor
     // (distance 0, different fingerprint) and big buffers can only
     // relax capacity, so the refit start must be accepted.
     const SearchResult second =
-        engine.scheduleLayer(layer, ArchSpec::simbaBigBuffers());
+        scheduleLayer(request, layer, ArchSpec::simbaBigBuffers());
     ASSERT_TRUE(second.found);
-    EXPECT_EQ(engine.cacheStats().neighbor_hits, 1);
+    EXPECT_EQ(cache->stats().neighbor_hits, 1);
     EXPECT_GE(second.stats.warm_start_hits, 1);
 
     // A similar shape on the first arch warm-starts from the original.
-    const SearchResult sibling = engine.scheduleLayer(
-        LayerSpec::fromLabel("1_7_64_64_1"), ArchSpec::simbaBaseline());
+    const SearchResult sibling =
+        scheduleLayer(request, LayerSpec::fromLabel("1_7_64_64_1"),
+                      ArchSpec::simbaBaseline());
     ASSERT_TRUE(sibling.found);
-    EXPECT_EQ(engine.cacheStats().neighbor_hits, 2);
+    EXPECT_EQ(cache->stats().neighbor_hits, 2);
 
     // Warm hints off: no neighbor lookups happen.
-    EngineConfig off = config;
+    ScheduleRequest off = request;
     off.warm_start_hints = false;
-    const SchedulingEngine engine_off(off);
-    engine_off.scheduleLayer(layer, ArchSpec::simbaBaseline());
-    engine_off.scheduleLayer(layer, ArchSpec::simbaBigBuffers());
-    EXPECT_EQ(engine_off.cacheStats().neighbor_hits, 0);
+    off.cache = std::make_shared<ScheduleCache>();
+    scheduleLayer(off, layer, ArchSpec::simbaBaseline());
+    scheduleLayer(off, layer, ArchSpec::simbaBigBuffers());
+    EXPECT_EQ(off.cache->stats().neighbor_hits, 0);
 }
 
 } // namespace

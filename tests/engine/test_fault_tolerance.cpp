@@ -94,15 +94,18 @@ class ThrowingEvaluator final : public Evaluator
 
 TEST_F(FaultTolerance, ExecutorContainsThrowingTasks)
 {
-    // A task that throws must not take down the pool (or the process):
-    // the batch finishes and every non-throwing slot is written.
-    const ThreadPool pool(2);
+    // A task that throws must not take down the executor (or the
+    // process): the set finishes and every non-throwing slot is written.
+    Executor executor(2);
     std::vector<int> written(16, 0);
-    pool.run(written.size(), [&](std::size_t i) {
-        if (i % 2 == 1)
-            throw std::runtime_error("task fault");
-        written[i] = 1;
-    });
+    executor
+        .submit(written.size(),
+                [&](std::size_t i) {
+                    if (i % 2 == 1)
+                        throw std::runtime_error("task fault");
+                    written[i] = 1;
+                })
+        ->wait();
     for (std::size_t i = 0; i < written.size(); ++i)
         EXPECT_EQ(written[i], i % 2 == 0 ? 1 : 0) << "slot " << i;
 }

@@ -2,33 +2,25 @@
 
 #include <vector>
 
-#include "engine/scheduling_engine.hpp"
+#include "engine/scheduler_service.hpp"
+#include "service_test_util.hpp"
 
 namespace cosa {
 namespace {
 
-/** Cheap deterministic engine config for fast tests. */
-EngineConfig
-fastRandomConfig(int num_threads)
-{
-    EngineConfig config;
-    config.scheduler = SchedulerKind::Random;
-    config.num_threads = num_threads;
-    config.random.max_samples = 500;
-    config.random.target_valid = 1;
-    return config;
-}
+using test::fastRandomRequest;
+using test::scheduleNetwork;
+using test::submit;
 
 TEST(ScheduleJob, SubmitWaitMatchesBlockingWrapper)
 {
     const Workload net = workloads::resNet50Full();
     const ArchSpec arch = ArchSpec::simbaBaseline();
 
-    const SchedulingEngine blocking_engine(fastRandomConfig(2));
-    const NetworkResult blocking = blocking_engine.scheduleNetwork(net, arch);
+    const NetworkResult blocking =
+        scheduleNetwork(fastRandomRequest(2), net, arch);
 
-    const SchedulingEngine async_engine(fastRandomConfig(2));
-    ScheduleJob job = async_engine.submit(net, arch);
+    ScheduleJob job = submit(fastRandomRequest(2), net, arch);
     const std::vector<NetworkResult> results = job.wait();
     EXPECT_TRUE(job.done());
     EXPECT_FALSE(job.cancelled());
@@ -67,11 +59,11 @@ struct EventRecord
 };
 
 std::vector<EventRecord>
-runAndCollect(const SchedulingEngine& engine, const Workload& net,
+runAndCollect(ScheduleRequest request, const Workload& net,
               const ArchSpec& arch)
 {
     std::vector<EventRecord> events;
-    ScheduleJob job = engine.submit(net, arch);
+    ScheduleJob job = submit(std::move(request), net, arch);
     job.onProgress([&](const JobProgress& p) {
         events.push_back({p.completed, p.total, p.unique_index, p.layer,
                           p.from_cache, p.found});
@@ -85,10 +77,8 @@ TEST(ScheduleJob, ProgressEventsAreDeterministicAcrossThreadCounts)
     const Workload net = workloads::resNet50Full();
     const ArchSpec arch = ArchSpec::simbaBaseline();
 
-    const SchedulingEngine one(fastRandomConfig(1));
-    const SchedulingEngine many(fastRandomConfig(4));
-    const auto e1 = runAndCollect(one, net, arch);
-    const auto en = runAndCollect(many, net, arch);
+    const auto e1 = runAndCollect(fastRandomRequest(1), net, arch);
+    const auto en = runAndCollect(fastRandomRequest(4), net, arch);
 
     // Exactly one event per unique problem, in unique-index order,
     // with cumulative counters — identical at any thread count.
@@ -106,11 +96,12 @@ TEST(ScheduleJob, CacheHitsEmitProgressAndLateSubscribersReplay)
 {
     const Workload net = workloads::resNet50Full();
     const ArchSpec arch = ArchSpec::simbaBaseline();
-    const SchedulingEngine engine(fastRandomConfig(2));
+    ScheduleRequest request = fastRandomRequest(2);
+    request.cache = std::make_shared<ScheduleCache>();
 
-    engine.scheduleNetwork(net, arch); // warm the cache
+    scheduleNetwork(request, net, arch); // warm the cache
 
-    ScheduleJob job = engine.submit(net, arch);
+    ScheduleJob job = submit(request, net, arch);
     job.wait(); // finish first: the subscriber below is maximally late
     std::vector<EventRecord> events;
     job.onProgress([&](const JobProgress& p) {
@@ -128,14 +119,16 @@ TEST(ScheduleJob, CancelMidBatchYieldsConsistentPartialResults)
 {
     const Workload net = workloads::resNet50Full();
     const ArchSpec arch = ArchSpec::simbaBaseline();
-    // One worker: solves run in unique-problem order, so cancelling
-    // from the third progress event deterministically keeps exactly
-    // the first three solves.
-    const SchedulingEngine engine(fastRandomConfig(1));
+    // One task at a time: solves run in unique-problem order, so
+    // cancelling from the third progress event deterministically keeps
+    // exactly the first three solves.
+    auto cache = std::make_shared<ScheduleCache>();
+    ScheduleRequest request = fastRandomRequest(1);
+    request.cache = cache;
 
     // The callback is installed at submit time, so it observes every
     // event live and the cancellation point is exact.
-    ScheduleJob job = engine.submit(net, arch, [](const JobProgress& p) {
+    ScheduleJob job = submit(request, net, arch, [](const JobProgress& p) {
         if (p.completed == 3)
             p.requestCancel();
     });
@@ -162,12 +155,12 @@ TEST(ScheduleJob, CancelMidBatchYieldsConsistentPartialResults)
         }
     }
 
-    // No thread-pool work leaked: only completed solves were cached.
-    EXPECT_EQ(engine.cacheStats().entries, 3);
+    // No executor work leaked: only completed solves were cached.
+    EXPECT_EQ(cache->stats().entries, 3);
 
-    // The engine stays usable: a fresh job finishes the remaining 20
+    // The cache stays usable: a fresh job finishes the remaining 20
     // problems and serves the 3 solved ones from the cache.
-    const NetworkResult resumed = engine.scheduleNetwork(net, arch);
+    const NetworkResult resumed = scheduleNetwork(request, net, arch);
     EXPECT_FALSE(resumed.cancelled);
     EXPECT_EQ(resumed.num_cache_hits, 3);
     EXPECT_EQ(resumed.num_solved, 20);
@@ -181,21 +174,23 @@ TEST(ScheduleJob, MoveAssignOverLiveJobWaitsForIt)
     Workload tiny;
     tiny.name = "tiny";
     tiny.layers.push_back(workloads::listing1Layer());
-    const SchedulingEngine engine(fastRandomConfig(2));
+    auto cache = std::make_shared<ScheduleCache>();
+    ScheduleRequest request = fastRandomRequest(2);
+    request.cache = cache;
 
-    // Overwriting a live handle must join its runner (not terminate on
-    // a joinable std::thread) and still complete the first job's work.
-    // (The second submit() races the first job, so it may hit or miss
-    // the cache; either way both jobs complete and agree.)
-    ScheduleJob job = engine.submit(tiny, arch);
-    job = engine.submit(tiny, arch);
+    // Overwriting a live handle must wait for the held job and still
+    // complete its work. (The second submit() races the first job, so
+    // it may hit or miss the cache; either way both jobs complete and
+    // agree.)
+    ScheduleJob job = submit(request, tiny, arch);
+    job = submit(request, tiny, arch);
     const auto results = job.wait();
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results.front().num_cache_hits +
                   results.front().num_solved,
               1);
     EXPECT_TRUE(results.front().all_found);
-    EXPECT_EQ(engine.cacheStats().entries, 1);
+    EXPECT_EQ(cache->stats().entries, 1);
 }
 
 TEST(ScheduleJob, DestructorWaitsWithoutCollecting)
@@ -204,13 +199,15 @@ TEST(ScheduleJob, DestructorWaitsWithoutCollecting)
     Workload tiny;
     tiny.name = "tiny";
     tiny.layers.push_back(workloads::listing1Layer());
-    const SchedulingEngine engine(fastRandomConfig(2));
+    auto cache = std::make_shared<ScheduleCache>();
+    ScheduleRequest request = fastRandomRequest(2);
+    request.cache = cache;
     {
-        ScheduleJob dropped = engine.submit(tiny, arch);
-        (void)dropped; // destructor must join the runner, not leak it
+        ScheduleJob dropped = submit(request, tiny, arch);
+        (void)dropped; // destructor must wait for the job, not drop it
     }
     // The work still happened (and is cached).
-    EXPECT_EQ(engine.cacheStats().entries, 1);
+    EXPECT_EQ(cache->stats().entries, 1);
 }
 
 } // namespace

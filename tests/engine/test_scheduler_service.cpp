@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "engine/scheduler_service.hpp"
-#include "engine/scheduling_engine.hpp"
 
 namespace cosa {
 namespace {
@@ -74,39 +73,6 @@ expectIdenticalResults(const NetworkResult& a, const NetworkResult& b)
     EXPECT_EQ(a.search.valid_evaluated, b.search.valid_evaluated);
 }
 
-TEST(SchedulerService, SubmitMatchesEngineWrapperByteForByte)
-{
-    const Workload net = workloads::resNet50Full();
-    const ArchSpec arch = ArchSpec::simbaBaseline();
-
-    // The historical engine path...
-    EngineConfig config;
-    config.scheduler = SchedulerKind::Random;
-    config.num_threads = 2;
-    config.random.max_samples = 500;
-    config.random.target_valid = 1;
-    const SchedulingEngine engine(config);
-    const NetworkResult via_engine = engine.scheduleNetwork(net, arch);
-
-    // ...and the same query as a first-class ScheduleRequest.
-    ScheduleRequest request = randomRequest(net, 500);
-    request.random.target_valid = 1;
-    ServiceConfig service_config;
-    service_config.num_threads = 2;
-    SchedulerService service(service_config);
-    SubmitResult submitted = service.submit(std::move(request));
-    ASSERT_TRUE(submitted.accepted());
-    const NetworkResult via_service = submitted.takeJob().wait().front();
-
-    expectIdenticalResults(via_engine, via_service);
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.submitted, 1);
-    EXPECT_EQ(stats.completed, 1);
-    // num_solved solve tasks plus the job's one prologue task (the job
-    // body itself runs as executor continuations, not a thread).
-    EXPECT_EQ(stats.executor.tasks_executed, via_service.num_solved + 1);
-}
-
 TEST(SchedulerService, DeterministicUnderRandomCoTenantInterleavings)
 {
     const Workload ref_net = syntheticNet("reference", 8, 16);
@@ -122,6 +88,12 @@ TEST(SchedulerService, DeterministicUnderRandomCoTenantInterleavings)
             service.submit(randomRequest(ref_net, samples));
         ASSERT_TRUE(submitted.accepted());
         reference = submitted.takeJob().wait().front();
+        const ServiceStats stats = service.stats();
+        EXPECT_EQ(stats.submitted, 1);
+        EXPECT_EQ(stats.completed, 1);
+        // num_solved solve tasks plus the job's one prologue task (the
+        // job body itself runs as executor continuations, not a thread).
+        EXPECT_EQ(stats.executor.tasks_executed, reference.num_solved + 1);
     }
     ASSERT_TRUE(reference.all_found);
     EXPECT_EQ(reference.num_solved, 8);

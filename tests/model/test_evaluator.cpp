@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "engine/scheduling_engine.hpp"
 #include "mapper/random_mapper.hpp"
 #include "model/evaluator.hpp"
+#include "noc/schedule_sim.hpp"
 #include "problem/workloads.hpp"
 
 namespace cosa {
