@@ -9,7 +9,7 @@
  * every instance must pay its real solve.
  *
  * Solver-core mode:
- *   bench_tab06_time_to_solution --solver-json [path] [--compare-basis]
+ *   bench_tab06_time_to_solution --solver-json [path]
  * runs CoSA alone over the 23 unique ResNet-50 layers, one request
  * per layer on a shared cache so each solve can warm-start from the
  * nearest previously solved shape, and writes machine-readable per-layer
@@ -19,13 +19,9 @@
  * trajectory file: commit-over-commit comparisons diff its geomean at
  * a fixed work budget.
  *
- * --compare-basis re-runs the sweep with the dense-inverse basis
- * (MipParams::basis_mode) on a fresh cache and appends its geomean
- * plus the LU speedup — the two runs perform identical pivot
- * sequences, so the ratio isolates the representation's cost.
- *
  * --metrics-out / --trace-out (see docs/observability.md) dump the
- * process metric registry and Chrome trace at exit.
+ * process metric registry and Chrome trace at exit. Any other argument
+ * prints the usage line and exits with status 2.
  */
 
 #include <cmath>
@@ -53,11 +49,10 @@ struct SweepTotals
     std::int64_t lu_refactor_requests = 0;
 };
 
-/** One sequential CoSA sweep over the unique ResNet-50 layers. When
- *  @p out is non-null, per-layer JSON records are streamed to it. */
+/** One sequential CoSA sweep over the unique ResNet-50 layers,
+ *  streaming per-layer JSON records to @p out. */
 SweepTotals
-runSolverSweep(solver::BasisMode basis_mode, SearchObjective objective,
-               std::ofstream* out)
+runSolverSweep(SearchObjective objective, std::ofstream& out)
 {
     const Workload net = workloads::resNet50();
 
@@ -65,7 +60,6 @@ runSolverSweep(solver::BasisMode basis_mode, SearchObjective objective,
         bench::defaultRequest(SchedulerKind::Cosa, objective);
     request.arch = ArchSpec::simbaBaseline();
     request.max_parallelism = 1; // sequential: contention-free times
-    request.cosa.mip.basis_mode = basis_mode;
     // One cache for the whole sweep: later layers see the earlier
     // schedules and warm-start from their nearest neighbor.
     request.cache = std::make_shared<ScheduleCache>();
@@ -79,25 +73,23 @@ runSolverSweep(solver::BasisMode basis_mode, SearchObjective objective,
         const SearchResult& result = run.layers.front().result;
         const SearchStats& st = result.stats;
 
-        if (out != nullptr) {
-            *out << "    {\"layer\": \"" << layer.name << "\""
-                 << ", \"found\": " << (result.found ? "true" : "false")
-                 << ", \"solve_time_sec\": " << st.search_time_sec
-                 << ", \"lp_iterations\": " << st.lp_iterations
-                 << ", \"mip_nodes\": " << st.mip_nodes
-                 << ", \"warm_hint_installed\": " << st.warm_starts_installed
-                 << ", \"warm_start_hits\": " << st.warm_start_hits
-                 << ", \"presolve_sec\": " << st.presolve_time_sec
-                 << ", \"root_lp_sec\": " << st.root_lp_time_sec
-                 << ", \"tree_sec\": " << st.tree_time_sec
-                 << ", \"lu_factorizations\": " << st.lu_factorizations
-                 << ", \"lu_eta_updates\": " << st.lu_eta_updates
-                 << ", \"lu_refactor_requests\": "
-                 << (st.lu_unstable_updates + st.lu_fill_refactor_requests)
-                 << ", \"cycles\": " << result.eval.cycles
-                 << ", \"energy_pj\": " << result.eval.energy_pj << "}"
-                 << (l + 1 < net.layers.size() ? "," : "") << "\n";
-        }
+        out << "    {\"layer\": \"" << layer.name << "\""
+            << ", \"found\": " << (result.found ? "true" : "false")
+            << ", \"solve_time_sec\": " << st.search_time_sec
+            << ", \"lp_iterations\": " << st.lp_iterations
+            << ", \"mip_nodes\": " << st.mip_nodes
+            << ", \"warm_hint_installed\": " << st.warm_starts_installed
+            << ", \"warm_start_hits\": " << st.warm_start_hits
+            << ", \"presolve_sec\": " << st.presolve_time_sec
+            << ", \"root_lp_sec\": " << st.root_lp_time_sec
+            << ", \"tree_sec\": " << st.tree_time_sec
+            << ", \"lu_factorizations\": " << st.lu_factorizations
+            << ", \"lu_eta_updates\": " << st.lu_eta_updates
+            << ", \"lu_refactor_requests\": "
+            << (st.lu_unstable_updates + st.lu_fill_refactor_requests)
+            << ", \"cycles\": " << result.eval.cycles
+            << ", \"energy_pj\": " << result.eval.energy_pj << "}"
+            << (l + 1 < net.layers.size() ? "," : "") << "\n";
 
         log_sum += std::log(std::max(st.search_time_sec, 1e-9));
         totals.total_time += st.search_time_sec;
@@ -119,8 +111,7 @@ runSolverSweep(solver::BasisMode basis_mode, SearchObjective objective,
 }
 
 int
-solverJsonMode(const std::string& path, SearchObjective objective,
-               bool compare_basis)
+solverJsonMode(const std::string& path, SearchObjective objective)
 {
     const Workload net = workloads::resNet50();
     const solver::MipParams mip = bench::defaultCosaConfig().mip;
@@ -135,12 +126,9 @@ solverJsonMode(const std::string& path, SearchObjective objective,
     out << "  \"arch\": \"" << ArchSpec::simbaBaseline().name << "\",\n";
     out << "  \"work_limit\": " << mip.work_limit << ",\n";
     out << "  \"presolve\": " << (mip.presolve ? "true" : "false") << ",\n";
-    out << "  \"basis_mode\": \""
-        << (mip.basis_mode == solver::BasisMode::Lu ? "lu" : "dense")
-        << "\",\n";
     out << "  \"layers\": [\n";
 
-    const SweepTotals totals = runSolverSweep(mip.basis_mode, objective, &out);
+    const SweepTotals totals = runSolverSweep(objective, out);
     out << "  ],\n";
     out << "  \"num_layers\": " << net.layers.size() << ",\n";
     out << "  \"num_found\": " << totals.solved << ",\n";
@@ -157,39 +145,7 @@ solverJsonMode(const std::string& path, SearchObjective objective,
     out << "  \"total_lu_eta_updates\": " << totals.lu_eta_updates << ",\n";
     out << "  \"total_lu_refactor_requests\": "
         << totals.lu_refactor_requests << ",\n";
-    out << "  \"total_warm_start_hits\": " << totals.warm_hits;
-
-    if (compare_basis && mip.basis_mode != solver::BasisMode::Lu) {
-        // Dense-vs-dense would record a meaningless ~1.0 "speedup".
-        std::cerr << "--compare-basis skipped: primary sweep already "
-                     "runs the dense basis (COSA_BASIS_MODE)\n";
-        compare_basis = false;
-    }
-    if (compare_basis) {
-        // Same sweep, dense-inverse basis, fresh cache. The pivot
-        // sequences are identical by contract (same nodes, same
-        // iterations), so the time ratio is pure representation cost.
-        const SweepTotals dense =
-            runSolverSweep(solver::BasisMode::Dense, objective, nullptr);
-        out << ",\n  \"dense_geomean_solve_time_sec\": " << dense.geomean
-            << ",\n  \"dense_total_solve_time_sec\": " << dense.total_time
-            << ",\n  \"lu_speedup_geomean\": "
-            << (totals.geomean > 0.0 ? dense.geomean / totals.geomean : 0.0);
-        if (dense.iters != totals.iters || dense.nodes != totals.nodes) {
-            std::cerr << "warning: dense/lu sweeps diverged (nodes "
-                      << dense.nodes << " vs " << totals.nodes
-                      << ", iters " << dense.iters << " vs " << totals.iters
-                      << ") — speedup is not like-for-like\n";
-        }
-        std::cout << "basis comparison: dense geomean "
-                  << TextTable::fmt(dense.geomean, 3) << "s/layer vs lu "
-                  << TextTable::fmt(totals.geomean, 3) << "s/layer ("
-                  << TextTable::fmt(dense.geomean /
-                                        std::max(totals.geomean, 1e-12),
-                                    2)
-                  << "x)\n";
-    }
-    out << "\n}\n";
+    out << "  \"total_warm_start_hits\": " << totals.warm_hits << "\n}\n";
 
     std::cout << "solver core over " << net.layers.size()
               << " unique ResNet-50 layers: geomean "
@@ -208,7 +164,6 @@ main(int argc, char** argv)
     using namespace cosa;
     SearchObjective objective = SearchObjective::Latency;
     bool solver_json = false;
-    bool compare_basis = false;
     std::string solver_json_path = "BENCH_solver.json";
     for (int a = 1; a < argc; ++a) {
         if (parseObjectiveFlag(argc, argv, &a, &objective))
@@ -219,12 +174,17 @@ main(int argc, char** argv)
             solver_json = true;
             if (a + 1 < argc && std::strncmp(argv[a + 1], "--", 2) != 0)
                 solver_json_path = argv[++a];
+            continue;
         }
-        if (std::strcmp(argv[a], "--compare-basis") == 0)
-            compare_basis = true;
+        std::cerr << "unknown argument: " << argv[a] << "\n"
+                  << "usage: " << argv[0]
+                  << " [--solver-json [PATH]] [--objective "
+                     "{latency,energy,edp}] [--metrics-out PATH] "
+                     "[--trace-out PATH]\n";
+        return 2;
     }
     if (solver_json)
-        return solverJsonMode(solver_json_path, objective, compare_basis);
+        return solverJsonMode(solver_json_path, objective);
 
     const ArchSpec arch = ArchSpec::simbaBaseline();
 

@@ -41,11 +41,9 @@ enum class ErrorCode {
      *  retriable: the same input fails the same way. */
     kInvalidInput,
     /** Numeric trouble inside the solver (lost feasibility, unbounded
-     *  phase-1, non-finite pivot). Retriable on the dense reference
-     *  basis. */
+     *  phase-1, non-finite pivot). Retriable. */
     kNumericFailure,
-    /** The simplex basis could not be factorized. Retriable: a forced
-     *  refactorization on the dense reference path may recover. */
+    /** The simplex basis could not be factorized. Retriable. */
     kSingularBasis,
     /** A deterministic work/node budget ran out before any usable
      *  answer existed. */
@@ -105,8 +103,8 @@ class Status
 };
 
 /** True when retrying the same solve can plausibly succeed (numeric
- *  trouble, singular basis — transient or representation-dependent);
- *  false for input errors, cancellation and everything else. */
+ *  trouble, singular basis — when transient); false for input errors,
+ *  cancellation and everything else. */
 bool isRetriable(ErrorCode code);
 
 /**

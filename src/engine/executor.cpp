@@ -1,4 +1,4 @@
-#include "engine/thread_pool.hpp"
+#include "engine/executor.hpp"
 
 #include <algorithm>
 #include <chrono>

@@ -224,20 +224,15 @@ recordSolveMetrics(const ScheduleRequest& req, const SearchResult& solved)
         .inc(s.warm_start_hits);
 }
 
-/**
- * One attempt of the requested scheduler. @p cosa_cfg is the CoSA
- * tunables to use this attempt (the firewall's retries flip the basis
- * mode without copying the whole request).
- */
+/** One attempt of the requested scheduler. */
 SearchResult
-solveOne(const ScheduleRequest& req, const CosaConfig& cosa_cfg,
-         const LayerSpec& layer, const ArchSpec& arch,
-         const std::vector<Mapping>& warm_hints)
+solveOne(const ScheduleRequest& req, const LayerSpec& layer,
+         const ArchSpec& arch, const std::vector<Mapping>& warm_hints)
 {
     const Evaluator& evaluator = *req.evaluator;
     switch (req.scheduler) {
       case SchedulerKind::Cosa:
-        return CosaScheduler(cosa_cfg, req.objective)
+        return CosaScheduler(req.cosa, req.objective)
             .schedule(layer, arch, warm_hints, evaluator);
       case SchedulerKind::Random:
         return RandomMapper(req.random).schedule(layer, arch, evaluator);
@@ -260,7 +255,7 @@ solveOne(const ScheduleRequest& req, const CosaConfig& cosa_cfg,
         std::thread cosa_thread([&] {
             try {
                 members[0] =
-                    CosaScheduler(cosa_cfg, req.objective)
+                    CosaScheduler(req.cosa, req.objective)
                         .schedule(layer, arch, warm_hints, evaluator);
             } catch (...) {
                 faults[0] = std::current_exception();
@@ -394,11 +389,12 @@ struct FirewallReport
 
 /**
  * solveOne() behind the containment boundary: catches typed faults and
- * exceptions, retries retriable ones on the dense reference basis path
- * (pivot-identical by the basis equivalence contract, so a successful
- * retry is indistinguishable from a fault-free solve), then walks the
- * degradation ladder — the greedy always-constructible schedule first,
- * random search second. Never throws.
+ * exceptions, re-runs retriable ones unchanged (solves are
+ * deterministic, so a retry that gets past a transient fault is
+ * indistinguishable from a fault-free solve, and a deterministic fault
+ * fails again), then walks the degradation ladder — the greedy
+ * always-constructible schedule first, random search second. Never
+ * throws.
  */
 SearchResult
 solveWithFirewall(const ScheduleRequest& req, const LayerSpec& layer,
@@ -441,13 +437,10 @@ solveWithFirewall(const ScheduleRequest& req, const LayerSpec& layer,
     Status last;
     const int max_attempts = 1 + std::max(req.max_solve_retries, 0);
     for (int attempt = 0; attempt < max_attempts; ++attempt) {
-        CosaConfig cosa_cfg = req.cosa;
-        if (attempt > 0)
-            cosa_cfg.mip.basis_mode = solver::BasisMode::Dense;
         SearchResult result;
         Status fault;
         try {
-            result = solveOne(req, cosa_cfg, layer, arch, warm_hints);
+            result = solveOne(req, layer, arch, warm_hints);
             fault = result.status;
         } catch (const CosaError& e) {
             fault = e.status();

@@ -61,14 +61,14 @@
  *
  * Failure containment (docs/robustness.md): every layer solve runs
  * behind an exception firewall. A typed fault (`cosa::Status`) or a
- * thrown exception is caught, retried up to
- * `ScheduleRequest::max_solve_retries` times on the dense reference
- * basis path, then handed to a degradation ladder (greedy schedule,
- * then random search); the layer's `LayerOutcome` records which path
- * served it. One poisoned layer therefore degrades one layer — never
- * the job, the tenant or the process. With no faults injected and
- * healthy inputs the firewall is pass-through and results are
- * bit-identical to the pre-firewall engine.
+ * thrown exception is caught, retried unchanged up to
+ * `ScheduleRequest::max_solve_retries` times, then handed to a
+ * degradation ladder (greedy schedule, then random search); the
+ * layer's `LayerOutcome` records which path served it. One poisoned
+ * layer therefore degrades one layer — never the job, the tenant or
+ * the process. With no faults injected and healthy inputs the
+ * firewall is pass-through and results are bit-identical to the
+ * pre-firewall engine.
  *
  * Introspection: `listJobs()` snapshots every queued/running job;
  * `stats()` reports queue depths, per-priority queue-wait times and
@@ -87,7 +87,7 @@
 #include "engine/network_result.hpp"
 #include "engine/schedule_cache.hpp"
 #include "engine/schedule_job.hpp"
-#include "engine/thread_pool.hpp"
+#include "engine/executor.hpp"
 #include "mapper/exhaustive_mapper.hpp"
 #include "mapper/hybrid_mapper.hpp"
 #include "mapper/random_mapper.hpp"
@@ -188,10 +188,10 @@ struct ScheduleRequest
     /**
      * Retries the failure firewall grants a layer solve that fails
      * with a *retriable* typed fault (numeric trouble, a singular
-     * basis) before falling down the degradation ladder; retries force
-     * the solver onto the dense reference basis path. Clamped to
-     * [0, 8]. Irrelevant on fault-free runs — results there are
-     * bit-identical at any setting.
+     * basis) before falling down the degradation ladder; a retry
+     * re-runs the same solve, so it recovers transient faults only.
+     * Clamped to [0, 8]. Irrelevant on fault-free runs — results there
+     * are bit-identical at any setting.
      */
     int max_solve_retries = 2;
     /** Display label for listJobs(); defaults to the first workload's

@@ -38,8 +38,8 @@ struct SearchStats
     double presolve_time_sec = 0.0;
     double root_lp_time_sec = 0.0;
     double tree_time_sec = 0.0;
-    // Basis-factorization work (CoSA with BasisMode::Lu; see
-    // BasisLu::Stats for the trigger semantics).
+    // Basis-factorization work (CoSA only; see BasisLu::Stats for the
+    // trigger semantics).
     std::int64_t lu_factorizations = 0;
     std::int64_t lu_eta_updates = 0;
     std::int64_t lu_unstable_updates = 0;

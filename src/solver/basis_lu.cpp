@@ -2,29 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/logging.hpp"
 
 namespace cosa::solver {
-
-BasisMode
-defaultBasisMode()
-{
-    static const BasisMode mode = [] {
-        const char* env = std::getenv("COSA_BASIS_MODE");
-        if (env != nullptr && std::strcmp(env, "dense") == 0)
-            return BasisMode::Dense;
-        if (env != nullptr && env[0] != '\0' &&
-            std::strcmp(env, "lu") != 0) {
-            warn("COSA_BASIS_MODE=\"", env,
-                 "\" is not dense|lu; using lu");
-        }
-        return BasisMode::Lu;
-    }();
-    return mode;
-}
 
 bool
 BasisLu::factorize(int m, const std::vector<std::vector<Entry>>& cols)

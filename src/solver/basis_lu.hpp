@@ -3,7 +3,7 @@
 /**
  * @file
  * Sparse LU representation of the simplex basis with product-form
- * (eta) updates — the replacement for the explicit dense basis inverse.
+ * (eta) updates — the simplex's one basis representation.
  *
  * The basis matrix B (one column per basic variable) is held as
  *     P B Q = L U
@@ -18,10 +18,10 @@
  * w = B^-1 a_q (the ftran'd entering column, already computed for the
  * ratio test) and p the leaving basis position,
  *     B' = B E,   E = I + (w - e_p) e_p',
- * so B'^-1 = E^-1 B^-1 and E^-1 costs O(nnz(w)) to apply — the O(m^2)
- * dense rank-one update this file replaces. Etas accumulate in a file
- * that every FTRAN/BTRAN streams through; refactorization folds them
- * back into fresh L U factors.
+ * so B'^-1 = E^-1 B^-1 and E^-1 costs O(nnz(w)) to apply, where an
+ * explicit inverse needs an O(m^2) rank-one update. Etas accumulate in
+ * a file that every FTRAN/BTRAN streams through; refactorization folds
+ * them back into fresh L U factors.
  *
  * Refactorization is *stability-triggered*, not on a fixed pivot
  * cadence: an update whose eta pivot |w_p| is small against ||w||_inf
@@ -38,21 +38,6 @@
 #include "solver/sparse_matrix.hpp"
 
 namespace cosa::solver {
-
-/** Which representation of B^-1 a Simplex instance maintains. */
-enum class BasisMode : std::uint8_t {
-    Dense, //!< explicit dense inverse (the historical reference path)
-    Lu,    //!< sparse LU factors + product-form eta updates
-};
-
-/**
- * Process-wide default basis mode: BasisMode::Lu, overridable with the
- * environment variable COSA_BASIS_MODE=dense|lu (read once). The
- * override exists for CI matrix legs and numerics triage — both modes
- * produce identical pivot sequences by contract, so flipping it must
- * not change any result, only the cost of obtaining it.
- */
-BasisMode defaultBasisMode();
 
 /** Sparse LU factors of a basis matrix plus the eta file on top. */
 class BasisLu
@@ -106,7 +91,8 @@ class BasisLu
      */
     bool factorize(int m, const std::vector<std::vector<Entry>>& cols);
 
-    /** True when factorize() has succeeded at least once. */
+    /** True when the last factorize() succeeded (the factors are
+     *  usable). */
     bool factorized() const { return factorized_; }
 
     /** In place x := B^-1 x (dense length-m vector). */
@@ -140,7 +126,7 @@ class BasisLu
      *  this fraction of its column's largest active entry. */
     static constexpr double kMarkowitzThreshold = 0.05;
     /** Absolute pivot floor; below it a basis is declared singular
-     *  (matches the dense path's Gauss-Jordan tolerance). */
+     *  (matches the dense reference oracle's Gauss-Jordan tolerance). */
     static constexpr double kSingularTol = 1e-11;
     /** Eta growth tolerance: |w_p| / ||w||_inf below this requests a
      *  refactorization. */

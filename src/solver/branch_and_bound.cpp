@@ -29,9 +29,9 @@ constexpr std::int64_t kDeadlineCheckMask = 63;
 /** Relative tie window of the tree-search decisions that compare
  *  solver-computed floats (branch fractionalities, incumbent
  *  improvements). Mirrors Simplex::kTieRelTol: CoSA's symmetric
- *  variables produce *exact* ties that differ only in representation
- *  noise between basis modes, and the tree must not fork on that
- *  noise — ties resolve by scan order instead. */
+ *  variables produce *exact* ties that differ only in rounding noise,
+ *  and the tree must not fork on that noise — ties resolve by scan
+ *  order instead. */
 constexpr double kTieRelTol = 1e-9;
 
 } // namespace
@@ -263,8 +263,8 @@ MipSolver::dfs(Simplex& splx, Rng* rng, std::int64_t node_cap,
                 const double floor_v = std::floor(v);
                 const double ceil_v = floor_v + 1.0;
                 // Exactly-half fractions (common in CoSA relaxations)
-                // dive down in every basis representation; only a
-                // clear majority side overrides that.
+                // dive down whatever their rounding; only a clear
+                // majority side overrides that.
                 bool down_first = (v - floor_v) < 0.5 + kTieRelTol;
                 if (rng && rng->nextDouble() < 0.25)
                     down_first = !down_first;
@@ -355,7 +355,7 @@ MipSolver::solve(bool relaxation_only)
         return result;
     }
 
-    Simplex base(lp_, params_.basis_mode);
+    Simplex base(lp_);
     LpStatus root;
     {
         trace::Span span("mip.root_lp", "solver");

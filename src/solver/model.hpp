@@ -52,19 +52,6 @@ struct MipParams
     bool enable_probing = false;
     bool verbose = false;           //!< log node progress to stderr
     std::uint64_t seed = 1;         //!< diving-heuristic tie-break seed
-    /**
-     * Basis representation of every simplex instance in the solve:
-     * BasisMode::Lu (default) maintains sparse LU factors with
-     * product-form eta updates and stability-triggered
-     * refactorization; BasisMode::Dense keeps the historical explicit
-     * inverse (O(m^2) per pivot) as the numerics reference. The two
-     * modes perform identical pivot sequences and return identical
-     * results (asserted by the equivalence suite), so this knob — and
-     * the COSA_BASIS_MODE env override behind defaultBasisMode() —
-     * trades nothing but solve time, and does not partition the
-     * schedule cache. See docs/solver-numerics.md.
-     */
-    BasisMode basis_mode = defaultBasisMode();
 };
 
 /** Outcome of Model::optimize(). */
@@ -87,8 +74,7 @@ struct MipResult
     double root_lp_time_sec = 0.0;
     double tree_time_sec = 0.0;
     /** Basis-factorization work summed over every simplex instance the
-     *  solve ran (root LP, dives, warm-start repairs, RINS rounds).
-     *  All zero in BasisMode::Dense. */
+     *  solve ran (root LP, dives, warm-start repairs, RINS rounds). */
     BasisLu::Stats basis;
     /** Per-setStart() flag: 1 when that start's integer fixing had a
      *  feasible LP completion (it was installed as an incumbent). */

@@ -11,9 +11,9 @@ namespace cosa::solver {
 
 namespace {
 
-constexpr int kRefactorInterval = 64;   // dense mode: pivots between
-                                        // refactorizations; both modes:
-                                        // basic-value refresh cadence
+constexpr int kRefreshInterval = 64;    // pivots between recomputes of
+                                        // the incrementally-updated
+                                        // basic values (and duals)
 constexpr int kStallLimit = 40;         // degenerate pivots before Bland
 constexpr std::int64_t kMaxIterations = 20000;  // cold primal solves
 constexpr std::int64_t kMaxDualIterations = 4000; // warm re-solves: fall
@@ -21,8 +21,7 @@ constexpr std::int64_t kMaxDualIterations = 4000; // warm re-solves: fall
 
 } // namespace
 
-Simplex::Simplex(const LpProblem& prob, BasisMode mode)
-    : mode_(mode)
+Simplex::Simplex(const LpProblem& prob)
 {
     m_ = prob.num_rows;
     num_structural_ = prob.num_structural;
@@ -76,13 +75,7 @@ Simplex::Simplex(const LpProblem& prob, BasisMode mode)
 
     basic_.assign(m_, -1);
     state_.assign(total_, kAtLower);
-    // The dense m x m inverse exists only in Dense mode; LU mode's
-    // factors grow with the basis' actual fill instead, which also
-    // makes the branch-and-bound tree's Simplex clones cheap to copy.
-    if (mode_ == BasisMode::Dense)
-        binv_.assign(static_cast<std::size_t>(m_) * m_, 0.0);
-    else
-        work_rho_.assign(m_, 0.0);
+    work_rho_.assign(m_, 0.0);
     xb_.assign(m_, 0.0);
     work_col_.assign(m_, 0.0);
     work_row_.assign(total_, 0.0);
@@ -138,18 +131,8 @@ Simplex::computeXb()
             continue;
         subtractColumn(j, v, r.data());
     }
-    if (mode_ == BasisMode::Lu) {
-        lu_.ftran(r.data());
-        std::copy(r.begin(), r.end(), xb_.begin());
-        return;
-    }
-    for (int i = 0; i < m_; ++i) {
-        const double* row = &binv_[static_cast<std::size_t>(i) * m_];
-        double acc = 0.0;
-        for (int k = 0; k < m_; ++k)
-            acc += row[k] * r[k];
-        xb_[i] = acc;
-    }
+    lu_.ftran(r.data());
+    std::copy(r.begin(), r.end(), xb_.begin());
 }
 
 bool
@@ -157,146 +140,54 @@ Simplex::refactorize()
 {
     trace::Span span("simplex.refactorize", "solver", /*fine=*/true);
     COSA_FAILPOINT("simplex.factorize", ErrorCode::kSingularBasis);
-    if (mode_ == BasisMode::Lu) {
-        // Gather the basis columns (implicit unit columns included) and
-        // hand them to the Markowitz LU; cost scales with fill, not m^3.
-        std::vector<std::vector<BasisLu::Entry>> cols(
-            static_cast<std::size_t>(m_));
-        for (int col = 0; col < m_; ++col) {
-            const int j = basic_[col];
-            auto& out = cols[static_cast<std::size_t>(col)];
-            if (j < num_structural_) {
-                const auto span = matrix_->column(j);
-                out.assign(span.begin(), span.end());
-            } else if (j < n_) {
-                out.push_back({j - num_structural_, 1.0});
-            } else {
-                out.push_back({j - n_, art_sign_[j - n_]});
-            }
-        }
-        return lu_.factorize(m_, cols);
-    }
-    // Dense mode: scatter the (sparse) basis columns into a dense
-    // matrix and invert with Gauss-Jordan elimination and partial
-    // pivoting. Dense O(m^3); called sparingly.
-    std::vector<double> mat(static_cast<std::size_t>(m_) * m_, 0.0);
+    // Gather the basis columns (implicit unit columns included) and
+    // hand them to the Markowitz LU; cost scales with fill, not m^3.
+    std::vector<std::vector<BasisLu::Entry>> cols(
+        static_cast<std::size_t>(m_));
     for (int col = 0; col < m_; ++col) {
         const int j = basic_[col];
+        auto& out = cols[static_cast<std::size_t>(col)];
         if (j < num_structural_) {
-            for (const SparseMatrix::Entry& e : matrix_->column(j))
-                mat[static_cast<std::size_t>(e.index) * m_ + col] = e.value;
+            const auto column = matrix_->column(j);
+            out.assign(column.begin(), column.end());
         } else if (j < n_) {
-            mat[static_cast<std::size_t>(j - num_structural_) * m_ + col] =
-                1.0;
+            out.push_back({j - num_structural_, 1.0});
         } else {
-            mat[static_cast<std::size_t>(j - n_) * m_ + col] =
-                art_sign_[j - n_];
+            out.push_back({j - n_, art_sign_[j - n_]});
         }
     }
-    // Initialize binv to identity.
-    std::fill(binv_.begin(), binv_.end(), 0.0);
-    for (int i = 0; i < m_; ++i)
-        binv_[static_cast<std::size_t>(i) * m_ + i] = 1.0;
-
-    for (int col = 0; col < m_; ++col) {
-        int piv = col;
-        double best = std::abs(mat[static_cast<std::size_t>(col) * m_ + col]);
-        for (int i = col + 1; i < m_; ++i) {
-            const double v =
-                std::abs(mat[static_cast<std::size_t>(i) * m_ + col]);
-            if (v > best) {
-                best = v;
-                piv = i;
-            }
-        }
-        if (best < 1e-11)
-            return false; // singular basis
-        if (piv != col) {
-            for (int k = 0; k < m_; ++k) {
-                std::swap(mat[static_cast<std::size_t>(piv) * m_ + k],
-                          mat[static_cast<std::size_t>(col) * m_ + k]);
-                std::swap(binv_[static_cast<std::size_t>(piv) * m_ + k],
-                          binv_[static_cast<std::size_t>(col) * m_ + k]);
-            }
-        }
-        const double inv_p =
-            1.0 / mat[static_cast<std::size_t>(col) * m_ + col];
-        for (int k = 0; k < m_; ++k) {
-            mat[static_cast<std::size_t>(col) * m_ + k] *= inv_p;
-            binv_[static_cast<std::size_t>(col) * m_ + k] *= inv_p;
-        }
-        for (int i = 0; i < m_; ++i) {
-            if (i == col)
-                continue;
-            const double f = mat[static_cast<std::size_t>(i) * m_ + col];
-            if (f == 0.0)
-                continue;
-            for (int k = 0; k < m_; ++k) {
-                mat[static_cast<std::size_t>(i) * m_ + k] -=
-                    f * mat[static_cast<std::size_t>(col) * m_ + k];
-                binv_[static_cast<std::size_t>(i) * m_ + k] -=
-                    f * binv_[static_cast<std::size_t>(col) * m_ + k];
-            }
-        }
-    }
-    return true;
+    return lu_.factorize(m_, cols);
 }
 
 void
 Simplex::ftran(int j)
 {
     COSA_FAILPOINT("simplex.ftran", ErrorCode::kNumericFailure);
-    if (mode_ == BasisMode::Lu) {
-        // Scatter column j (structural nonzeros, or the implicit unit
-        // column of a slack/artificial) and solve against the factors.
-        std::fill(work_col_.begin(), work_col_.end(), 0.0);
-        if (j < num_structural_) {
-            for (const SparseMatrix::Entry& e : matrix_->column(j))
-                work_col_[e.index] = e.value;
-        } else if (j < n_) {
-            work_col_[j - num_structural_] = 1.0;
-        } else {
-            work_col_[j - n_] = art_sign_[j - n_];
-        }
-        lu_.ftran(work_col_.data());
-        return;
+    // Scatter column j (structural nonzeros, or the implicit unit
+    // column of a slack/artificial) and solve against the factors.
+    std::fill(work_col_.begin(), work_col_.end(), 0.0);
+    if (j < num_structural_) {
+        for (const SparseMatrix::Entry& e : matrix_->column(j))
+            work_col_[e.index] = e.value;
+    } else if (j < n_) {
+        work_col_[j - num_structural_] = 1.0;
+    } else {
+        work_col_[j - n_] = art_sign_[j - n_];
     }
-    if (j >= num_structural_) {
-        // Unit column: B^-1 e_r (scaled by the artificial's sign).
-        const bool artificial = j >= n_;
-        const int r = artificial ? j - n_ : j - num_structural_;
-        const double sign = artificial ? art_sign_[r] : 1.0;
-        for (int i = 0; i < m_; ++i)
-            work_col_[i] = sign * binv_[static_cast<std::size_t>(i) * m_ + r];
-        return;
-    }
-    const auto column = matrix_->column(j);
-    for (int i = 0; i < m_; ++i) {
-        const double* row = &binv_[static_cast<std::size_t>(i) * m_];
-        double acc = 0.0;
-        for (const SparseMatrix::Entry& e : column)
-            acc += row[e.index] * e.value;
-        work_col_[i] = acc;
-    }
+    lu_.ftran(work_col_.data());
 }
 
 void
 Simplex::btranRow(int r)
 {
-    // rho = e_r B^-1, then work_row_[j] = rho . A_j for every column.
-    // Structural columns iterate their nonzeros; slack and artificial
-    // columns are unit vectors, so their entry is a single rho element.
-    // Dense mode reads rho straight out of the maintained inverse; LU
-    // mode obtains it with one BTRAN of the unit vector e_r.
-    const double* rho;
-    if (mode_ == BasisMode::Lu) {
-        std::fill(work_rho_.begin(), work_rho_.end(), 0.0);
-        work_rho_[r] = 1.0;
-        lu_.btran(work_rho_.data());
-        rho = work_rho_.data();
-    } else {
-        rho = &binv_[static_cast<std::size_t>(r) * m_];
-    }
+    // rho = e_r B^-1 (one BTRAN of the unit vector e_r), then
+    // work_row_[j] = rho . A_j for every column. Structural columns
+    // iterate their nonzeros; slack and artificial columns are unit
+    // vectors, so their entry is a single rho element.
+    std::fill(work_rho_.begin(), work_rho_.end(), 0.0);
+    work_rho_[r] = 1.0;
+    lu_.btran(work_rho_.data());
+    const double* rho = work_rho_.data();
     for (int j = 0; j < num_structural_; ++j) {
         double acc = 0.0;
         for (const SparseMatrix::Entry& e : matrix_->column(j))
@@ -312,19 +203,10 @@ Simplex::btranRow(int r)
 void
 Simplex::computeDuals(const double* costs)
 {
-    if (mode_ == BasisMode::Lu) {
-        // y = B^-T c_B: one BTRAN instead of a dense m x m product.
-        for (int i = 0; i < m_; ++i)
-            dual_y_[i] = costs[basic_[i]];
-        lu_.btran(dual_y_.data());
-        return;
-    }
-    for (int k = 0; k < m_; ++k) {
-        double acc = 0.0;
-        for (int i = 0; i < m_; ++i)
-            acc += costs[basic_[i]] * binv_[static_cast<std::size_t>(i) * m_ + k];
-        dual_y_[k] = acc;
-    }
+    // y = B^-T c_B: one BTRAN.
+    for (int i = 0; i < m_; ++i)
+        dual_y_[i] = costs[basic_[i]];
+    lu_.btran(dual_y_.data());
 }
 
 void
@@ -352,32 +234,11 @@ void
 Simplex::pivot(int entering, int leaving_row, double entering_value)
 {
     COSA_FAILPOINT("simplex.pivot", ErrorCode::kNumericFailure);
-    // Absorb the basis change (work_col_ must hold B^-1 A_entering):
-    // LU mode appends a product-form eta in O(nnz(work_col_)); dense
-    // mode applies the rank-one update to every binv row, O(m^2).
+    // Absorb the basis change (work_col_ must hold B^-1 A_entering)
+    // as a product-form eta, O(nnz(work_col_)).
     const double alpha_r = work_col_[leaving_row];
     COSA_ASSERT(std::abs(alpha_r) > kPivotTol, "pivot too small: ", alpha_r);
-    if (mode_ == BasisMode::Lu) {
-        lu_.update(leaving_row, work_col_.data());
-        basic_[leaving_row] = entering;
-        state_[entering] = kBasic;
-        xb_[leaving_row] = entering_value;
-        return;
-    }
-    double* prow = &binv_[static_cast<std::size_t>(leaving_row) * m_];
-    const double inv_p = 1.0 / alpha_r;
-    for (int k = 0; k < m_; ++k)
-        prow[k] *= inv_p;
-    for (int i = 0; i < m_; ++i) {
-        if (i == leaving_row)
-            continue;
-        const double f = work_col_[i];
-        if (f == 0.0)
-            continue;
-        double* row = &binv_[static_cast<std::size_t>(i) * m_];
-        for (int k = 0; k < m_; ++k)
-            row[k] -= f * prow[k];
-    }
+    lu_.update(leaving_row, work_col_.data());
     basic_[leaving_row] = entering;
     state_[entering] = kBasic;
     xb_[leaving_row] = entering_value;
@@ -427,48 +288,32 @@ Simplex::setupInitialArtificialBasis()
         state_[j] = kBasic;
         xb_[r] = std::abs(residual[r]);
     }
-    if (mode_ == BasisMode::Lu) {
-        // Factorizing a signed identity is trivial and cannot fail.
-        refactorize();
-        return;
-    }
-    // binv of a signed-identity basis is the same signed identity.
-    std::fill(binv_.begin(), binv_.end(), 0.0);
-    for (int r = 0; r < m_; ++r)
-        binv_[static_cast<std::size_t>(r) * m_ + r] = art_sign_[r];
+    // Factorizing a signed identity is trivial and cannot fail.
+    refactorize();
 }
 
 LpStatus
 Simplex::primalLoop(const double* costs, bool phase1)
 {
-    int since_refactor = 0;
+    int since_refresh = 0;
     int stall = 0;
     bool bland = false;
 
     for (std::int64_t iter = 0; iter < kMaxIterations; ++iter) {
         ++iterations_;
-        ++since_refactor;
-        // Dense mode refactorizes (and refreshes the basic values) on
-        // a fixed pivot cadence. LU mode refactorizes when the
-        // representation asks (eta growth/fill triggers, with the eta
-        // count cap as the hard backstop) — but keeps the same
-        // *recompute* cadence for the incrementally-updated basic
-        // values: one cheap FTRAN bounds their drift exactly like the
-        // dense refresh does, so the two modes' trajectories stay
-        // tie-window-close.
-        bool refresh = false;
-        if (mode_ == BasisMode::Lu ? lu_.needsRefactorization()
-                                   : since_refactor >= kRefactorInterval) {
-            if (!refactorize())
-                return LpStatus::Numerical;
-            refresh = true;
-        } else if (mode_ == BasisMode::Lu &&
-                   since_refactor >= kRefactorInterval) {
-            refresh = true;
-        }
-        if (refresh) {
+        ++since_refresh;
+        // Refactorize when the LU asks (eta growth/fill triggers, with
+        // the eta count cap as the hard backstop), and recompute the
+        // incrementally-updated basic values after every
+        // refactorization and at least every kRefreshInterval pivots:
+        // one cheap FTRAN bounds their drift, the same cadence the
+        // dense reference oracle refreshes on.
+        const bool refactor = lu_.needsRefactorization();
+        if (refactor && !refactorize())
+            return LpStatus::Numerical;
+        if (refactor || since_refresh >= kRefreshInterval) {
             computeXb();
-            since_refactor = 0;
+            since_refresh = 0;
         }
         computeDuals(costs);
         computeReducedCosts(costs);
@@ -493,7 +338,7 @@ Simplex::primalLoop(const double* costs, bool phase1)
             }
             // Strictly-better only beyond the relative tie window: at
             // a mathematical tie the first (lowest-index) candidate
-            // wins in every basis representation.
+            // wins, whatever the rounding.
             if (viol > best_viol * (1.0 + kTieRelTol)) {
                 best_viol = viol;
                 q = j;
@@ -645,12 +490,14 @@ LpStatus
 Simplex::solveDualFromCurrent()
 {
     trace::Span span("simplex.dual_warm", "solver", /*fine=*/true);
-    // The internal basis representation (dense inverse or LU factors +
-    // eta file) is maintained across pivots and stays valid under pure
-    // bound changes (the branch-and-bound dive path), so no
-    // refactorization is needed here — only the basic values must be
-    // refreshed against the new bounds. The dual loop refactorizes on
-    // its own triggers for numerical hygiene anyway.
+    // The LU factors + eta file are maintained across pivots and stay
+    // valid under pure bound changes (the branch-and-bound dive path),
+    // so no refactorization is needed here — only the basic values
+    // must be refreshed against the new bounds. The dual loop
+    // refactorizes on its own triggers for numerical hygiene anyway.
+    // A failed refactorization leaves no factors to solve against.
+    if (!lu_.factorized())
+        return LpStatus::Numerical;
     computeXb();
     return dualLoop();
 }
@@ -658,7 +505,7 @@ Simplex::solveDualFromCurrent()
 LpStatus
 Simplex::dualLoop()
 {
-    int since_refactor = 0;
+    int since_refresh = 0;
     int stall = 0;
     bool bland = false;
     // Reduced costs are maintained incrementally across pivots (the
@@ -691,25 +538,17 @@ Simplex::dualLoop()
         computeXb();
     for (std::int64_t iter = 0; iter < kMaxDualIterations; ++iter) {
         ++iterations_;
-        ++since_refactor;
-        // Same policy as the primal loop: representation-triggered
-        // refactorization, cadence-driven refresh of the incremental
-        // basic values and reduced costs in both modes.
-        bool refresh = false;
-        if (mode_ == BasisMode::Lu ? lu_.needsRefactorization()
-                                   : since_refactor >= kRefactorInterval) {
-            if (!refactorize())
-                return LpStatus::Numerical;
-            refresh = true;
-        } else if (mode_ == BasisMode::Lu &&
-                   since_refactor >= kRefactorInterval) {
-            refresh = true;
-        }
-        if (refresh) {
+        ++since_refresh;
+        // Same policy as the primal loop, refreshing the incrementally
+        // maintained reduced costs along with the basic values.
+        const bool refactor = lu_.needsRefactorization();
+        if (refactor && !refactorize())
+            return LpStatus::Numerical;
+        if (refactor || since_refresh >= kRefreshInterval) {
             computeXb();
             computeDuals(c_.data());
             computeReducedCosts(c_.data());
-            since_refactor = 0;
+            since_refresh = 0;
         }
 
         // Leaving row: most bound-violating basic variable (or the
@@ -722,8 +561,8 @@ Simplex::dualLoop()
             const double below = lb_[bj] - xb_[i];
             const double above = xb_[i] - ub_[bj];
             // Relative tie window: equally violated rows (symmetric
-            // model structure) resolve by index, not by which basis
-            // representation's rounding looks worse.
+            // model structure) resolve by index, not by whose rounding
+            // looks worse.
             if (below > worst * (1.0 + kTieRelTol)) {
                 worst = below;
                 r = i;

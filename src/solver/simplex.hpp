@@ -13,14 +13,10 @@
  *    variables),
  *  - refactorization and a Bland's-rule anti-cycling fallback.
  *
- * The basis is maintained in one of two interchangeable representations
- * (BasisMode): a sparse LU factorization with product-form eta updates
- * and stability-triggered refactorization (the default — see
- * basis_lu.hpp), or the historical explicit dense inverse with O(m^2)
- * rank-one pivot updates and a fixed 64-pivot refactorization cadence,
- * kept as the numerics reference. Both representations perform the
- * identical pivot sequence on a common problem (the equivalence suite
- * asserts it), so the choice is purely a cost knob; see
+ * The basis is a sparse LU factorization with product-form eta updates
+ * and stability-triggered refactorization (basis_lu.hpp). On a common
+ * problem it performs the same pivot sequence as the dense-tableau
+ * reference solver the tests keep as an oracle; see
  * docs/solver-numerics.md.
  *
  * The problem is held in computational standard form
@@ -82,10 +78,8 @@ class Simplex
 {
   public:
     /** Load @p prob; slack and artificial columns are added implicitly.
-     *  The structural matrix is shared (not copied) by Simplex copies.
-     *  @p mode selects the basis representation (copies inherit it). */
-    explicit Simplex(const LpProblem& prob,
-                     BasisMode mode = defaultBasisMode());
+     *  The structural matrix is shared (not copied) by Simplex copies. */
+    explicit Simplex(const LpProblem& prob);
 
     /** Override bounds of a structural column (branch-and-bound). */
     void setVarBounds(int structural_col, double lb, double ub);
@@ -104,7 +98,9 @@ class Simplex
      */
     LpStatus solveDual(const Basis& basis);
 
-    /** Re-solve with the dual simplex from the *current* internal basis. */
+    /** Re-solve with the dual simplex from the *current* internal basis.
+     *  Numerical when the last refactorization failed (no valid
+     *  factors); the caller then re-solves cold. */
     LpStatus solveDualFromCurrent();
 
     /** Objective value of the last solve. */
@@ -119,10 +115,7 @@ class Simplex
     /** Total simplex iterations performed by this instance. */
     std::int64_t iterations() const { return iterations_; }
 
-    /** The basis representation this instance maintains. */
-    BasisMode basisMode() const { return mode_; }
-
-    /** LU-representation counters (all zero in dense mode). */
+    /** Basis-factorization counters. */
     const BasisLu::Stats& basisStats() const { return lu_.stats(); }
 
     /** Times the anti-cycling Bland fallback engaged (stall runs). */
@@ -136,19 +129,20 @@ class Simplex
      * closer than this are treated as mathematically tied, and the tie
      * breaks by scan order (lowest index). CoSA models are packed with
      * symmetric columns whose pivotal quantities are *exactly* equal in
-     * real arithmetic but differ in the last ulps between basis
-     * representations — without the window, the dense-inverse and LU
-     * paths would pick different (equally valid) pivots at such ties
-     * and the pivot-sequence equivalence contract would not hold. The
-     * window is orders of magnitude above representation noise
-     * (~1e-14 relative) and below any intentional modeling difference.
+     * real arithmetic but differ in the last ulps between arithmetic
+     * orders — without the window, the LU simplex and the dense
+     * reference oracle would pick different (equally valid) pivots at
+     * such ties and the pivot-sequence equivalence contract would not
+     * hold. The window is orders of magnitude above that rounding
+     * noise (~1e-14 relative) and below any intentional modeling
+     * difference.
      */
     static constexpr double kTieRelTol = 1e-9;
     /**
      * Absolute ratio-test step window (Harris-style): candidate steps
      * within this of the smallest are treated as tied and the largest
      * pivot magnitude wins (then lowest index). Must sit well above
-     * cross-representation noise in the basic values (~1e-12 after
+     * rounding noise in the basic values (~1e-12 after
      * hundreds of pivots). Taking a tied-but-larger step drives each
      * losing row past its bound by (t_best - t_i) * |rate_i|, i.e. up
      * to window * |rate_i| — within kTol for the |rate| <= ~100 range
@@ -181,13 +175,11 @@ class Simplex
 
     std::vector<std::int32_t> basic_;   //!< size m_
     std::vector<std::uint8_t> state_;   //!< size total_
-    BasisMode mode_ = BasisMode::Lu;    //!< basis representation switch
-    BasisLu lu_;                        //!< LU factors + eta file (Lu mode)
-    std::vector<double> binv_;          //!< m_ x m_ dense B^-1 (Dense mode)
+    BasisLu lu_;                        //!< LU factors + eta file
     std::vector<double> xb_;            //!< basic variable values
     std::vector<double> work_col_;      //!< scratch: B^-1 * A_j
     std::vector<double> work_row_;      //!< scratch: row of B^-1 A
-    std::vector<double> work_rho_;      //!< scratch: e_r B^-1 (Lu mode)
+    std::vector<double> work_rho_;      //!< scratch: e_r B^-1
     std::vector<double> dual_y_;        //!< scratch: simplex multipliers
     std::vector<double> redcost_;       //!< scratch: reduced costs
 
@@ -199,7 +191,7 @@ class Simplex
     /** r -= value * (column j), iterating column j's nonzeros only. */
     void subtractColumn(int j, double value, double* r) const;
     void computeXb();             //!< xb = B^-1 (b - N x_N)
-    bool refactorize();           //!< rebuild binv from basis; false if
+    bool refactorize();           //!< factorize the basis; false if
                                   //!< the basis matrix is singular
     void ftran(int j);            //!< work_col_ = B^-1 * column j
     void btranRow(int r);         //!< work_row_[j] = (e_r B^-1 A)_j

@@ -11,7 +11,7 @@
 
 #include "common/failpoint.hpp"
 #include "engine/scheduler_service.hpp"
-#include "engine/thread_pool.hpp"
+#include "engine/executor.hpp"
 #include "solver/model.hpp"
 
 namespace cosa {
@@ -112,9 +112,9 @@ TEST_F(FaultTolerance, ExecutorContainsThrowingTasks)
 
 TEST_F(FaultTolerance, SolverFaultDegradesToGreedyFallback)
 {
-    // Every basis factorization fails: CoSA cannot solve, retries on
-    // the dense path fail the same way, and the ladder serves the
-    // greedy schedule — the job completes, degraded but found.
+    // Every basis factorization fails: CoSA cannot solve, each retry
+    // fails the same way, and the ladder serves the greedy schedule —
+    // the job completes, degraded but found.
     ASSERT_TRUE(failpoint::configure("simplex.factorize=1").ok());
 
     ServiceConfig config;
@@ -161,6 +161,79 @@ TEST_F(FaultTolerance, RetryBudgetIsRespected)
     ASSERT_EQ(result.layers.size(), 1u);
     EXPECT_EQ(result.layers[0].outcome, LayerOutcome::kDegradedFallback);
     EXPECT_EQ(result.layers[0].solve_retries, 0);
+}
+
+/** The analytical evaluator, except that the first evaluate() call
+ *  across all its bindings throws a retriable fault — a transient
+ *  outage that one retry gets past. */
+class FlakyOnceEvaluator final : public Evaluator
+{
+  public:
+    class Bound final : public BoundEvaluator
+    {
+      public:
+        Bound(std::unique_ptr<BoundEvaluator> inner, std::atomic<int>* calls)
+            : inner_(std::move(inner)), calls_(calls)
+        {
+        }
+        Evaluation evaluate(const Mapping& mapping) const override
+        {
+            if (calls_->fetch_add(1) == 0)
+                throw CosaError(ErrorCode::kNumericFailure,
+                                "synthetic transient fault");
+            return inner_->evaluate(mapping);
+        }
+
+      private:
+        std::unique_ptr<BoundEvaluator> inner_;
+        std::atomic<int>* calls_;
+    };
+
+    std::unique_ptr<BoundEvaluator> bind(const LayerSpec& layer,
+                                         const ArchSpec& arch) const override
+    {
+        return std::make_unique<Bound>(inner_.bind(layer, arch), &calls_);
+    }
+    std::string fingerprint() const override { return inner_.fingerprint(); }
+
+  private:
+    AnalyticalEvaluator inner_;
+    mutable std::atomic<int> calls_{0};
+};
+
+TEST_F(FaultTolerance, RetriedSolveMatchesFaultFreeSolve)
+{
+    const Workload net = tinyNet("flaky", 1);
+    SchedulerService service(ServiceConfig{1});
+    const NetworkResult clean = runOne(service, cosaRequest(net));
+
+    // A transient fault on the first attempt: one retry re-runs the
+    // same deterministic solve and serves exactly the fault-free answer.
+    auto cache = std::make_shared<ScheduleCache>();
+    ScheduleRequest request = cosaRequest(net);
+    request.evaluator = std::make_shared<FlakyOnceEvaluator>();
+    request.cache = cache;
+    const NetworkResult retried = runOne(service, request);
+
+    ASSERT_EQ(retried.layers.size(), 1u);
+    const LayerScheduleResult& layer = retried.layers[0];
+    const LayerScheduleResult& reference = clean.layers[0];
+    EXPECT_EQ(layer.outcome, LayerOutcome::kOptimal);
+    EXPECT_EQ(layer.solve_retries, 1);
+    EXPECT_TRUE(layer.result.found);
+    EXPECT_EQ(layer.result.mapping, reference.result.mapping);
+    EXPECT_EQ(layer.result.eval.cycles, reference.result.eval.cycles);
+    EXPECT_EQ(layer.result.eval.energy_pj, reference.result.eval.energy_pj);
+    EXPECT_EQ(layer.result.stats.lp_iterations,
+              reference.result.stats.lp_iterations);
+    EXPECT_EQ(layer.result.stats.mip_nodes, reference.result.stats.mip_nodes);
+
+    // The retried answer was cached like any other solve.
+    const NetworkResult again = runOne(service, request);
+    ASSERT_EQ(again.layers.size(), 1u);
+    EXPECT_TRUE(again.layers[0].from_cache);
+    EXPECT_EQ(again.num_cache_hits, 1);
+    EXPECT_EQ(again.layers[0].result.mapping, reference.result.mapping);
 }
 
 TEST_F(FaultTolerance, FaultyTenantDoesNotPerturbCoTenant)

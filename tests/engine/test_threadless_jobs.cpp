@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "engine/scheduler_service.hpp"
-#include "engine/thread_pool.hpp"
+#include "engine/executor.hpp"
 
 namespace cosa {
 namespace {

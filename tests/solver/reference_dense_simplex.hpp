@@ -14,9 +14,8 @@
  * same relative tie window (Simplex::kTieRelTol) as the production
  * solver. CoSA models carry many *exact* pivotal ties (symmetric
  * columns); resolving them by last-ulp rounding would bind the pivot
- * sequence to one basis representation's arithmetic, which is exactly
- * what the LU-vs-dense equivalence contract must not depend on. See
- * docs/solver-numerics.md.
+ * sequence to this dense inverse's arithmetic, so the production LU
+ * simplex could not be held to it. See docs/solver-numerics.md.
  */
 
 #include <algorithm>

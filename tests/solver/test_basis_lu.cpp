@@ -6,8 +6,8 @@
 #include "arch/arch_spec.hpp"
 #include "common/rng.hpp"
 #include "cosa/formulation.hpp"
-#include "cosa/scheduler.hpp"
 #include "problem/workloads.hpp"
+#include "reference_dense_simplex.hpp"
 #include "solver/basis_lu.hpp"
 #include "solver/simplex.hpp"
 
@@ -15,6 +15,9 @@ namespace cosa::solver {
 namespace {
 
 using Entry = BasisLu::Entry;
+using testing::DenseLp;
+using testing::RefDenseSimplex;
+using testing::RefStatus;
 
 /** Dense Gaussian-elimination solve of A x = b (test oracle). */
 std::vector<double>
@@ -233,39 +236,83 @@ TEST(BasisLu, SingularBasisRejected)
     }
 }
 
-/** A tiny LP whose loaded warm basis is singular (duplicate variable
- *  basic in two rows) must be rejected as Numerical, not crash. */
+/**
+ * A tiny LP whose loaded warm basis is singular (duplicate variable
+ * basic in two rows) must be rejected as Numerical, not crash — and
+ * so must a later warm re-solve from the factor-less current basis
+ * (the branch-and-bound sibling path), after which a cold solve still
+ * reaches the optimum.
+ */
 TEST(BasisLu, SimplexRejectsSingularWarmBasis)
 {
-    for (const BasisMode mode : {BasisMode::Dense, BasisMode::Lu}) {
-        LpProblem lp;
-        lp.num_rows = 2;
-        lp.num_structural = 2;
-        lp.matrix = SparseMatrix(
-            2, 2, {{0, 0, 1.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 2.0}});
-        lp.rhs = {4.0, 6.0};
-        lp.senses = {Sense::LessEqual, Sense::LessEqual};
-        lp.obj = {-1.0, -1.0};
-        lp.lb = {0.0, 0.0};
-        lp.ub = {10.0, 10.0};
+    LpProblem lp;
+    lp.num_rows = 2;
+    lp.num_structural = 2;
+    lp.matrix = SparseMatrix(
+        2, 2, {{0, 0, 1.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 2.0}});
+    lp.rhs = {4.0, 6.0};
+    lp.senses = {Sense::LessEqual, Sense::LessEqual};
+    lp.obj = {-1.0, -1.0};
+    lp.lb = {0.0, 0.0};
+    lp.ub = {10.0, 10.0};
 
-        Simplex splx(lp, mode);
-        ASSERT_EQ(splx.solvePrimal(), LpStatus::Optimal);
-        Basis bad = splx.saveBasis();
-        // Corrupt the snapshot: the same column basic in every row.
-        for (auto& b : bad.basic)
-            b = bad.basic[0];
-        Simplex warm(lp, mode);
-        EXPECT_EQ(warm.solveDual(bad), LpStatus::Numerical)
-            << "mode=" << static_cast<int>(mode);
+    Simplex splx(lp);
+    ASSERT_EQ(splx.solvePrimal(), LpStatus::Optimal);
+    Basis bad = splx.saveBasis();
+    // Corrupt the snapshot: the same column basic in every row.
+    for (auto& b : bad.basic)
+        b = bad.basic[0];
+    Simplex warm(lp);
+    EXPECT_EQ(warm.solveDual(bad), LpStatus::Numerical);
+
+    warm.setVarBounds(0, 0.0, 1.0);
+    EXPECT_EQ(warm.solveDualFromCurrent(), LpStatus::Numerical);
+    ASSERT_EQ(warm.solvePrimal(), LpStatus::Optimal);
+    EXPECT_NEAR(warm.objective(), -3.5, 1e-9); // x = 1, y = 2.5
+}
+
+/** Dense column-major copy of @p lp for the reference oracle. */
+DenseLp
+denseCopy(const LpProblem& lp)
+{
+    DenseLp dense;
+    dense.num_rows = lp.num_rows;
+    dense.num_structural = lp.num_structural;
+    dense.cols.assign(
+        static_cast<std::size_t>(lp.num_rows) * lp.num_structural, 0.0);
+    for (int j = 0; j < lp.num_structural; ++j) {
+        for (const Entry& e : lp.matrix.column(j))
+            dense.at(e.index, j) = e.value;
     }
+    dense.rhs = lp.rhs;
+    dense.senses = lp.senses;
+    dense.obj = lp.obj;
+    dense.lb = lp.lb;
+    dense.ub = lp.ub;
+    return dense;
+}
+
+/** The oracle's status as the production solver's enum. */
+LpStatus
+fromRef(RefStatus status)
+{
+    switch (status) {
+      case RefStatus::Optimal: return LpStatus::Optimal;
+      case RefStatus::Infeasible: return LpStatus::Infeasible;
+      case RefStatus::Unbounded: return LpStatus::Unbounded;
+      case RefStatus::IterLimit: return LpStatus::IterLimit;
+      case RefStatus::Numerical: return LpStatus::Numerical;
+    }
+    return LpStatus::Numerical;
 }
 
 /**
  * Beale's classic cycling LP: Dantzig pricing stalls at a degenerate
- * vertex until the Bland fallback engages. Both basis representations
- * must walk the identical pivot sequence through the stall, the
- * fallback and the finish.
+ * vertex until the Bland fallback engages. Rows 2 and 3 are scaled by
+ * 0.01 and 0.1 (same feasible set and optimum): as printed, the
+ * largest-pivot ratio-test tie-break leaves the cycle on its own. The
+ * LU simplex must walk the dense reference oracle's pivot sequence
+ * through the stall, the fallback and the finish.
  */
 TEST(BasisLu, BlandFallbackPivotSequenceEquality)
 {
@@ -277,25 +324,25 @@ TEST(BasisLu, BlandFallbackPivotSequenceEquality)
                               {0, 1, -60.0},
                               {0, 2, -0.04},
                               {0, 3, 9.0},
-                              {1, 0, 0.5},
-                              {1, 1, -90.0},
-                              {1, 2, -0.02},
-                              {1, 3, 3.0},
-                              {2, 2, 1.0}});
-    lp.rhs = {0.0, 0.0, 1.0};
+                              {1, 0, 0.005},
+                              {1, 1, -0.9},
+                              {1, 2, -0.0002},
+                              {1, 3, 0.03},
+                              {2, 2, 0.1}});
+    lp.rhs = {0.0, 0.0, 0.1};
     lp.senses = {Sense::LessEqual, Sense::LessEqual, Sense::LessEqual};
     lp.obj = {-0.75, 150.0, -0.02, 6.0};
     lp.lb = {0.0, 0.0, 0.0, 0.0};
     lp.ub = {1e6, 1e6, 1e6, 1e6};
 
-    Simplex dense(lp, BasisMode::Dense);
-    Simplex sparse(lp, BasisMode::Lu);
-    ASSERT_EQ(dense.solvePrimal(), LpStatus::Optimal);
+    RefDenseSimplex dense(denseCopy(lp));
+    Simplex sparse(lp);
+    ASSERT_EQ(dense.solvePrimal(), RefStatus::Optimal);
     ASSERT_EQ(sparse.solvePrimal(), LpStatus::Optimal);
     EXPECT_NEAR(dense.objective(), -0.05, 1e-9);
     EXPECT_NEAR(sparse.objective(), dense.objective(), 1e-9);
     EXPECT_EQ(sparse.iterations(), dense.iterations());
-    EXPECT_EQ(sparse.blandActivations(), dense.blandActivations());
+    EXPECT_GT(sparse.blandActivations(), 0);
 }
 
 /** Mirror MipSolver::buildLp without presolve: raw standard form. */
@@ -322,81 +369,14 @@ standardForm(const Model& model)
 }
 
 /**
- * The tentpole acceptance claim: on every unique ResNet-50 layer and
- * two architectures, LU mode performs the dense-inverse reference's
- * exact pivot sequence and lands on its objective. (The sibling
- * sparse-equivalence suite ties the same sequence back to the seed
- * dense tableau, so all three representations agree.)
+ * Dual warm re-solves (the branch-and-bound workhorse) land where a
+ * cold solve of the dense reference oracle does, across accumulating
+ * branch-like bound changes: each round fixes a random column one
+ * unit away from its root LP value (the nearest integer when
+ * fractional, else one step up, or down at its upper bound), so every
+ * round moves the LP and the sequence ends infeasible.
  */
-TEST(BasisLu, DenseVsLuPivotSequenceEqualOnResNet50)
-{
-    const Workload net = workloads::resNet50();
-    const ArchSpec archs[2] = {ArchSpec::simbaBaseline(),
-                               ArchSpec::simba8x8()};
-    int compared = 0;
-    for (const ArchSpec& arch : archs) {
-        for (const LayerSpec& layer : net.layers) {
-            cosa::CosaFormulation formulation(layer, arch,
-                                              cosa::CosaConfig{});
-            const LpProblem lp = standardForm(formulation.model());
-            Simplex dense(lp, BasisMode::Dense);
-            Simplex sparse(lp, BasisMode::Lu);
-            const LpStatus d_st = dense.solvePrimal();
-            const LpStatus s_st = sparse.solvePrimal();
-            ASSERT_EQ(d_st, LpStatus::Optimal)
-                << layer.name << " on " << arch.name;
-            ASSERT_EQ(s_st, LpStatus::Optimal)
-                << layer.name << " on " << arch.name;
-            EXPECT_NEAR(sparse.objective(), dense.objective(), 1e-6)
-                << layer.name << " on " << arch.name;
-            EXPECT_EQ(sparse.iterations(), dense.iterations())
-                << layer.name << " on " << arch.name
-                << ": pivot sequences diverged";
-            // LU mode must actually be living off eta updates, not
-            // silently refactorizing every pivot.
-            EXPECT_GT(sparse.basisStats().eta_updates, 0) << layer.name;
-            ++compared;
-        }
-    }
-    EXPECT_EQ(compared, 46);
-}
-
-/**
- * The schedule-cache contract behind MipParams::basis_mode not keying
- * the cache: full branch-and-bound CoSA solves return bit-identical
- * schedules and search statistics in both modes, including under a
- * deterministic work budget (identical budget cutoff points require
- * the identical pivot sequence).
- */
-TEST(BasisLu, CosaMipSolvesIdenticalAcrossBasisModes)
-{
-    const char* labels[] = {"3_14_256_256_2", "1_1_64_32_1",
-                            "1_1_2048_1000_1"};
-    const ArchSpec arch = ArchSpec::simbaBaseline();
-    for (const char* label : labels) {
-        const LayerSpec layer = LayerSpec::fromLabel(label);
-        cosa::SearchResult results[2];
-        for (int i = 0; i < 2; ++i) {
-            cosa::CosaConfig config;
-            config.mip.work_limit = 4000;
-            config.mip.basis_mode =
-                i == 0 ? BasisMode::Dense : BasisMode::Lu;
-            results[i] = cosa::CosaScheduler(config).schedule(layer, arch);
-            ASSERT_TRUE(results[i].found) << label;
-        }
-        EXPECT_EQ(results[0].eval.cycles, results[1].eval.cycles) << label;
-        EXPECT_EQ(results[0].mapping, results[1].mapping) << label;
-        EXPECT_EQ(results[0].stats.mip_nodes, results[1].stats.mip_nodes)
-            << label;
-        EXPECT_EQ(results[0].stats.lp_iterations,
-                  results[1].stats.lp_iterations)
-            << label;
-    }
-}
-
-/** Dual warm re-solves (the branch-and-bound workhorse) walk the same
- *  pivots in both modes across randomized bound changes. */
-TEST(BasisLu, DualWarmStartsEqualAcrossBasisModes)
+TEST(BasisLu, DualWarmStartsMatchDenseOracle)
 {
     Rng rng(23);
     const Workload net = workloads::resNet50();
@@ -404,33 +384,41 @@ TEST(BasisLu, DualWarmStartsEqualAcrossBasisModes)
     const LayerSpec& layer = net.layers[4];
     cosa::CosaFormulation formulation(layer, arch, cosa::CosaConfig{});
     const LpProblem lp = standardForm(formulation.model());
+    DenseLp dense = denseCopy(lp);
 
-    Simplex dense(lp, BasisMode::Dense);
-    Simplex sparse(lp, BasisMode::Lu);
-    ASSERT_EQ(dense.solvePrimal(), LpStatus::Optimal);
+    Simplex sparse(lp);
     ASSERT_EQ(sparse.solvePrimal(), LpStatus::Optimal);
-    const Basis dense_basis = dense.saveBasis();
-    const Basis sparse_basis = sparse.saveBasis();
+    const Basis root_basis = sparse.saveBasis();
+    const std::vector<double> root_x = sparse.solution();
+    const double root_obj = sparse.objective();
 
+    int moved = 0;
+    int infeasible = 0;
     for (int round = 0; round < 8; ++round) {
-        // Branch-like bound change: fix a random structural column
-        // near its relaxation value.
         const int j = static_cast<int>(rng.nextDouble() * lp.num_structural) %
                       lp.num_structural;
-        const double fix =
-            std::floor(std::max(0.0, dense.varLb(j)) + 0.5);
-        dense.setVarBounds(j, fix, fix);
+        const double v = root_x[static_cast<std::size_t>(j)];
+        double fix = std::floor(v + 0.5);
+        if (std::abs(v - fix) <= 1e-6)
+            fix += fix < lp.ub[j] ? 1.0 : -1.0;
         sparse.setVarBounds(j, fix, fix);
-        const LpStatus d_st = dense.solveDual(dense_basis);
-        const LpStatus s_st = sparse.solveDual(sparse_basis);
-        EXPECT_EQ(d_st, s_st) << "round " << round;
-        if (d_st == LpStatus::Optimal && s_st == LpStatus::Optimal) {
-            EXPECT_NEAR(sparse.objective(), dense.objective(), 1e-6)
+        dense.lb[j] = fix;
+        dense.ub[j] = fix;
+
+        const std::int64_t before = sparse.iterations();
+        const LpStatus st = sparse.solveDual(root_basis);
+        EXPECT_GT(sparse.iterations(), before) << "round " << round;
+        RefDenseSimplex oracle(dense);
+        EXPECT_EQ(st, fromRef(oracle.solvePrimal())) << "round " << round;
+        if (st == LpStatus::Optimal) {
+            EXPECT_NEAR(sparse.objective(), oracle.objective(), 1e-6)
                 << "round " << round;
+            moved += std::abs(sparse.objective() - root_obj) > 1e-6;
         }
-        EXPECT_EQ(sparse.iterations(), dense.iterations())
-            << "round " << round << ": dual pivot sequences diverged";
+        infeasible += st == LpStatus::Infeasible;
     }
+    EXPECT_GT(moved, 0);
+    EXPECT_GT(infeasible, 0);
 }
 
 } // namespace
