@@ -282,20 +282,17 @@ ScheduleCache::clear()
 //   result.found / result.scheduler / result.stats
 //   eval.valid / eval.reason / eval.scalars / eval.levels (4 vectors)
 //   mapping.levels L, then L x mapping.level lines
-//   sum <16 hex digits>   (v3+: FNV-1a 64 of the lines entry..here)
+//   sum <16 hex digits>   (FNV-1a 64 of the lines entry..here)
 //   end
 // Doubles are written at max_digits10 so a round trip is bit-exact.
 
 namespace {
 
-// v2 added the `capacity` header line; v3 added the per-entry `sum`
-// checksum. Writers emit v3; the loader accepts all three (older
-// snapshots simply lack the newer lines). Old readers reject a newer
-// file at the header — a clean, versioned failure — instead of
-// tripping mid-stream on an unknown line.
+// v3 is the only format read or written: line 2 is the `capacity`
+// header and every record ends in its `sum` checksum, so no record
+// loads unverified. Any other header is rejected on line 1, a clean,
+// versioned failure instead of a trip mid-stream on an unknown line.
 constexpr const char* kCacheFormatHeader = "cosa-schedule-cache v3";
-constexpr const char* kCacheFormatHeaderV2 = "cosa-schedule-cache v2";
-constexpr const char* kCacheFormatHeaderV1 = "cosa-schedule-cache v1";
 
 std::uint64_t
 fnv1aBytes(std::uint64_t h, const std::string& bytes)
@@ -497,16 +494,28 @@ ScheduleCache::load(const std::string& path)
         return io;
     }
     std::string line;
-    if (!std::getline(in, line) ||
-        (line != kCacheFormatHeader && line != kCacheFormatHeaderV2 &&
-         line != kCacheFormatHeaderV1)) {
+    if (!std::getline(in, line) || line != kCacheFormatHeader) {
         io.error = path + ": not a " + std::string(kCacheFormatHeader) +
                    " file (got \"" + line + "\")";
         return io;
     }
 
     std::lock_guard<std::mutex> lock(mutex_);
-    bool saw_capacity = false;
+    // Line 2: the saved LRU bound. An explicitly configured bound on
+    // the destination cache wins over the snapshot's; an unbounded
+    // destination adopts the saved bound.
+    std::istringstream capacity_in(
+        std::getline(in, line) ? valueOf(line, "capacity").value_or("")
+                               : "");
+    std::int64_t saved_capacity = -1;
+    if (!(capacity_in >> saved_capacity) || saved_capacity < 0) {
+        io.error = path + ": malformed capacity header";
+        return io;
+    }
+    if (capacity_ == 0 && saved_capacity > 0) {
+        capacity_ = saved_capacity;
+        enforceCapacityLocked();
+    }
     // `line` holds an unconsumed record-start line when true (a skip
     // scan stopped on the next "entry").
     bool have_line = false;
@@ -538,27 +547,6 @@ ScheduleCache::load(const std::string& path)
         have_line = false;
         if (line.empty())
             continue;
-        // Optional header extension (files written before the bound
-        // was persisted simply lack it). An explicitly configured
-        // bound on the destination cache wins over the snapshot's;
-        // an unbounded destination adopts the saved bound once all
-        // entries are merged.
-        if (!saw_capacity && io.entries == 0 && io.skipped == 0) {
-            if (const auto cap = valueOf(line, "capacity")) {
-                saw_capacity = true;
-                std::istringstream iss(*cap);
-                std::int64_t parsed = -1;
-                if (!(iss >> parsed) || parsed < 0) {
-                    io.error = path + ": malformed capacity header";
-                    return io;
-                }
-                if (capacity_ == 0 && parsed > 0) {
-                    capacity_ = parsed;
-                    enforceCapacityLocked();
-                }
-                continue;
-            }
-        }
         if (line != "entry") {
             skipEntry("expected 'entry', got \"" + line + "\"");
             continue;
@@ -576,8 +564,7 @@ ScheduleCache::load(const std::string& path)
         Entry entry;
         SearchResult& r = entry.result;
         Evaluation& ev = r.eval;
-        // Fold the record's exact bytes (as written) for the v3 `sum`
-        // check; v1/v2 records simply never present one.
+        // Fold the record's exact bytes (as written) for the `sum` check.
         std::uint64_t hash = fnv1aLine(kFnvBasis, line);
 
         // The per-entry lines, in the fixed order save() writes them.
@@ -715,28 +702,17 @@ ScheduleCache::load(const std::string& path)
         }
         if (!record_ok)
             continue;
-        // Trailer: v3 writes `sum <hex>` then `end`; v1/v2 end directly.
-        if (!std::getline(in, line)) {
-            skipEntry("truncated trailer");
+        // Trailer: `sum <hex>`, then `end`. A record without its sum
+        // cannot be verified, so it is skipped like a corrupt one.
+        char expected[32];
+        std::snprintf(expected, sizeof(expected), "%016llx",
+                      static_cast<unsigned long long>(hash));
+        if (!field(expect("sum", &value), "missing checksum") ||
+            !field(value == expected,
+                   "checksum mismatch (entry was altered)") ||
+            !field(std::getline(in, line) && line == "end",
+                   "expected 'end'"))
             continue;
-        }
-        if (const auto sum = valueOf(line, "sum")) {
-            char expected[32];
-            std::snprintf(expected, sizeof(expected), "%016llx",
-                          static_cast<unsigned long long>(hash));
-            if (*sum != expected) {
-                skipEntry("checksum mismatch (entry was altered)");
-                continue;
-            }
-            if (!std::getline(in, line)) {
-                skipEntry("truncated trailer");
-                continue;
-            }
-        }
-        if (line != "end") {
-            skipEntry("expected 'end'");
-            continue;
-        }
 
         insertLocked(key, r, entry.layer);
         ++io.entries;

@@ -217,9 +217,9 @@ class ScheduleCache
      * damaged entry no longer rejects the snapshot. Hit/miss counters
      * are untouched. The snapshot's LRU capacity is adopted when this
      * cache is unbounded (so a bounded cache round-trips bounded); an
-     * explicitly configured bound on the loading cache wins, and
-     * pre-checksum v1/v2 snapshots load as before (parse-checked
-     * only).
+     * explicitly configured bound on the loading cache wins. Only v3
+     * files load, and a record without its checksum line is skipped
+     * like a corrupt one.
      */
     virtual IoResult load(const std::string& path);
 

@@ -85,14 +85,11 @@ appendCosaKey(std::ostringstream& oss, const CosaConfig& c)
             oss << f << ";";
         oss << "/";
     }
+    // The trailing 1 is the retired MIP seed's default, written
+    // literally so stored records keep hitting.
     oss << "]," << c.mip.time_limit_sec << "," << c.mip.work_limit << ","
         << c.mip.rel_gap << "," << c.mip.int_tol << "," << c.mip.node_limit
-        << "," << (c.mip.presolve ? 1 : 0) << "," << c.mip.seed;
-    // Appended only when on, so default-config keys stay byte-identical
-    // to pre-probing cache snapshots.
-    if (c.mip.enable_probing)
-        oss << ",probe1";
-    oss << ")";
+        << "," << (c.mip.presolve ? 1 : 0) << ",1)";
 }
 
 void

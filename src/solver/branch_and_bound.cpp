@@ -5,8 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "common/logging.hpp"
-#include "common/rng.hpp"
 #include "common/trace.hpp"
 
 namespace cosa::solver {
@@ -71,9 +69,7 @@ MipSolver::buildLp()
     orig.matrix = SparseMatrix(m, n, triplets);
 
     if (params_.presolve) {
-        Presolve::Options options;
-        options.probing = params_.enable_probing;
-        auto pre = std::make_unique<Presolve>(orig, model_.types_, options);
+        auto pre = std::make_unique<Presolve>(orig, model_.types_);
         if (pre->infeasible()) {
             presolve_infeasible_ = true;
             lp_ = std::move(orig);
@@ -117,17 +113,6 @@ MipSolver::toModelSpace(std::vector<double> x) const
     return presolve_ ? presolve_->postsolve(x) : x;
 }
 
-bool
-MipSolver::isIntegral(const std::vector<double>& x) const
-{
-    for (int j : int_vars_) {
-        const double f = x[j] - std::floor(x[j] + 0.5);
-        if (std::abs(f) > params_.int_tol)
-            return false;
-    }
-    return true;
-}
-
 int
 MipSolver::selectBranchVar(const std::vector<double>& x) const
 {
@@ -152,12 +137,6 @@ MipSolver::selectBranchVar(const std::vector<double>& x) const
     return best;
 }
 
-/**
- * Depth-first dive-and-backtrack search over one Simplex instance whose
- * bounds (and possibly RINS fixings) are already applied and whose
- * current basis is LP-optimal for them. Updates the shared incumbent.
- * Returns true when the subtree was exhausted (proof, given no caps).
- */
 std::int64_t
 MipSolver::workDeadline(const Simplex& splx) const
 {
@@ -168,9 +147,14 @@ MipSolver::workDeadline(const Simplex& splx) const
                work_per_iter_;
 }
 
+/**
+ * Depth-first dive-and-backtrack search over one Simplex instance whose
+ * current basis is LP-optimal for its bounds. Updates the incumbent.
+ * Returns true when the tree was exhausted (a proof); false when the
+ * node cap, the work deadline or the wall deadline cut it short.
+ */
 bool
-MipSolver::dfs(Simplex& splx, Rng* rng, std::int64_t node_cap,
-               double deadline, std::int64_t work_deadline,
+MipSolver::dfs(Simplex& splx, double deadline, std::int64_t work_deadline,
                double& incumbent_obj, std::vector<double>& incumbent_x,
                std::int64_t& nodes)
 {
@@ -195,13 +179,11 @@ MipSolver::dfs(Simplex& splx, Rng* rng, std::int64_t node_cap,
     };
 
     bool exhausted = false;
-    std::int64_t local_nodes = 0;
     std::int64_t ticks = 0;
     LpStatus node_status = LpStatus::Optimal;
 
     while (true) {
-        if (local_nodes > node_cap || nodes > params_.node_limit ||
-            splx.iterations() > work_deadline)
+        if (nodes > params_.node_limit || splx.iterations() > work_deadline)
             break;
         if ((ticks++ & kDeadlineCheckMask) == 0 &&
             now_seconds() > deadline)
@@ -214,22 +196,7 @@ MipSolver::dfs(Simplex& splx, Rng* rng, std::int64_t node_cap,
 
         if (!prune) {
             std::vector<double> x = splx.solution();
-            int branch_var = selectBranchVar(x);
-            if (rng && branch_var >= 0) {
-                // Diversification: sometimes branch on another
-                // fractional variable of the same priority.
-                std::vector<int> pool;
-                const int prio = priorities_[static_cast<std::size_t>(branch_var)];
-                for (int j : int_vars_) {
-                    const double frac =
-                        std::abs(x[j] - std::floor(x[j] + 0.5));
-                    if (frac > params_.int_tol &&
-                        priorities_[static_cast<std::size_t>(j)] == prio)
-                        pool.push_back(j);
-                }
-                if (!pool.empty())
-                    branch_var = pool[rng->choiceIndex(pool)];
-            }
+            const int branch_var = selectBranchVar(x);
             if (branch_var < 0) {
                 if (!std::isfinite(incumbent_obj) ||
                     splx.objective() <
@@ -244,10 +211,6 @@ MipSolver::dfs(Simplex& splx, Rng* rng, std::int64_t node_cap,
                             incumbent_pool_->erase(
                                 incumbent_pool_->begin());
                         }
-                    }
-                    if (params_.verbose) {
-                        inform("mip: incumbent ", incumbent_obj, " after ",
-                               nodes, " nodes");
                     }
                 }
                 prune = true;
@@ -265,9 +228,7 @@ MipSolver::dfs(Simplex& splx, Rng* rng, std::int64_t node_cap,
                 // Exactly-half fractions (common in CoSA relaxations)
                 // dive down whatever their rounding; only a clear
                 // majority side overrides that.
-                bool down_first = (v - floor_v) < 0.5 + kTieRelTol;
-                if (rng && rng->nextDouble() < 0.25)
-                    down_first = !down_first;
+                const bool down_first = (v - floor_v) < 0.5 + kTieRelTol;
                 double first_lb, first_ub;
                 if (down_first) {
                     first_lb = frame.saved_lb;
@@ -283,7 +244,6 @@ MipSolver::dfs(Simplex& splx, Rng* rng, std::int64_t node_cap,
                 splx.setVarBounds(branch_var, first_lb, first_ub);
                 stack.push_back(std::move(frame));
                 ++nodes;
-                ++local_nodes;
                 node_status = recover_cold(splx.solveDualFromCurrent());
                 continue;
             }
@@ -305,7 +265,6 @@ MipSolver::dfs(Simplex& splx, Rng* rng, std::int64_t node_cap,
                 splx.setVarBounds(frame.var, frame.second_lb,
                                   frame.second_ub);
                 ++nodes;
-                ++local_nodes;
                 // The current basis is dual feasible for any bound set
                 // (reduced costs do not depend on bounds), so the
                 // sibling re-solves warm from wherever the first
@@ -345,8 +304,6 @@ MipSolver::solve(bool relaxation_only)
         result.presolve_cols_eliminated = presolve_->stats().cols_eliminated;
         result.presolve_bounds_tightened =
             presolve_->stats().bounds_tightened;
-        result.presolve_probing_fixings =
-            presolve_->stats().probing_fixings;
     }
 
     if (presolve_infeasible_) {
@@ -404,7 +361,6 @@ MipSolver::solve(bool relaxation_only)
     double incumbent_obj = kInf;
     std::vector<double> incumbent_x;
     std::int64_t nodes = 0;
-    Rng rng(params_.seed);
     incumbent_pool_ = &result.incumbent_pool;
 
     // Phase 0: repair the user-provided warm starts, if any — fix the
@@ -441,58 +397,24 @@ MipSolver::solve(bool relaxation_only)
                         kTieRelTol * (1.0 + std::abs(incumbent_obj))) {
                 incumbent_obj = splx.objective();
                 incumbent_x = splx.solution();
-                if (params_.verbose)
-                    inform("mip: warm start accepted at ", incumbent_obj);
             }
-        } else if (params_.verbose) {
-            warn("mip: warm start rejected (infeasible completion)");
         }
     }
 
     // Phase 1: deterministic dive-and-backtrack. If it exhausts the
-    // tree within the budget, the incumbent is proven optimal.
+    // tree within the budget, the incumbent is proven optimal (or, with
+    // no incumbent, the problem is proven infeasible); otherwise a node,
+    // work or wall-clock limit cut it short.
     bool proven = false;
     {
         trace::Span span("mip.dfs", "solver");
         Simplex splx = base;
         const std::int64_t entry_iters = splx.iterations();
         const BasisLu::Stats entry_basis = splx.basisStats();
-        proven = dfs(splx, nullptr, params_.node_limit, deadline,
-                     workDeadline(splx), incumbent_obj, incumbent_x,
-                     nodes);
+        proven = dfs(splx, deadline, workDeadline(splx), incumbent_obj,
+                     incumbent_x, nodes);
         iters_used_ += splx.iterations() - entry_iters;
-        work_used_ += (splx.iterations() - entry_iters) * work_per_iter_;
         result.basis.add(splx.basisStats().since(entry_basis));
-    }
-
-    // Phase 2 (matheuristic): alternate RINS-style neighborhood solves
-    // (fix most integers at the incumbent, search the rest) with
-    // randomized restarts, sharing the global incumbent.
-    int round = 0;
-    while (!proven && !workExhausted() && now_seconds() < deadline &&
-           nodes < params_.node_limit) {
-        trace::Span span("mip.matheuristic", "solver");
-        Simplex splx = base;
-        const std::int64_t entry_iters = splx.iterations();
-        const BasisLu::Stats entry_basis = splx.basisStats();
-        const bool rins = !incumbent_x.empty() && (round % 4 != 3);
-        if (rins) {
-            for (int j : int_vars_) {
-                if (rng.nextDouble() < 0.8) {
-                    const double v = std::floor(incumbent_x[j] + 0.5);
-                    splx.setVarBounds(j, v, v);
-                }
-            }
-        }
-        const LpStatus st = splx.solveDualFromCurrent();
-        if (st == LpStatus::Optimal) {
-            dfs(splx, &rng, /*node_cap=*/400, deadline, workDeadline(splx),
-                incumbent_obj, incumbent_x, nodes);
-        }
-        iters_used_ += splx.iterations() - entry_iters;
-        work_used_ += (splx.iterations() - entry_iters) * work_per_iter_;
-        result.basis.add(splx.basisStats().since(entry_basis));
-        ++round;
     }
 
     result.nodes = nodes;
@@ -516,12 +438,7 @@ MipSolver::solve(bool relaxation_only)
         result.status = proven ? Status::Optimal : Status::Feasible;
         return result;
     }
-    if (now_seconds() >= deadline || nodes >= params_.node_limit ||
-        workExhausted()) {
-        result.status = Status::TimeLimit;
-        return result;
-    }
-    result.status = Status::Infeasible;
+    result.status = proven ? Status::Infeasible : Status::TimeLimit;
     return result;
 }
 

@@ -8,10 +8,12 @@
  * tightening with a postsolve map), solve the root LP with the primal
  * simplex; each descent fixes one fractional integer variable and
  * re-solves with the warm-started dual simplex (bound changes keep the
- * parent basis dual feasible). Backtracking restores the parent's bounds
- * and basis snapshot. The dive direction follows the LP value, so the
- * first leaf reached is already a good incumbent (built-in diving
- * heuristic). Pruning uses the incumbent and a relative gap tolerance.
+ * parent basis dual feasible). Backtracking restores the branched
+ * variable's bounds, and the sibling re-solves warm from the current
+ * basis, with no basis reload. The dive direction follows the LP value,
+ * so the first leaf reached is already a good incumbent (built-in
+ * diving heuristic). Pruning uses the incumbent and a relative gap
+ * tolerance.
  *
  * The search runs entirely in the presolved (reduced) variable space;
  * every solution that escapes — incumbents, pool entries, relaxation
@@ -21,14 +23,11 @@
 #include <memory>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "solver/model.hpp"
 #include "solver/presolve.hpp"
 #include "solver/simplex.hpp"
 
 namespace cosa::solver {
-
-using cosa::Rng;
 
 /** Branch-and-bound MIP solver over a Model. */
 class MipSolver
@@ -56,7 +55,8 @@ class MipSolver
     std::vector<int> priorities_; //!< branch priority per reduced column
     double sign_ = 1.0;          //!< +1 minimize, -1 maximize
     double fixed_obj_ = 0.0;     //!< internal objective of eliminated cols
-    /** Work units consumed by completed Simplex runs. */
+    /** Work units consumed before the tree search (root LP and
+     *  warm-start repairs); the tree gets what remains of work_limit. */
     std::int64_t work_used_ = 0;
     /** Raw simplex iterations (unscaled), for MipResult reporting. */
     std::int64_t iters_used_ = 0;
@@ -70,21 +70,14 @@ class MipSolver
     void buildLp();
     /** Reduced-space solution -> model variable space. */
     std::vector<double> toModelSpace(std::vector<double> x) const;
-    /** True when the deterministic work budget is exhausted. */
-    bool workExhausted() const
-    {
-        return params_.work_limit > 0 && work_used_ >= params_.work_limit;
-    }
     /** Iteration count at which @p splx must stop to respect the
      *  remaining work budget (Simplex copies inherit their source's
      *  iteration counter, so the cap is relative to the entry count). */
     std::int64_t workDeadline(const Simplex& splx) const;
     /** Pick the branching variable: most fractional integer column. */
     int selectBranchVar(const std::vector<double>& x) const;
-    bool isIntegral(const std::vector<double>& x) const;
-    /** One depth-first dive-and-backtrack pass; see the .cpp comment. */
-    bool dfs(Simplex& splx, Rng* rng, std::int64_t node_cap,
-             double deadline, std::int64_t work_deadline,
+    /** The depth-first dive-and-backtrack search; see the .cpp comment. */
+    bool dfs(Simplex& splx, double deadline, std::int64_t work_deadline,
              double& incumbent_obj, std::vector<double>& incumbent_x,
              std::int64_t& nodes);
 };

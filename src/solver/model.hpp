@@ -30,28 +30,15 @@ struct MipParams
      * performs an identical pivot sequence — and returns identical
      * schedules — on any machine at any load; time_limit_sec remains
      * as a wall-clock safety net. The budget is checked between LP
-     * solves, so the final node or matheuristic round may overshoot it
-     * by one re-solve — deterministically. CoSA solves set this by
-     * default (reproducible paper tables); plain LP/MIP users keep the
-     * wall-clock semantics.
+     * solves, so the final node may overshoot it by one re-solve —
+     * deterministically. CoSA solves set this by default (reproducible
+     * paper tables); plain LP/MIP users keep the wall-clock semantics.
      */
     std::int64_t work_limit = 0;
     double rel_gap = 1e-4;          //!< relative optimality gap to stop at
     double int_tol = 1e-6;          //!< integrality tolerance
     std::int64_t node_limit = 2'000'000; //!< max branch-and-bound nodes
     bool presolve = true;           //!< row/bound presolve before the solve
-    /**
-     * One presolve probing round on binary variables: tentatively fix
-     * each to 0 and to 1, re-check every touched row's activity
-     * bounds, and permanently fix variables whose one value is
-     * infeasible (CoSA's rank/presence indicators collapse this way
-     * when capacity is tight). Feasibility-preserving for the integer
-     * problem, but it changes the branch-and-bound path, so it is off
-     * by default and partitions the schedule cache when on.
-     */
-    bool enable_probing = false;
-    bool verbose = false;           //!< log node progress to stderr
-    std::uint64_t seed = 1;         //!< diving-heuristic tie-break seed
 };
 
 /** Outcome of Model::optimize(). */
@@ -68,13 +55,13 @@ struct MipResult
     std::int64_t lp_iterations = 0; //!< total simplex iterations
     double solve_time_sec = 0.0;
     /** Wall-clock phase breakdown: model build + presolve, the root
-     *  relaxation, and everything after it (warm-start repairs, the
-     *  tree, matheuristic rounds). The three sum to ~solve_time_sec. */
+     *  relaxation, and everything after it (warm-start repairs and the
+     *  tree). The three sum to ~solve_time_sec. */
     double presolve_time_sec = 0.0;
     double root_lp_time_sec = 0.0;
     double tree_time_sec = 0.0;
     /** Basis-factorization work summed over every simplex instance the
-     *  solve ran (root LP, dives, warm-start repairs, RINS rounds). */
+     *  solve ran (root LP, warm-start repairs, the tree). */
     BasisLu::Stats basis;
     /** Per-setStart() flag: 1 when that start's integer fixing had a
      *  feasible LP completion (it was installed as an incumbent). */
@@ -82,8 +69,6 @@ struct MipResult
     std::int32_t presolve_rows_removed = 0;   //!< rows dropped by presolve
     std::int32_t presolve_cols_eliminated = 0; //!< fixed columns removed
     std::int32_t presolve_bounds_tightened = 0; //!< lb/ub improvements
-    /** Binary columns fixed by the probing round (enable_probing). */
-    std::int32_t presolve_probing_fixings = 0;
     /** Typed cause when the solve failed for a reason other than the
      *  model's mathematics (non-finite input data, numeric trouble in
      *  the simplex). Ok for Optimal/Feasible/Infeasible/limit exits;

@@ -9,6 +9,12 @@ namespace cosa::solver {
 
 namespace {
 
+constexpr int kMaxRounds = 4;       //!< fixed-point iteration cap
+constexpr double kFeasTol = 1e-7;   //!< infeasibility detection tolerance
+/** Required bound improvement before a tightening is applied; keeps
+ *  noise-level cuts from perturbing the LP path. */
+constexpr double kMinImprovement = 1e-9;
+
 /** Minimum contribution of one coefficient over its variable's box. */
 inline double
 minContribution(double a, double lb, double ub)
@@ -41,24 +47,17 @@ struct Activity
 } // namespace
 
 Presolve::Presolve(const LpProblem& original, const std::vector<VarType>& types)
-    : Presolve(original, types, Options())
-{
-}
-
-Presolve::Presolve(const LpProblem& original, const std::vector<VarType>& types,
-                   const Options& options)
 {
     COSA_ASSERT(types.empty() ||
                     static_cast<int>(types.size()) == original.num_structural,
                 "presolve type vector has wrong size");
-    infeasible_ = !run(original, types, options);
+    infeasible_ = !run(original, types);
     if (!infeasible_)
         extract(original);
 }
 
 bool
-Presolve::run(const LpProblem& original, const std::vector<VarType>& types,
-              const Options& options)
+Presolve::run(const LpProblem& original, const std::vector<VarType>& types)
 {
     const int m = original.num_rows;
     const int n = original.num_structural;
@@ -69,7 +68,6 @@ Presolve::run(const LpProblem& original, const std::vector<VarType>& types,
     col_alive_.assign(static_cast<std::size_t>(n), 1);
     fixed_value_.assign(static_cast<std::size_t>(n), 0.0);
 
-    const double tol = options.feas_tol;
     auto isInt = [&](int j) {
         return !types.empty() && types[static_cast<std::size_t>(j)] !=
                                      VarType::Continuous;
@@ -83,14 +81,14 @@ Presolve::run(const LpProblem& original, const std::vector<VarType>& types,
                 ub_[j] = std::floor(ub_[j] + 1e-6);
         }
         if (lb_[j] > ub_[j]) {
-            if (lb_[j] - ub_[j] > tol)
+            if (lb_[j] - ub_[j] > kFeasTol)
                 return false;
             ub_[j] = lb_[j];
         }
         return true;
     };
     auto tightenUb = [&](int j, double cap) {
-        if (!std::isfinite(cap) || cap >= ub_[j] - options.min_improvement)
+        if (!std::isfinite(cap) || cap >= ub_[j] - kMinImprovement)
             return true;
         ub_[j] = cap;
         ++stats_.bounds_tightened;
@@ -98,19 +96,15 @@ Presolve::run(const LpProblem& original, const std::vector<VarType>& types,
     };
     auto tightenLb = [&](int j, double floor_v) {
         if (!std::isfinite(floor_v) ||
-            floor_v <= lb_[j] + options.min_improvement)
+            floor_v <= lb_[j] + kMinImprovement)
             return true;
         lb_[j] = floor_v;
         ++stats_.bounds_tightened;
         return normalizeBounds(j);
     };
 
-    // The tightening/substitution fixed point, re-runnable after the
-    // probing round below lands new fixings. Returns false on proven
-    // infeasibility.
-    auto fixedPoint = [&]() -> bool {
     bool changed = true;
-    for (int round = 0; changed && round < options.max_rounds; ++round) {
+    for (int round = 0; changed && round < kMaxRounds; ++round) {
         changed = false;
         for (int r = 0; r < m; ++r) {
             if (!row_alive_[r])
@@ -131,7 +125,7 @@ Presolve::run(const LpProblem& original, const std::vector<VarType>& types,
                 lo.add(minContribution(e.value, lb_[e.index], ub_[e.index]));
                 hi.add(maxContribution(e.value, lb_[e.index], ub_[e.index]));
             }
-            const double rtol = tol * (1.0 + std::abs(rhs_[r]));
+            const double rtol = kFeasTol * (1.0 + std::abs(rhs_[r]));
 
             if (live == 0) {
                 const bool ok =
@@ -153,7 +147,7 @@ Presolve::run(const LpProblem& original, const std::vector<VarType>& types,
                 bool ok = true;
                 if (sense == Sense::Equal)
                     ok = tightenUb(j, v) && tightenLb(j, v) &&
-                         v >= lb_[j] - tol && v <= ub_[j] + tol;
+                         v >= lb_[j] - kFeasTol && v <= ub_[j] + kFeasTol;
                 else if ((sense == Sense::LessEqual) == (single_coef > 0.0))
                     ok = tightenUb(j, v);
                 else
@@ -247,177 +241,6 @@ Presolve::run(const LpProblem& original, const std::vector<VarType>& types,
                     rhs_[e.index] -= e.value * v;
             }
         }
-    }
-    return true;
-    };
-
-    if (!fixedPoint())
-        return false;
-
-    if (options.probing && !types.empty()) {
-        // One probing round: tentatively pin each live binary column to
-        // a value and propagate activity-based tightening over the live
-        // rows on *temporary* bound arrays. A hypothesis that drives
-        // some row's activity range — or some variable's domain — empty
-        // is impossible, so the opposite value is an implied fixing
-        // (both values failing proves infeasibility). Unlike the global
-        // fixed point above, the contradiction only needs to hold
-        // *under the hypothesis*: two rows that each say nothing about
-        // x alone can pinch it from both sides once the binary is
-        // pinned. Two bounded sweeps keep the probe linear in the
-        // matrix and fully deterministic; tightenings derived inside a
-        // probe are discarded (only the fixing itself is kept), so the
-        // reduction is exactly "this binary cannot take that value".
-        // Scratch state shared across probes: bounds are copied once
-        // per probe (O(n)), but the propagation itself only visits
-        // rows reachable from the probed column — a probe cannot
-        // tighten anything the hypothesis does not touch, so sweeping
-        // the whole matrix per binary would be pure waste.
-        std::vector<double> plb, pub;
-        std::vector<char> row_queued(static_cast<std::size_t>(m), 0);
-        std::vector<int> frontier, next_frontier;
-        auto probeFeasible = [&](int probe_col, double value) -> bool {
-            plb = lb_;
-            pub = ub_;
-            plb[probe_col] = pub[probe_col] = value;
-            auto normalize = [&](int j) {
-                if (isInt(j)) {
-                    if (std::isfinite(plb[j]))
-                        plb[j] = std::ceil(plb[j] - 1e-6);
-                    if (std::isfinite(pub[j]))
-                        pub[j] = std::floor(pub[j] + 1e-6);
-                }
-                return plb[j] <= pub[j] + tol;
-            };
-            auto queueRowsOf = [&](int col) {
-                for (const SparseMatrix::Entry& e :
-                     original.matrix.column(col)) {
-                    if (row_alive_[e.index] && !row_queued[e.index] &&
-                        e.value != 0.0) {
-                        row_queued[e.index] = 1;
-                        next_frontier.push_back(e.index);
-                    }
-                }
-            };
-            // Pending queue marks must not leak into the next probe
-            // when we bail out mid-wave.
-            auto finishProbe = [&](bool feasible) {
-                for (int r : next_frontier)
-                    row_queued[r] = 0;
-                next_frontier.clear();
-                return feasible;
-            };
-            next_frontier.clear();
-            queueRowsOf(probe_col);
-            // Two propagation waves (the same depth the fixed point's
-            // re-run grants a landed fixing): the probed column's rows,
-            // then the rows of every column those tightened.
-            for (int wave = 0; wave < 2; ++wave) {
-                frontier = std::move(next_frontier);
-                next_frontier.clear();
-                for (int r : frontier)
-                    row_queued[r] = 0;
-                if (frontier.empty())
-                    break;
-                for (int r : frontier) {
-                    const Sense sense = original.senses[r];
-                    Activity lo, hi;
-                    for (const SparseMatrix::Entry& e :
-                         original.matrix.row(r)) {
-                        if (!col_alive_[e.index] || e.value == 0.0)
-                            continue;
-                        lo.add(minContribution(e.value, plb[e.index],
-                                               pub[e.index]));
-                        hi.add(maxContribution(e.value, plb[e.index],
-                                               pub[e.index]));
-                    }
-                    const double rtol = tol * (1.0 + std::abs(rhs_[r]));
-                    if (sense != Sense::GreaterEqual && lo.num_inf == 0 &&
-                        lo.finite > rhs_[r] + rtol)
-                        return finishProbe(false);
-                    if (sense != Sense::LessEqual && hi.num_inf == 0 &&
-                        hi.finite < rhs_[r] - rtol)
-                        return finishProbe(false);
-                    for (const SparseMatrix::Entry& e :
-                         original.matrix.row(r)) {
-                        if (!col_alive_[e.index] || e.value == 0.0)
-                            continue;
-                        const int j = e.index;
-                        const double a = e.value;
-                        const double old_lb = plb[j];
-                        const double old_ub = pub[j];
-                        if (sense != Sense::GreaterEqual) {
-                            const double cmin =
-                                minContribution(a, plb[j], pub[j]);
-                            double residual = kInf;
-                            if (lo.num_inf == 0)
-                                residual = lo.finite - cmin;
-                            else if (lo.num_inf == 1 &&
-                                     !std::isfinite(cmin))
-                                residual = lo.finite;
-                            if (std::isfinite(residual)) {
-                                const double cap =
-                                    (rhs_[r] - residual) / a;
-                                if (a > 0.0)
-                                    pub[j] = std::min(pub[j], cap);
-                                else
-                                    plb[j] = std::max(plb[j], cap);
-                                if (!normalize(j))
-                                    return finishProbe(false);
-                            }
-                        }
-                        if (sense != Sense::LessEqual) {
-                            const double cmax =
-                                maxContribution(a, plb[j], pub[j]);
-                            double residual = -kInf;
-                            if (hi.num_inf == 0)
-                                residual = hi.finite - cmax;
-                            else if (hi.num_inf == 1 &&
-                                     !std::isfinite(cmax))
-                                residual = hi.finite;
-                            if (std::isfinite(residual)) {
-                                const double floor_v =
-                                    (rhs_[r] - residual) / a;
-                                if (a > 0.0)
-                                    plb[j] = std::max(plb[j], floor_v);
-                                else
-                                    pub[j] = std::min(pub[j], floor_v);
-                                if (!normalize(j))
-                                    return finishProbe(false);
-                            }
-                        }
-                        // A tightened column spreads the hypothesis to
-                        // its other rows in the next wave.
-                        if (plb[j] != old_lb || pub[j] != old_ub)
-                            queueRowsOf(j);
-                    }
-                }
-            }
-            return finishProbe(true);
-        };
-        int fixings = 0;
-        for (int j = 0; j < n; ++j) {
-            if (!col_alive_[j] || !isInt(j) || lb_[j] != 0.0 ||
-                ub_[j] != 1.0)
-                continue;
-            const bool can_be_zero = probeFeasible(j, 0.0);
-            const bool can_be_one = probeFeasible(j, 1.0);
-            if (!can_be_zero && !can_be_one)
-                return false;
-            if (!can_be_zero) {
-                lb_[j] = 1.0;
-            } else if (!can_be_one) {
-                ub_[j] = 0.0;
-            } else {
-                continue;
-            }
-            ++stats_.probing_fixings;
-            ++fixings;
-        }
-        // Fixings re-tighten neighboring activities and substitute the
-        // pinned columns out: run the fixed point once more.
-        if (fixings > 0 && !fixedPoint())
-            return false;
     }
     return true;
 }

@@ -6,7 +6,7 @@
  * ever sees it, with an exact postsolve map back to the original
  * variable space.
  *
- * Reductions performed (to a fixed point, bounded by max_rounds):
+ * Reductions performed (to a fixed point, at most four rounds):
  *  - empty rows: dropped after a feasibility check of their rhs;
  *  - singleton rows (one nonzero): converted into a variable bound and
  *    dropped — CoSA models carry many indicator-link rows that collapse
@@ -39,10 +39,6 @@ struct PresolveStats
     int redundant_rows = 0;   //!< rows implied by the variable bounds
     int cols_eliminated = 0;  //!< fixed columns substituted out
     int bounds_tightened = 0; //!< individual lb/ub improvements
-    /** Binary columns fixed by the probing round (Options::probing):
-     *  one tentative value made some row's activity infeasible, so the
-     *  other value is implied. */
-    int probing_fixings = 0;
 
     int rowsRemoved() const
     {
@@ -58,32 +54,10 @@ struct PresolveStats
 class Presolve
 {
   public:
-    struct Options
-    {
-        int max_rounds = 4;       //!< fixed-point iteration cap
-        double feas_tol = 1e-7;   //!< infeasibility detection tolerance
-        /** Required bound improvement before a tightening is applied;
-         *  keeps noise-level cuts from perturbing the LP path. */
-        double min_improvement = 1e-9;
-        /**
-         * One probing round on binary columns after the fixed point:
-         * tentatively fix each to 0 and to 1 and re-check the activity
-         * bounds of every row it appears in. A value that makes some
-         * row infeasible implies the opposite fixing (both infeasible
-         * proves the problem infeasible); any fixing triggers another
-         * tightening/substitution fixed point. Off by default: it is
-         * feasibility-preserving but changes the reduced problem, so
-         * downstream pivot sequences differ from probing-free runs.
-         */
-        bool probing = false;
-    };
-
     /**
      * Run presolve on @p original. @p types gives per-column domains for
      * integral rounding; pass an empty vector for an all-continuous LP.
      */
-    Presolve(const LpProblem& original, const std::vector<VarType>& types,
-             const Options& options);
     Presolve(const LpProblem& original, const std::vector<VarType>& types);
 
     /** True when presolve proved the problem has no feasible point. */
@@ -120,8 +94,7 @@ class Presolve
     std::vector<double> restrict(const std::vector<double>& orig_x) const;
 
   private:
-    bool run(const LpProblem& original, const std::vector<VarType>& types,
-             const Options& options);
+    bool run(const LpProblem& original, const std::vector<VarType>& types);
     void extract(const LpProblem& original);
 
     // Working bound arrays in original column space.

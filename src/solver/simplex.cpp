@@ -30,7 +30,7 @@ Simplex::Simplex(const LpProblem& prob)
 
     // The structural matrix is immutable for the lifetime of the solve
     // tree; share one compressed copy across all Simplex clones instead
-    // of duplicating a dense m x n block per branch-and-bound restart.
+    // of duplicating a dense m x n block per branch-and-bound clone.
     matrix_ = std::make_shared<SparseMatrix>(prob.matrix);
     b_ = prob.rhs;
     c_.assign(total_, 0.0);

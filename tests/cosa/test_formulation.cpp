@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "cosa/formulation.hpp"
 #include "cosa/greedy.hpp"
 #include "cosa/scheduler.hpp"
@@ -147,41 +145,6 @@ TEST(CosaScheduler, WeightedSumModeAlsoSolves)
     CosaScheduler scheduler(config);
     const SearchResult result = scheduler.schedule(layer, arch);
     EXPECT_TRUE(result.found);
-}
-
-TEST(CosaFormulation, ProbingOnOffEquivalence)
-{
-    // Probing is feasibility-preserving for the integer problem, so on
-    // the CoSA formulation it must not change what an *optimal* solve
-    // concludes — only (possibly) how fast it gets there. Both runs
-    // get enough budget to prove optimality on small layers, and the
-    // proven objective values must coincide; the extracted mappings
-    // must both validate.
-    const ArchSpec arch = ArchSpec::simbaBaseline();
-    for (const char* label : {"1_4_8_8_1", "1_7_16_8_1", "1_7_32_16_1"}) {
-        const LayerSpec layer = LayerSpec::fromLabel(label);
-        CosaConfig plain_config;
-        plain_config.mip.work_limit = 0; // uncapped: prove optimality
-        plain_config.mip.time_limit_sec = 120.0;
-        CosaConfig probing_config = plain_config;
-        probing_config.mip.enable_probing = true;
-
-        CosaFormulation plain(layer, arch, plain_config);
-        CosaFormulation probed(layer, arch, probing_config);
-        solver::MipResult plain_result, probed_result;
-        const auto plain_mapping = plain.solve(&plain_result);
-        const auto probed_mapping = probed.solve(&probed_result);
-
-        ASSERT_EQ(plain_result.status, solver::Status::Optimal) << label;
-        ASSERT_EQ(probed_result.status, solver::Status::Optimal) << label;
-        EXPECT_NEAR(plain_result.objective, probed_result.objective,
-                    1e-6 * (1.0 + std::abs(plain_result.objective)))
-            << label;
-        ASSERT_TRUE(plain_mapping.has_value()) << label;
-        ASSERT_TRUE(probed_mapping.has_value()) << label;
-        EXPECT_TRUE(validateMapping(*plain_mapping, layer, arch).valid);
-        EXPECT_TRUE(validateMapping(*probed_mapping, layer, arch).valid);
-    }
 }
 
 TEST(CosaScheduler, WorksOnArchVariants)

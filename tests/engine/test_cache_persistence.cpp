@@ -109,27 +109,6 @@ TEST(ScheduleCachePersistence, RoundTripsLruCapacity)
     EXPECT_EQ(bounded.capacity(), 3);
     EXPECT_EQ(bounded.size(), 3u);
     EXPECT_EQ(bounded.stats().evictions, 2);
-
-    // Legacy v1 snapshots (no capacity line) still load: rewrite the
-    // file as a v1 reader would have produced it and reload.
-    {
-        std::ifstream in(file.path());
-        std::string line, rest;
-        std::getline(in, line); // v2 version header
-        rest = "cosa-schedule-cache v1\n";
-        while (std::getline(in, line)) {
-            if (line.rfind("capacity", 0) == 0)
-                continue;
-            rest += line + "\n";
-        }
-        std::ofstream out(file.path());
-        out << rest;
-    }
-    ScheduleCache legacy;
-    const auto legacy_loaded = legacy.load(file.path());
-    ASSERT_TRUE(legacy_loaded.ok) << legacy_loaded.error;
-    EXPECT_EQ(legacy_loaded.entries, 5);
-    EXPECT_EQ(legacy.capacity(), 0); // unbounded, as before
 }
 
 TEST(ScheduleCachePersistence, PreservesEvaluatorPartitioning)
@@ -196,21 +175,38 @@ TEST(ScheduleCachePersistence, RevivesNearestNeighborWarmStarts)
 TEST(ScheduleCachePersistence, RejectsWrongVersionAndMalformedFiles)
 {
     TempFile file("badversion");
+    ScheduleCache cache;
+    // Only v3 loads: the retired v1/v2 headers are rejected like any
+    // unknown version.
+    for (const char* header : {"cosa-schedule-cache v999",
+                               "cosa-schedule-cache v1",
+                               "cosa-schedule-cache v2"}) {
+        {
+            std::ofstream out(file.path());
+            out << header << "\ncapacity 0\n";
+        }
+        const auto wrong = cache.load(file.path());
+        EXPECT_FALSE(wrong.ok) << header;
+        EXPECT_NE(wrong.error.find("not a"), std::string::npos) << header;
+        EXPECT_EQ(cache.stats().entries, 0);
+    }
+
+    // A v3 file must carry its capacity on line 2.
     {
         std::ofstream out(file.path());
-        out << "cosa-schedule-cache v999\n";
+        out << "cosa-schedule-cache v3\nentry\n";
     }
-    ScheduleCache cache;
-    const auto wrong = cache.load(file.path());
-    EXPECT_FALSE(wrong.ok);
-    EXPECT_NE(wrong.error.find("not a"), std::string::npos);
-    EXPECT_EQ(cache.stats().entries, 0);
+    const auto no_capacity = cache.load(file.path());
+    EXPECT_FALSE(no_capacity.ok);
+    EXPECT_NE(no_capacity.error.find("malformed capacity header"),
+              std::string::npos);
 
     // A truncated record is no longer fatal: it is skipped (counted)
     // and the load as a whole succeeds with whatever survived.
     {
         std::ofstream out(file.path());
-        out << "cosa-schedule-cache v1\n";
+        out << "cosa-schedule-cache v3\n";
+        out << "capacity 0\n";
         out << "entry\n";
         out << "key.layer l\n";
         out << "garbage\n";

@@ -49,6 +49,35 @@ TEST(Mip, InfeasibleIntegerProblem)
     EXPECT_EQ(r.status, Status::Infeasible);
 }
 
+TEST(Mip, ExhaustedTreeOnExactBudgetIsInfeasible)
+{
+    // x + y = 1 and x - y = 0 over binaries: the relaxation x = y = 0.5
+    // is feasible and presolve sees nothing, but both branches on x are
+    // infeasible. An exhausted tree proves infeasibility even when the
+    // work budget reads as spent by the time the tree is done.
+    Model m;
+    Var x = m.addBinary("x");
+    Var y = m.addBinary("y");
+    m.addConstr(x + y, Sense::Equal, 1.0);
+    m.addConstr(x - y, Sense::Equal, 0.0);
+    m.setObjective(x + y, ObjSense::Minimize);
+    const MipResult uncapped = m.optimize();
+    ASSERT_EQ(uncapped.status, Status::Infeasible);
+    ASSERT_EQ(uncapped.nodes, 2);
+
+    // On this 2-row model one simplex iteration costs one work unit.
+    MipParams params;
+    params.work_limit = uncapped.lp_iterations;
+    const MipResult exact = m.optimize(params);
+    EXPECT_EQ(exact.status, Status::Infeasible);
+    EXPECT_EQ(exact.lp_iterations, uncapped.lp_iterations);
+    EXPECT_EQ(exact.nodes, 2);
+
+    // One unit less stops the search before it sees the empty stack.
+    params.work_limit = uncapped.lp_iterations - 1;
+    EXPECT_EQ(m.optimize(params).status, Status::TimeLimit);
+}
+
 TEST(Mip, AssignmentProblem)
 {
     // 3x3 assignment: minimize cost with rows/cols summing to 1.

@@ -206,81 +206,5 @@ TEST_P(PresolveEquivalence, OptimizeAgreesWithAndWithoutPresolve)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PresolveEquivalence, ::testing::Range(0, 40));
 
-TEST(Probing, FixesBinaryPinchedUnderHypothesis)
-{
-    // b = 1 implies x <= 1 (row 0) and x >= 2 (row 1) — a
-    // contradiction that exists only *under the hypothesis*: neither
-    // row alone improves any global bound, so the activity fixed point
-    // is powerless, but probing b = 1 propagates both rows on the
-    // pinned bounds and lands the implied fixing b = 0.
-    const LpProblem lp = makeLp(
-        2, 2, {{0, 0, 3.0}, {0, 1, 1.0}, {1, 0, 3.0}, {1, 1, -1.0}},
-        {4.0, 1.0}, {Sense::LessEqual, Sense::LessEqual}, {0.0, 0.0},
-        {1.0, 4.0});
-    const std::vector<VarType> types = {VarType::Binary,
-                                        VarType::Continuous};
-
-    Presolve plain(lp, types);
-    ASSERT_FALSE(plain.infeasible());
-    EXPECT_EQ(plain.stats().probing_fixings, 0);
-    EXPECT_EQ(plain.stats().cols_eliminated, 0);
-    EXPECT_EQ(plain.numReducedCols(), 2);
-
-    Presolve::Options options;
-    options.probing = true;
-    Presolve probed(lp, types, options);
-    ASSERT_FALSE(probed.infeasible());
-    EXPECT_EQ(probed.stats().probing_fixings, 1);
-    EXPECT_GE(probed.stats().cols_eliminated, 1);
-    EXPECT_EQ(probed.reducedCol(0), -1); // b substituted out...
-    const std::vector<double> x =
-        probed.postsolve(std::vector<double>(
-            static_cast<std::size_t>(probed.numReducedCols()), 0.0));
-    EXPECT_EQ(x[0], 0.0); // ...at its only feasible value
-}
-
-TEST(Probing, BothValuesInfeasibleProvesInfeasibility)
-{
-    // Rows 0-1 pinch x when b = 1 (x <= 1 and x >= 2); rows 2-3 pinch
-    // it when b = 0 (x <= 1 via x - 3b <= 1, x >= 2 via x + 3b >= 2).
-    const LpProblem lp = makeLp(
-        4, 2,
-        {{0, 0, 3.0}, {0, 1, 1.0}, {1, 0, 3.0}, {1, 1, -1.0},
-         {2, 0, -3.0}, {2, 1, 1.0}, {3, 0, 3.0}, {3, 1, 1.0}},
-        {4.0, 1.0, 1.0, 2.0},
-        {Sense::LessEqual, Sense::LessEqual, Sense::LessEqual,
-         Sense::GreaterEqual},
-        {0.0, 0.0}, {1.0, 4.0});
-    const std::vector<VarType> types = {VarType::Binary,
-                                        VarType::Continuous};
-
-    Presolve plain(lp, types);
-    EXPECT_FALSE(plain.infeasible()); // invisible to the fixed point
-
-    Presolve::Options options;
-    options.probing = true;
-    Presolve probed(lp, types, options);
-    EXPECT_TRUE(probed.infeasible());
-}
-
-TEST(Probing, NoOpOnProblemsWithoutImpliedFixings)
-{
-    // A plain feasible box problem: probing must change nothing.
-    const LpProblem lp = makeLp(
-        1, 2, {{0, 0, 1.0}, {0, 1, 1.0}}, {3.0}, {Sense::LessEqual},
-        {0.0, 0.0}, {1.0, 4.0});
-    const std::vector<VarType> types = {VarType::Binary,
-                                        VarType::Continuous};
-    Presolve::Options options;
-    options.probing = true;
-    Presolve probed(lp, types, options);
-    ASSERT_FALSE(probed.infeasible());
-    EXPECT_EQ(probed.stats().probing_fixings, 0);
-
-    Presolve plain(lp, types);
-    EXPECT_EQ(probed.numReducedCols(), plain.numReducedCols());
-    EXPECT_EQ(probed.reduced().num_rows, plain.reduced().num_rows);
-}
-
 } // namespace
 } // namespace cosa::solver

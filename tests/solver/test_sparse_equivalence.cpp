@@ -132,7 +132,8 @@ TEST(SparseEquivalence, MipSolveIsDeterministicUnderWorkBudget)
 TEST(SparseEquivalence, MipPresolveOnOffAgreeOnProvenOptima)
 {
     // Layers small enough that branch and bound proves the (near-)
-    // zero-gap optimum in well under a second per configuration.
+    // zero-gap optimum in well under a second per configuration. Every
+    // proven optimum must also extract to a valid mapping.
     const char* labels[] = {"1_1_2048_1000_1", "1_1_64_32_1",
                             "1_2_16_16_1"};
     const ArchSpec arch = ArchSpec::simbaBaseline();
@@ -149,6 +150,8 @@ TEST(SparseEquivalence, MipPresolveOnOffAgreeOnProvenOptima)
             const auto mapping = formulation.solve(&results[p]);
             ASSERT_TRUE(mapping.has_value()) << label;
             ASSERT_EQ(results[p].status, solver::Status::Optimal) << label;
+            const auto valid = validateMapping(*mapping, layer, arch);
+            EXPECT_TRUE(valid.valid) << label << ": " << valid.reason;
         }
         EXPECT_NEAR(results[0].objective, results[1].objective, 1e-6)
             << label;

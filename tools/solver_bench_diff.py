@@ -7,9 +7,11 @@ Compares the per-layer solve-time geomean and the schedule-cycles
 geomean between the previous run's artifact and the current run, prints
 a markdown report (appended to --summary when given, e.g.
 $GITHUB_STEP_SUMMARY), and emits GitHub `::warning::` annotations on
-regressions. Always exits 0 — the trajectory is advisory; CI warns, it
-does not fail (per-commit noise on shared runners would make a hard
-gate flaky).
+regressions. At the same work_limit and presolve setting it also
+compares the deterministic per-layer counters (DETERMINISTIC_FIELDS)
+exactly and lists every layer/field that moved. Always exits 0 — the
+trajectory is advisory; CI warns, it does not fail (per-commit noise on
+shared runners would make a hard gate flaky).
 """
 
 import argparse
@@ -22,6 +24,20 @@ import sys
 # deterministic at a fixed work limit, so any growth is real.
 TIME_WARN_RATIO = 1.10
 CYCLES_WARN_RATIO = 1.001
+
+# Per-layer fields a fixed work budget makes deterministic: any
+# difference means the pivot sequence (or the schedule) changed.
+DETERMINISTIC_FIELDS = (
+    "found",
+    "lp_iterations",
+    "mip_nodes",
+    "warm_hint_installed",
+    "warm_start_hits",
+    "lu_factorizations",
+    "lu_eta_updates",
+    "cycles",
+    "energy_pj",
+)
 
 
 def geomean(values):
@@ -38,6 +54,17 @@ def load(path):
 
 def layer_map(bench):
     return {l["layer"]: l for l in bench.get("layers", [])}
+
+
+def counter_diffs(prev_layers, cur_layers, shared):
+    """(layer, field, previous, current) for every deterministic counter
+    that differs on a shared layer."""
+    return [
+        (n, f, prev_layers[n].get(f), cur_layers[n].get(f))
+        for n in shared
+        for f in DETERMINISTIC_FIELDS
+        if prev_layers[n].get(f) != cur_layers[n].get(f)
+    ]
 
 
 def fmt_ratio(ratio):
@@ -108,7 +135,29 @@ def main():
             f"/{cur.get('num_layers')} | |",
             "",
             f"{len(shared)} shared layers compared.",
+            "",
         ]
+
+        diffs = counter_diffs(prev_layers, cur_layers, shared)
+        if not diffs:
+            lines.append(
+                f"deterministic counters identical on {len(shared)}/"
+                f"{len(shared)} layers"
+            )
+        else:
+            changed = len({d[0] for d in diffs})
+            lines += [
+                f"deterministic counters differ on {changed}/{len(shared)} "
+                "layers:",
+                "",
+                "| layer | field | previous | current |",
+                "| --- | --- | --- | --- |",
+            ]
+            lines += [f"| {n} | {f} | {p} | {c} |" for n, f, p, c in diffs]
+            warnings.append(
+                f"deterministic counters differ on {changed} of "
+                f"{len(shared)} layers at the same work limit"
+            )
 
         if time_ratio > TIME_WARN_RATIO:
             warnings.append(
