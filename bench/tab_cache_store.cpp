@@ -32,6 +32,7 @@
 #include <unistd.h>
 
 #include "bench_util.hpp"
+#include "cachestore/snapshot.hpp"
 #include "cachestore/store.hpp"
 #include "common/json.hpp"
 #include "common/logging.hpp"
@@ -213,14 +214,14 @@ main(int argc, char** argv)
 
         // Text snapshot: save + load through the v3 format.
         double t0 = wallTimeSec();
-        const auto saved = baseline.save(text_path);
+        const auto saved = cachestore::exportSnapshot(baseline, text_path);
         row.text_save_sec = wallTimeSec() - t0;
         if (!saved.ok || saved.entries != entries)
             fatal("text save failed: ", saved.error);
         {
             ScheduleCache revived;
             t0 = wallTimeSec();
-            const auto loaded = revived.load(text_path);
+            const auto loaded = cachestore::importSnapshot(text_path, revived);
             row.text_load_sec = wallTimeSec() - t0;
             if (!loaded.ok || loaded.entries != entries)
                 fatal("text load failed: ", loaded.error);
@@ -236,7 +237,8 @@ main(int argc, char** argv)
         {
             auto store = mustOpen(config);
             t0 = wallTimeSec();
-            const auto imported = store->load(text_path);
+            const auto imported =
+                cachestore::importSnapshot(text_path, *store);
             if (!imported.ok || imported.entries != entries)
                 fatal("binary import failed: ", imported.error);
             const Status synced = store->syncAll();

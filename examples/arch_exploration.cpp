@@ -14,19 +14,22 @@
  * hints land depends on overlap — see the README's determinism notes).
  *
  *   ./examples/arch_exploration [R_P_C_K_Stride] [--threads N]
- *       [--objective {latency,energy,edp}] [--cache-file PATH]
+ *       [--objective {latency,energy,edp}] [--cache-dir DIR]
  *       [--priority {interactive,normal,batch}] [--deadline-ms N]
  *
- * --cache-file loads a schedule-cache snapshot before the sweep and
- * saves the merged cache after it, so a repeated exploration reuses
- * every prior solve and warm-starts the rest. --priority/--deadline-ms
- * set each sweep job's tier and auto-cancel budget.
+ * --cache-dir mounts the persistent cache store in DIR (created when
+ * missing), as `cosad --cache-dir` does: every solve is durable once
+ * inserted, so a repeated exploration reuses every prior solve and
+ * warm-starts the rest. --priority/--deadline-ms set each sweep job's
+ * tier and auto-cancel budget.
  */
 
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 
+#include "cachestore/store.hpp"
+#include "common/logging.hpp"
 #include "common/table.hpp"
 #include "common/telemetry.hpp"
 #include "cosa/greedy.hpp"
@@ -41,7 +44,7 @@ main(int argc, char** argv)
     SearchObjective objective = SearchObjective::Latency;
     JobPriority priority = JobPriority::Normal;
     double deadline_ms = 0.0;
-    std::string cache_file;
+    std::string cache_dir;
     for (int a = 1; a < argc; ++a) {
         if (std::strcmp(argv[a], "--threads") == 0 && a + 1 < argc) {
             threads = std::atoi(argv[++a]);
@@ -52,29 +55,28 @@ main(int argc, char** argv)
         } else if (std::strcmp(argv[a], "--deadline-ms") == 0 &&
                    a + 1 < argc) {
             deadline_ms = std::atof(argv[++a]);
-        } else if (std::strcmp(argv[a], "--cache-file") == 0 &&
+        } else if (std::strcmp(argv[a], "--cache-dir") == 0 &&
                    a + 1 < argc) {
-            cache_file = argv[++a];
+            cache_dir = argv[++a];
+        } else if (std::strncmp(argv[a], "--", 2) == 0) {
+            fatal("unknown argument \"", argv[a], "\"");
         } else {
             label = argv[a];
         }
     }
     const LayerSpec layer = LayerSpec::fromLabel(label);
 
-    auto cache = std::make_shared<ScheduleCache>();
-    if (!cache_file.empty()) {
-        const auto io = cache->load(cache_file);
-        if (io.ok) {
-            std::cout << "schedule cache: loaded " << io.entries
-                      << " entries from " << cache_file;
-            if (io.skipped > 0)
-                std::cout << " (" << io.skipped
-                          << " corrupt records skipped)";
-            std::cout << "\n";
-        } else {
-            std::cout << "schedule cache: starting cold (" << io.error
-                      << ")\n";
-        }
+    std::shared_ptr<ScheduleCache> cache = std::make_shared<ScheduleCache>();
+    if (!cache_dir.empty()) {
+        cachestore::StoreConfig store_config;
+        store_config.dir = cache_dir;
+        auto store = cachestore::PersistentScheduleCache::open(store_config);
+        if (!store.ok())
+            fatal("cannot open cache dir '", cache_dir, "': ",
+                  store.status().message());
+        std::cout << "schedule cache: " << store.value()->size()
+                  << " entries in " << cache_dir << "\n";
+        cache = std::move(store).value();
     }
 
     ServiceConfig service_config;
@@ -148,16 +150,6 @@ main(int argc, char** argv)
               << " concurrent sweep jobs on "
               << service.config().num_threads << " shared workers ("
               << service_stats.executor.steals << " cross-job steals)\n";
-
-    if (!cache_file.empty()) {
-        const auto io = cache->save(cache_file);
-        if (io.ok)
-            std::cout << "schedule cache: saved " << io.entries
-                      << " entries to " << cache_file << "\n";
-        else
-            std::cerr << "schedule cache: save failed: " << io.error
-                      << "\n";
-    }
 
     std::cout << "\nGreedy reference schedule on the baseline:\n"
               << greedyMapping(layer, ArchSpec::simbaBaseline())

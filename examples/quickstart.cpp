@@ -21,6 +21,7 @@
 #include <cstring>
 #include <iostream>
 
+#include "common/logging.hpp"
 #include "common/telemetry.hpp"
 #include "engine/scheduler_service.hpp"
 #include "noc/schedule_sim.hpp"
@@ -42,6 +43,8 @@ main(int argc, char** argv)
         } else if (std::strcmp(argv[a], "--deadline-ms") == 0 &&
                    a + 1 < argc) {
             deadline_ms = std::atof(argv[++a]);
+        } else if (std::strncmp(argv[a], "--", 2) == 0) {
+            fatal("unknown argument \"", argv[a], "\"");
         } else {
             label = argv[a];
         }

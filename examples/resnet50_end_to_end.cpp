@@ -11,17 +11,18 @@
  * not 53.
  *
  *   ./examples/resnet50_end_to_end [time_limit_seconds] [--threads N]
- *       [--objective {latency,energy,edp}] [--cache-file PATH]
+ *       [--objective {latency,energy,edp}] [--cache-dir DIR]
  *       [--priority {interactive,normal,batch}] [--deadline-ms N]
  *
  * The time limit is expressed in dense-core-equivalent seconds: it maps
  * onto CoSA's deterministic work budget (5000 simplex iterations per
  * second) so results are machine-independent. --threads sets the
  * service's shared executor width (0 = hardware concurrency).
- * --objective picks the search metric of every scheduler. --cache-file
- * loads a schedule-cache snapshot before the run (reviving prior
- * solves and cross-layer warm starts) and saves the merged cache after
- * it, so repeated runs only pay for problems they have never seen.
+ * --objective picks the search metric of every scheduler. --cache-dir
+ * mounts the persistent cache store in DIR (created when missing), as
+ * `cosad --cache-dir` does: every solve is durable once inserted, so
+ * repeated runs revive prior solves and cross-layer warm starts and
+ * only pay for problems they have never seen.
  * --priority and --deadline-ms apply to all three jobs: the strict
  * tier they run at, and an auto-cancel budget after which unfinished
  * solves are skipped (solved layers keep their results).
@@ -31,6 +32,8 @@
 #include <cstring>
 #include <iostream>
 
+#include "cachestore/store.hpp"
+#include "common/logging.hpp"
 #include "common/table.hpp"
 #include "common/telemetry.hpp"
 #include "engine/scheduler_service.hpp"
@@ -44,7 +47,7 @@ main(int argc, char** argv)
     SearchObjective objective = SearchObjective::Latency;
     JobPriority priority = JobPriority::Normal;
     double deadline_ms = 0.0;
-    std::string cache_file;
+    std::string cache_dir;
     for (int a = 1; a < argc; ++a) {
         if (std::strcmp(argv[a], "--threads") == 0 && a + 1 < argc) {
             threads = std::atoi(argv[++a]);
@@ -55,9 +58,11 @@ main(int argc, char** argv)
         } else if (std::strcmp(argv[a], "--deadline-ms") == 0 &&
                    a + 1 < argc) {
             deadline_ms = std::atof(argv[++a]);
-        } else if (std::strcmp(argv[a], "--cache-file") == 0 &&
+        } else if (std::strcmp(argv[a], "--cache-dir") == 0 &&
                    a + 1 < argc) {
-            cache_file = argv[++a];
+            cache_dir = argv[++a];
+        } else if (std::strncmp(argv[a], "--", 2) == 0) {
+            fatal("unknown argument \"", argv[a], "\"");
         } else {
             time_limit = std::atof(argv[a]);
         }
@@ -68,20 +73,17 @@ main(int argc, char** argv)
 
     // One cache shared by the three jobs (their scheduler keys keep the
     // entries apart), persisted across runs when requested.
-    auto cache = std::make_shared<ScheduleCache>();
-    if (!cache_file.empty()) {
-        const auto io = cache->load(cache_file);
-        if (io.ok) {
-            std::cout << "schedule cache: loaded " << io.entries
-                      << " entries from " << cache_file;
-            if (io.skipped > 0)
-                std::cout << " (" << io.skipped
-                          << " corrupt records skipped)";
-            std::cout << "\n";
-        } else {
-            std::cout << "schedule cache: starting cold (" << io.error
-                      << ")\n";
-        }
+    std::shared_ptr<ScheduleCache> cache = std::make_shared<ScheduleCache>();
+    if (!cache_dir.empty()) {
+        cachestore::StoreConfig store_config;
+        store_config.dir = cache_dir;
+        auto store = cachestore::PersistentScheduleCache::open(store_config);
+        if (!store.ok())
+            fatal("cannot open cache dir '", cache_dir, "': ",
+                  store.status().message());
+        std::cout << "schedule cache: " << store.value()->size()
+                  << " entries in " << cache_dir << "\n";
+        cache = std::move(store).value();
     }
 
     ServiceConfig service_config;
@@ -188,14 +190,5 @@ main(int argc, char** argv)
               << " solve tasks on " << service.config().num_threads
               << " shared workers, " << service_stats.executor.steals
               << " cross-job steals\n";
-    if (!cache_file.empty()) {
-        const auto io = cache->save(cache_file);
-        if (io.ok)
-            std::cout << "schedule cache: saved " << io.entries
-                      << " entries to " << cache_file << "\n";
-        else
-            std::cerr << "schedule cache: save failed: " << io.error
-                      << "\n";
-    }
     return 0;
 }

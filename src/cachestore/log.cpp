@@ -241,7 +241,8 @@ struct Cursor
             if (!take(n * sizeof(double), &p))
                 return out;
             out.resize(n);
-            std::memcpy(out.data(), p, n * sizeof(double));
+            if (n > 0) // memcpy into an empty vector's null data() is UB
+                std::memcpy(out.data(), p, n * sizeof(double));
             return out;
         }
         out.reserve(n);

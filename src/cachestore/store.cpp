@@ -460,6 +460,32 @@ PersistentScheduleCache::compactIndexLocked(Shard& shard)
     shard.index_tombstones = 0;
 }
 
+template <typename Visit>
+void
+PersistentScheduleCache::mergeInSeqOrderLocked(Visit&& visit) const
+{
+    std::vector<std::size_t> cursor(shards_.size(), 0);
+    for (;;) {
+        std::size_t best_shard = shards_.size();
+        std::uint64_t min_seq = 0;
+        for (std::size_t s = 0; s < shards_.size(); ++s) {
+            const std::vector<IndexEntry>& index = shards_[s]->index;
+            std::size_t& c = cursor[s];
+            while (c < index.size() && !index[c].entry)
+                ++c; // tombstone
+            if (c >= index.size())
+                continue;
+            if (best_shard == shards_.size() || index[c].seq < min_seq) {
+                best_shard = s;
+                min_seq = index[c].seq;
+            }
+        }
+        if (best_shard == shards_.size())
+            return;
+        visit(*shards_[best_shard]->index[cursor[best_shard]++].entry);
+    }
+}
+
 std::optional<SearchResult>
 PersistentScheduleCache::nearestNeighbor(const std::string& arch_key,
                                          const std::string& scheduler_key,
@@ -473,56 +499,14 @@ PersistentScheduleCache::nearestNeighbor(const std::string& arch_key,
     for (auto& shard : shards_)
         locks.emplace_back(shard->mutex);
 
-    const std::string target_key = target.canonicalKey();
-    const StoreEntry* best = nullptr;
-    double best_dist = 0.0;
-    bool best_arch_match = false;
-
-    // K-way merge of the per-shard seq-ascending indexes: visits
-    // candidates in exactly the global first-insertion order the base
-    // cache scans, then applies its comparator verbatim — the
-    // strict-improvement rule keeps the earliest entry on ties, so
-    // visit order is part of the bit-for-bit contract.
-    std::vector<std::size_t> cursor(shards_.size(), 0);
-    for (;;) {
-        std::size_t best_shard = shards_.size();
-        std::uint64_t min_seq = 0;
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-            std::vector<IndexEntry>& index = shards_[s]->index;
-            std::size_t& c = cursor[s];
-            while (c < index.size() && !index[c].entry)
-                ++c; // tombstone
-            if (c >= index.size())
-                continue;
-            if (best_shard == shards_.size() || index[c].seq < min_seq) {
-                best_shard = s;
-                min_seq = index[c].seq;
-            }
-        }
-        if (best_shard == shards_.size())
-            break;
-        const StoreEntry& entry =
-            *shards_[best_shard]->index[cursor[best_shard]].entry;
-        ++cursor[best_shard];
-
-        if (!entry.result.found ||
-            entry.key.scheduler_key != scheduler_key ||
-            entry.key.evaluator_key != evaluator_key)
-            continue;
-        const bool arch_match = entry.key.arch_key == arch_key;
-        if (arch_match && entry.layer.canonicalKey() == target_key)
-            continue; // the exact problem: a hit, not a neighbor
-        const double dist = canonicalLayerDistance(entry.layer, target);
-        const bool better =
-            !best || dist < best_dist - 1e-12 ||
-            (dist < best_dist + 1e-12 && arch_match && !best_arch_match);
-        if (better) {
-            best = &entry;
-            best_dist = dist;
-            best_arch_match = arch_match;
-        }
-    }
-    if (!best)
+    // The merge visits candidates in exactly the global first-insertion
+    // order the base cache scans, and the scan keeps the earliest entry
+    // on ties, so visit order is part of the bit-for-bit contract.
+    NeighborScan scan(arch_key, scheduler_key, evaluator_key, target);
+    mergeInSeqOrderLocked([&](const StoreEntry& entry) {
+        scan.offer(entry.key, entry.result, entry.layer);
+    });
+    if (!scan.best())
         return std::nullopt;
     neighbor_hits_.fetch_add(1, std::memory_order_relaxed);
     metrics::MetricsRegistry::global()
@@ -530,7 +514,7 @@ PersistentScheduleCache::nearestNeighbor(const std::string& arch_key,
                  "Schedule-cache events by kind",
                  {{"event", "neighbor_hit"}})
         .inc();
-    return best->result;
+    return *scan.best();
 }
 
 bool
@@ -553,25 +537,6 @@ PersistentScheduleCache::size() const
     return total;
 }
 
-std::int64_t
-PersistentScheduleCache::capacity() const
-{
-    return config_.capacity;
-}
-
-void
-PersistentScheduleCache::setCapacity(std::int64_t capacity)
-{
-    config_.capacity = std::max<std::int64_t>(capacity, 0);
-    distributeBudgets(config_.capacity);
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        Shard& shard = *shards_[i];
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        enforceBudgetLocked(shard);
-        maybeCompactLocked(shard, i);
-    }
-}
-
 ScheduleCacheStats
 PersistentScheduleCache::stats() const
 {
@@ -587,27 +552,6 @@ PersistentScheduleCache::stats() const
     return out;
 }
 
-void
-PersistentScheduleCache::clear()
-{
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        Shard& shard = *shards_[i];
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.entries.clear();
-        shard.index.clear();
-        shard.index_tombstones = 0;
-        shard.lru.clear();
-        shard.live_bytes = 0;
-        Status truncated = shard.writer.openTruncated(
-            shard.path, static_cast<std::uint32_t>(i),
-            static_cast<std::uint32_t>(shards_.size()),
-            config_.fsync_each_append);
-        if (!truncated.ok())
-            warn("cachestore: clear: ", truncated.message());
-        publishLogBytes(shard);
-    }
-}
-
 std::vector<ScheduleCache::ExportedEntry>
 PersistentScheduleCache::exportEntries() const
 {
@@ -616,60 +560,11 @@ PersistentScheduleCache::exportEntries() const
     for (const auto& shard : shards_)
         locks.emplace_back(shard->mutex);
 
-    // Same K-way merge as nearestNeighbor: global insertion order.
     std::vector<ExportedEntry> out;
-    std::vector<std::size_t> cursor(shards_.size(), 0);
-    for (;;) {
-        std::size_t best_shard = shards_.size();
-        std::uint64_t min_seq = 0;
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-            const std::vector<IndexEntry>& index = shards_[s]->index;
-            std::size_t& c = cursor[s];
-            while (c < index.size() && !index[c].entry)
-                ++c;
-            if (c >= index.size())
-                continue;
-            if (best_shard == shards_.size() || index[c].seq < min_seq) {
-                best_shard = s;
-                min_seq = index[c].seq;
-            }
-        }
-        if (best_shard == shards_.size())
-            break;
-        const StoreEntry& entry =
-            *shards_[best_shard]->index[cursor[best_shard]].entry;
-        ++cursor[best_shard];
-        ExportedEntry exported;
-        exported.key = entry.key;
-        exported.result = entry.result;
-        exported.layer = entry.layer;
-        out.push_back(std::move(exported));
-    }
+    mergeInSeqOrderLocked([&](const StoreEntry& entry) {
+        out.push_back({entry.key, entry.result, entry.layer});
+    });
     return out;
-}
-
-ScheduleCache::IoResult
-PersistentScheduleCache::save(const std::string& path) const
-{
-    // Debug exporter: funnel the live entries (global insertion order)
-    // through the base class's v3 text writer. The staging cache gets
-    // a budget that cannot evict during the fill.
-    ScheduleCache staging(0);
-    for (ExportedEntry& entry : exportEntries())
-        staging.insert(entry.key, entry.result, entry.layer);
-    return staging.save(path);
-}
-
-ScheduleCache::IoResult
-PersistentScheduleCache::load(const std::string& path)
-{
-    ScheduleCache staging(0);
-    IoResult io = staging.load(path);
-    if (!io.ok)
-        return io;
-    for (ExportedEntry& entry : staging.exportEntries())
-        insert(entry.key, entry.result, entry.layer);
-    return io;
 }
 
 void
@@ -767,29 +662,6 @@ PersistentScheduleCache::compactShardLocked(Shard& shard,
         compactIndexLocked(shard);
     }
     publishLogBytes(shard);
-}
-
-void
-PersistentScheduleCache::compactAll()
-{
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        Shard& shard = *shards_[i];
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        if (config_.compaction.shouldCompact(shard.writer.bytes(),
-                                             shard.live_bytes,
-                                             logHeaderBytes()))
-            compactShardLocked(shard, i);
-    }
-}
-
-void
-PersistentScheduleCache::compactAllUnconditionally()
-{
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        Shard& shard = *shards_[i];
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        compactShardLocked(shard, i);
-    }
 }
 
 Status

@@ -23,14 +23,14 @@
  *    so the per-shard indexes merge back into the exact global
  *    first-insertion order the base cache scans;
  *  - nearestNeighbor() runs that K-way merge over compact per-shard
- *    index vectors and applies the base cache's comparator and
- *    exclusion rules verbatim — same candidates, same distance calls,
- *    same tie-breaks, so warm-start quality is identical to the
- *    single-map baseline.
+ *    index vectors through the base cache's NeighborScan — same
+ *    candidates, same distance calls, same tie-breaks, so warm-start
+ *    quality is identical to the single-map baseline.
  *
- * The v3 text snapshot stays supported as the debug import/export
- * format: save() writes one from the live entries, load() merges one
- * in (each entry re-logged through the normal insert path).
+ * This is the one persistent tier: cosad --cache-dir and the examples'
+ * --cache-dir mount it, and its StoreConfig::capacity is the one cache
+ * bound. The v3 text snapshot (snapshot.hpp) only converts to and from
+ * it for `cosactl cache export|import`.
  */
 
 #include <atomic>
@@ -125,15 +125,8 @@ class PersistentScheduleCache final
         override;
     bool contains(const ScheduleCacheKey& key) const override;
     std::size_t size() const override;
-    std::int64_t capacity() const override;
-    void setCapacity(std::int64_t capacity) override;
     ScheduleCacheStats stats() const override;
-    void clear() override;
     std::vector<ExportedEntry> exportEntries() const override;
-    /** Debug export: the live entries as a v3 text snapshot. */
-    IoResult save(const std::string& path) const override;
-    /** Debug import: merge a v3 text snapshot through insert(). */
-    IoResult load(const std::string& path) override;
 
     // --- store-specific ---------------------------------------------
     /**
@@ -144,12 +137,6 @@ class PersistentScheduleCache final
      * once the store is gone.
      */
     void setAsyncRunner(std::function<void(std::function<void()>)> runner);
-
-    /** Fold every shard that the policy says is worth it (inline). */
-    void compactAll();
-
-    /** Force-fold every shard regardless of policy (offline tooling). */
-    void compactAllUnconditionally();
 
     /** Flush batched appends (no-op when fsync_each_append). */
     Status syncAll();
@@ -225,6 +212,11 @@ class PersistentScheduleCache final
     void evictOneLocked(Shard& shard);
     void enforceBudgetLocked(Shard& shard);
     void compactIndexLocked(Shard& shard);
+    /** Visit every live entry in ascending seq — the global
+     *  first-insertion order — by a K-way merge of the shard indexes;
+     *  the caller holds every shard lock. */
+    template <typename Visit>
+    void mergeInSeqOrderLocked(Visit&& visit) const;
     /** Policy check + inline fold or async dispatch. */
     void maybeCompactLocked(Shard& shard, std::size_t shard_index);
     void compactShardLocked(Shard& shard, std::size_t shard_index);

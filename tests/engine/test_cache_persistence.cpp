@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
+#include "cachestore/snapshot.hpp"
+#include "cachestore/store.hpp"
 #include "engine/scheduler_service.hpp"
 #include "service_test_util.hpp"
 
 namespace cosa {
 namespace {
 
+using cachestore::exportSnapshot;
+using cachestore::importSnapshot;
 using test::scheduleLayer;
 using test::scheduleNetwork;
 
@@ -23,6 +28,22 @@ class TempFile
         std::remove(path_.c_str());
     }
     ~TempFile() { std::remove(path_.c_str()); }
+    const std::string& path() const { return path_; }
+
+  private:
+    std::string path_;
+};
+
+/** Self-deleting temp store directory under the build dir. */
+class TempDir
+{
+  public:
+    explicit TempDir(const std::string& name)
+        : path_("cosa_cache_test_" + name)
+    {
+        std::filesystem::remove_all(path_);
+    }
+    ~TempDir() { std::filesystem::remove_all(path_); }
     const std::string& path() const { return path_; }
 
   private:
@@ -49,13 +70,13 @@ TEST(ScheduleCachePersistence, RoundTripIsBitExact)
         scheduleNetwork(randomRequestOn(cache), net, arch);
     ASSERT_EQ(original.num_solved, 23);
 
-    const auto saved = cache->save(file.path());
+    const auto saved = exportSnapshot(*cache, file.path());
     ASSERT_TRUE(saved.ok) << saved.error;
     EXPECT_EQ(saved.entries, 23);
 
     // A fresh process (fresh cache) revives every solve.
     auto revived = std::make_shared<ScheduleCache>();
-    const auto loaded = revived->load(file.path());
+    const auto loaded = importSnapshot(file.path(), *revived);
     ASSERT_TRUE(loaded.ok) << loaded.error;
     EXPECT_EQ(loaded.entries, 23);
     EXPECT_EQ(revived->stats().entries, 23);
@@ -79,38 +100,6 @@ TEST(ScheduleCachePersistence, RoundTripIsBitExact)
     EXPECT_EQ(replayed.total_energy_pj, original.total_energy_pj);
 }
 
-TEST(ScheduleCachePersistence, RoundTripsLruCapacity)
-{
-    TempFile file("capacity");
-    const Workload net = workloads::resNet50();
-    const ArchSpec arch = ArchSpec::simbaBaseline();
-
-    auto cache = std::make_shared<ScheduleCache>(/*capacity=*/5);
-    scheduleNetwork(randomRequestOn(cache), net, arch);
-    ASSERT_EQ(cache->size(), 5u);
-    const auto saved = cache->save(file.path());
-    ASSERT_TRUE(saved.ok) << saved.error;
-    EXPECT_EQ(saved.entries, 5);
-
-    // A fresh default-constructed cache (the reload path that used to
-    // silently come back unbounded) adopts the persisted bound.
-    ScheduleCache revived;
-    const auto loaded = revived.load(file.path());
-    ASSERT_TRUE(loaded.ok) << loaded.error;
-    EXPECT_EQ(loaded.entries, 5);
-    EXPECT_EQ(revived.capacity(), 5);
-    EXPECT_EQ(revived.size(), 5u);
-
-    // An explicitly bounded destination keeps its own (tighter) bound
-    // and the merge respects it, counting the evictions.
-    ScheduleCache bounded(3);
-    const auto merged = bounded.load(file.path());
-    ASSERT_TRUE(merged.ok) << merged.error;
-    EXPECT_EQ(bounded.capacity(), 3);
-    EXPECT_EQ(bounded.size(), 3u);
-    EXPECT_EQ(bounded.stats().evictions, 2);
-}
-
 TEST(ScheduleCachePersistence, PreservesEvaluatorPartitioning)
 {
     TempFile file("evaluator");
@@ -124,13 +113,13 @@ TEST(ScheduleCachePersistence, PreservesEvaluatorPartitioning)
     scheduleLayer(analytical, layer, arch);
     scheduleLayer(simulated, layer, arch);
     ASSERT_EQ(cache->stats().entries, 2);
-    ASSERT_TRUE(cache->save(file.path()).ok);
+    ASSERT_TRUE(exportSnapshot(*cache, file.path()).ok);
 
     // After a reload, the analytical entry still never answers a
     // simulator-backed query (and vice versa): both requests hit their
     // own entry, neither solves.
     auto revived = std::make_shared<ScheduleCache>();
-    ASSERT_TRUE(revived->load(file.path()).ok);
+    ASSERT_TRUE(importSnapshot(file.path(), *revived).ok);
     analytical.cache = revived;
     simulated.cache = revived;
     const SearchResult a = scheduleLayer(analytical, layer, arch);
@@ -145,30 +134,34 @@ TEST(ScheduleCachePersistence, PreservesEvaluatorPartitioning)
 
 TEST(ScheduleCachePersistence, RevivesNearestNeighborWarmStarts)
 {
-    TempFile file("warmstart");
+    TempDir dir("warmstart");
     const LayerSpec layer = LayerSpec::fromLabel("1_7_64_32_1");
     const ArchSpec arch = ArchSpec::simbaBaseline();
+    cachestore::StoreConfig config;
+    config.dir = dir.path();
 
     ScheduleRequest request; // CoSA, warm hints on
     request.max_parallelism = 1;
     request.cosa.mip.work_limit = 4000;
     {
-        auto cache = std::make_shared<ScheduleCache>();
-        request.cache = cache;
+        auto store = cachestore::PersistentScheduleCache::open(config);
+        ASSERT_TRUE(store.ok()) << store.status().message();
+        request.cache = store.value();
         ASSERT_TRUE(scheduleLayer(request, layer, arch).found);
-        ASSERT_TRUE(cache->save(file.path()).ok);
+        request.cache.reset(); // the first run ends and closes the store
     }
 
-    // A later run loads the snapshot; a *similar* layer warm-starts
-    // from the revived schedule (the cross-layer revival ROADMAP asks
-    // persistence to enable).
-    auto revived = std::make_shared<ScheduleCache>();
-    ASSERT_TRUE(revived->load(file.path()).ok);
-    request.cache = revived;
+    // A later run reopens the store directory (the examples'
+    // --cache-dir); a *similar* layer warm-starts from the revived
+    // schedule.
+    auto revived = cachestore::PersistentScheduleCache::open(config);
+    ASSERT_TRUE(revived.ok()) << revived.status().message();
+    EXPECT_EQ(revived.value()->size(), 1u);
+    request.cache = revived.value();
     const SearchResult sibling =
         scheduleLayer(request, LayerSpec::fromLabel("1_7_64_64_1"), arch);
     ASSERT_TRUE(sibling.found);
-    EXPECT_EQ(revived->stats().neighbor_hits, 1);
+    EXPECT_EQ(revived.value()->stats().neighbor_hits, 1);
     EXPECT_GE(sibling.stats.warm_starts_installed, 1);
 }
 
@@ -185,7 +178,7 @@ TEST(ScheduleCachePersistence, RejectsWrongVersionAndMalformedFiles)
             std::ofstream out(file.path());
             out << header << "\ncapacity 0\n";
         }
-        const auto wrong = cache.load(file.path());
+        const auto wrong = importSnapshot(file.path(), cache);
         EXPECT_FALSE(wrong.ok) << header;
         EXPECT_NE(wrong.error.find("not a"), std::string::npos) << header;
         EXPECT_EQ(cache.stats().entries, 0);
@@ -196,7 +189,7 @@ TEST(ScheduleCachePersistence, RejectsWrongVersionAndMalformedFiles)
         std::ofstream out(file.path());
         out << "cosa-schedule-cache v3\nentry\n";
     }
-    const auto no_capacity = cache.load(file.path());
+    const auto no_capacity = importSnapshot(file.path(), cache);
     EXPECT_FALSE(no_capacity.ok);
     EXPECT_NE(no_capacity.error.find("malformed capacity header"),
               std::string::npos);
@@ -211,13 +204,13 @@ TEST(ScheduleCachePersistence, RejectsWrongVersionAndMalformedFiles)
         out << "key.layer l\n";
         out << "garbage\n";
     }
-    const auto truncated = cache.load(file.path());
+    const auto truncated = importSnapshot(file.path(), cache);
     EXPECT_TRUE(truncated.ok);
     EXPECT_EQ(truncated.entries, 0);
     EXPECT_EQ(truncated.skipped, 1);
     EXPECT_EQ(cache.stats().entries, 0);
 
-    EXPECT_FALSE(cache.load("no_such_dir/no_such_file.txt").ok);
+    EXPECT_FALSE(importSnapshot("no_such_dir/no_such_file.txt", cache).ok);
 }
 
 TEST(ScheduleCachePersistence, LoadMergesIntoExistingEntries)
@@ -232,7 +225,7 @@ TEST(ScheduleCachePersistence, LoadMergesIntoExistingEntries)
 
     ScheduleCache first;
     first.insert({layer.canonicalKey(), "archA", "s", "e"}, found, layer);
-    ASSERT_TRUE(first.save(file.path()).ok);
+    ASSERT_TRUE(exportSnapshot(first, file.path()).ok);
 
     // The receiving cache already holds a different problem plus a
     // *newer* result under the same key; load keeps the merge simple
@@ -242,7 +235,7 @@ TEST(ScheduleCachePersistence, LoadMergesIntoExistingEntries)
     newer.eval.cycles = 9.0;
     second.insert({layer.canonicalKey(), "archA", "s", "e"}, newer, layer);
     second.insert({layer.canonicalKey(), "archB", "s", "e"}, found, layer);
-    const auto io = second.load(file.path());
+    const auto io = importSnapshot(file.path(), second);
     ASSERT_TRUE(io.ok) << io.error;
     EXPECT_EQ(io.entries, 1);
     EXPECT_EQ(second.stats().entries, 2);

@@ -123,11 +123,6 @@ TEST(ScheduleCache, CountsHitsAndMisses)
     EXPECT_EQ(stats.misses, 1);
     EXPECT_EQ(stats.entries, 1);
     EXPECT_DOUBLE_EQ(stats.hitRate(), 0.5);
-    cache.clear();
-    EXPECT_FALSE(cache.contains(key));
-    EXPECT_EQ(cache.stats().entries, 0);
-    // Lifetime counters survive clear().
-    EXPECT_EQ(cache.stats().hits, 1);
 }
 
 TEST(ScheduleCache, KeySeparatesComponents)
@@ -162,110 +157,6 @@ TEST(ScheduleCache, NearestNeighborFiltersByEvaluator)
     EXPECT_FALSE(
         cache.nearestNeighbor("arch", "s", "nocsim/v1", target)
             .has_value());
-}
-
-TEST(ScheduleCache, SizeAndLruCapacityBound)
-{
-    ScheduleCache cache(/*capacity=*/2);
-    EXPECT_EQ(cache.capacity(), 2);
-    EXPECT_EQ(cache.size(), 0u);
-    SearchResult result;
-    result.found = true;
-    const LayerSpec layer = LayerSpec::fromLabel("3_14_256_256_1");
-    cache.insert({"l1", "a", "s"}, result, layer);
-    cache.insert({"l2", "a", "s"}, result, layer);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.stats().evictions, 0);
-
-    // A third entry evicts the least recently used (l1).
-    cache.insert({"l3", "a", "s"}, result, layer);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.stats().evictions, 1);
-    EXPECT_FALSE(cache.contains({"l1", "a", "s"}));
-    EXPECT_TRUE(cache.contains({"l2", "a", "s"}));
-    EXPECT_TRUE(cache.contains({"l3", "a", "s"}));
-
-    // A lookup hit refreshes recency: l2 survives the next insert and
-    // l3 is the victim instead.
-    EXPECT_TRUE(cache.lookup({"l2", "a", "s"}).has_value());
-    cache.insert({"l4", "a", "s"}, result, layer);
-    EXPECT_TRUE(cache.contains({"l2", "a", "s"}));
-    EXPECT_FALSE(cache.contains({"l3", "a", "s"}));
-    EXPECT_EQ(cache.stats().evictions, 2);
-
-    // Overwriting an existing key neither grows nor evicts.
-    cache.insert({"l4", "a", "s"}, result, layer);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.stats().evictions, 2);
-
-    // Shrinking the capacity evicts immediately, LRU first.
-    cache.setCapacity(1);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.stats().evictions, 3);
-    EXPECT_TRUE(cache.contains({"l4", "a", "s"}));
-
-    // Unbounded again: entries accumulate freely.
-    cache.setCapacity(0);
-    cache.insert({"l5", "a", "s"}, result, layer);
-    cache.insert({"l6", "a", "s"}, result, layer);
-    EXPECT_EQ(cache.size(), 3u);
-    EXPECT_EQ(cache.stats().evictions, 3);
-}
-
-TEST(ScheduleCache, SustainedChurnStaysConsistent)
-{
-    // Exercise the tombstone/compaction path behind O(1) eviction: far
-    // more inserts than capacity, then verify exactly the MRU tail
-    // survives and persistence sees only live entries.
-    ScheduleCache cache(/*capacity=*/4);
-    SearchResult result;
-    result.found = true;
-    const LayerSpec layer = LayerSpec::fromLabel("3_14_256_256_1");
-    const int churn = 100;
-    for (int i = 0; i < churn; ++i) {
-        result.eval.cycles = static_cast<double>(i);
-        cache.insert({"l" + std::to_string(i), "a", "s"}, result, layer);
-    }
-    EXPECT_EQ(cache.size(), 4u);
-    EXPECT_EQ(cache.stats().evictions, churn - 4);
-    for (int i = 0; i < churn - 4; ++i)
-        EXPECT_FALSE(cache.contains({"l" + std::to_string(i), "a", "s"}));
-    for (int i = churn - 4; i < churn; ++i)
-        EXPECT_TRUE(cache.contains({"l" + std::to_string(i), "a", "s"}));
-
-    const std::string path =
-        ::testing::TempDir() + "cosa_cache_churn.txt";
-    const auto saved = cache.save(path);
-    ASSERT_TRUE(saved.ok) << saved.error;
-    EXPECT_EQ(saved.entries, 4);
-    ScheduleCache reloaded;
-    const auto loaded = reloaded.load(path);
-    ASSERT_TRUE(loaded.ok) << loaded.error;
-    EXPECT_EQ(loaded.entries, 4);
-    const auto hit =
-        reloaded.lookup({"l" + std::to_string(churn - 1), "a", "s"});
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->eval.cycles, static_cast<double>(churn - 1));
-}
-
-TEST(ScheduleCache, EvictionKeepsNearestNeighborConsistent)
-{
-    // After churn through a bounded cache, nearest-neighbor scans must
-    // only see live entries.
-    ScheduleCache cache(/*capacity=*/1);
-    SearchResult found;
-    found.found = true;
-    const LayerSpec a = LayerSpec::fromLabel("3_14_256_256_1");
-    const LayerSpec b = LayerSpec::fromLabel("3_14_256_512_1");
-    found.eval.cycles = 1.0;
-    cache.insert({a.canonicalKey(), "arch", "s"}, found, a);
-    found.eval.cycles = 2.0;
-    cache.insert({b.canonicalKey(), "arch", "s"}, found, b); // evicts a
-
-    const LayerSpec target = LayerSpec::fromLabel("7_112_3_64_2");
-    const auto nn = cache.nearestNeighbor("arch", "s", "", target);
-    ASSERT_TRUE(nn.has_value());
-    EXPECT_EQ(nn->eval.cycles, 2.0); // only the live entry qualifies
 }
 
 TEST(CanonicalKey, IgnoresNameButNotShape)

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "cachestore/snapshot.hpp"
 #include "common/failpoint.hpp"
 #include "engine/scheduler_service.hpp"
 #include "engine/executor.hpp"
@@ -16,6 +17,9 @@
 
 namespace cosa {
 namespace {
+
+using cachestore::exportSnapshot;
+using cachestore::importSnapshot;
 
 /** Disarm around every test so no armed failpoint leaks across tests. */
 class FaultTolerance : public ::testing::Test
@@ -415,7 +419,7 @@ TEST_F(FaultTolerance, SaveFailpointLeavesExistingSnapshotIntact)
     TempFile file("atomic_save");
     ScheduleCache cache;
     fillCache(&cache, 2);
-    ASSERT_TRUE(cache.save(file.path()).ok);
+    ASSERT_TRUE(exportSnapshot(cache, file.path()).ok);
     const std::string original = readAll(file.path());
 
     // A write fault mid-save must fail the save *and* leave the
@@ -423,7 +427,7 @@ TEST_F(FaultTolerance, SaveFailpointLeavesExistingSnapshotIntact)
     ScheduleCache bigger;
     fillCache(&bigger, 5);
     ASSERT_TRUE(failpoint::configure("cache.save_write=1").ok());
-    const auto faulted = bigger.save(file.path());
+    const auto faulted = exportSnapshot(bigger, file.path());
     EXPECT_FALSE(faulted.ok);
     EXPECT_FALSE(faulted.error.empty());
     failpoint::disarmAll();
@@ -431,7 +435,7 @@ TEST_F(FaultTolerance, SaveFailpointLeavesExistingSnapshotIntact)
     EXPECT_EQ(readAll(file.path()), original);
     EXPECT_FALSE(std::ifstream(file.path() + ".tmp").good());
     ScheduleCache reloaded;
-    const auto io = reloaded.load(file.path());
+    const auto io = importSnapshot(file.path(), reloaded);
     EXPECT_TRUE(io.ok);
     EXPECT_EQ(io.entries, 2);
 }
@@ -441,7 +445,7 @@ TEST_F(FaultTolerance, BitFlippedRecordIsSkippedOnLoad)
     TempFile file("bitflip");
     ScheduleCache cache;
     fillCache(&cache, 3);
-    ASSERT_TRUE(cache.save(file.path()).ok);
+    ASSERT_TRUE(exportSnapshot(cache, file.path()).ok);
 
     // Flip one digit inside the second record's scalars: the line
     // still parses, but the record's checksum no longer matches.
@@ -463,7 +467,7 @@ TEST_F(FaultTolerance, BitFlippedRecordIsSkippedOnLoad)
     }
 
     ScheduleCache survivor;
-    const auto io = survivor.load(file.path());
+    const auto io = importSnapshot(file.path(), survivor);
     EXPECT_TRUE(io.ok) << io.error;
     EXPECT_EQ(io.entries, 1);
     EXPECT_EQ(io.skipped, 2);
@@ -475,7 +479,7 @@ TEST_F(FaultTolerance, TruncatedSnapshotKeepsThePrefix)
     TempFile file("truncated");
     ScheduleCache cache;
     fillCache(&cache, 3);
-    ASSERT_TRUE(cache.save(file.path()).ok);
+    ASSERT_TRUE(exportSnapshot(cache, file.path()).ok);
 
     // Cut the file in the middle of the last record — a crash during a
     // pre-atomic-rename writer, or a torn copy.
@@ -489,7 +493,7 @@ TEST_F(FaultTolerance, TruncatedSnapshotKeepsThePrefix)
     }
 
     ScheduleCache survivor;
-    const auto io = survivor.load(file.path());
+    const auto io = importSnapshot(file.path(), survivor);
     EXPECT_TRUE(io.ok) << io.error;
     EXPECT_EQ(io.entries, 2);
     EXPECT_EQ(io.skipped, 1);
@@ -501,11 +505,11 @@ TEST_F(FaultTolerance, LoadEntryFailpointSkipsDeterministically)
     TempFile file("load_fp");
     ScheduleCache cache;
     fillCache(&cache, 4);
-    ASSERT_TRUE(cache.save(file.path()).ok);
+    ASSERT_TRUE(exportSnapshot(cache, file.path()).ok);
 
     ASSERT_TRUE(failpoint::configure("cache.load_entry=1").ok());
     ScheduleCache empty;
-    const auto io = empty.load(file.path());
+    const auto io = importSnapshot(file.path(), empty);
     EXPECT_TRUE(io.ok);
     EXPECT_EQ(io.entries, 0);
     EXPECT_EQ(io.skipped, 4);
@@ -518,10 +522,10 @@ TEST_F(FaultTolerance, SaveCreatesMissingParentDirectories)
     const std::string path = dir + "/nested/cache.txt";
     ScheduleCache cache;
     fillCache(&cache, 1);
-    const auto saved = cache.save(path);
+    const auto saved = exportSnapshot(cache, path);
     EXPECT_TRUE(saved.ok) << saved.error;
     ScheduleCache reloaded;
-    EXPECT_TRUE(reloaded.load(path).ok);
+    EXPECT_TRUE(importSnapshot(path, reloaded).ok);
     EXPECT_EQ(reloaded.stats().entries, 1);
     std::remove(path.c_str());
     std::remove((dir + "/nested").c_str());

@@ -419,7 +419,7 @@ TEST(SchedulerService, ConcurrentTenantStress)
     ServiceConfig config;
     config.num_threads = 4;
     SchedulerService service(config);
-    auto shared_cache = std::make_shared<ScheduleCache>(/*capacity=*/64);
+    auto shared_cache = std::make_shared<ScheduleCache>();
 
     const int tenants = 5;
     const int jobs_per_tenant = 3;

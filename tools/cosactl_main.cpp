@@ -37,6 +37,7 @@
 #include <sstream>
 #include <string>
 
+#include "cachestore/snapshot.hpp"
 #include "cachestore/store.hpp"
 #include "common/logging.hpp"
 #include "server/client.hpp"
@@ -153,14 +154,16 @@ runCacheCopy(const std::string& verb, const std::string& dir,
         fatal("cannot open cache dir '", dir, "': ",
               store.status().message());
     if (verb == "export") {
-        const ScheduleCache::IoResult saved = store.value()->save(file);
+        const cachestore::IoResult saved =
+            cachestore::exportSnapshot(*store.value(), file);
         if (!saved.ok)
             fatal("export failed: ", saved.error);
         std::cout << "exported " << saved.entries << " entries to "
                   << file << "\n";
         return 0;
     }
-    const ScheduleCache::IoResult loaded = store.value()->load(file);
+    const cachestore::IoResult loaded =
+        cachestore::importSnapshot(file, *store.value());
     if (!loaded.ok)
         fatal("import failed: ", loaded.error);
     const Status synced = store.value()->syncAll();
