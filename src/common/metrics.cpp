@@ -40,28 +40,6 @@ std::string labelSignature(Labels labels)
     return out;
 }
 
-void appendJsonEscaped(std::string& out, std::string_view s)
-{
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c) & 0xff);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
 std::string formatDouble(double v)
 {
     if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
@@ -349,56 +327,6 @@ std::string MetricsRegistry::renderPrometheus()
             }
         }
     }
-    return out;
-}
-
-std::string MetricsRegistry::renderJson()
-{
-    collect();
-    std::string out = "{\"metrics\":[";
-    bool first = true;
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    for (const auto& [name, family] : impl_->families) {
-        for (const auto& [signature, child] : family.children) {
-            if (!first) out += ',';
-            first = false;
-            out += "{\"name\":\"";
-            appendJsonEscaped(out, name);
-            out += "\",\"labels\":\"";
-            appendJsonEscaped(out, signature);
-            out += "\",";
-            if (const auto* c =
-                    std::get_if<std::unique_ptr<Counter>>(&child)) {
-                out += "\"type\":\"counter\",\"value\":" +
-                       std::to_string((*c)->value());
-            } else if (const auto* g =
-                           std::get_if<std::unique_ptr<Gauge>>(&child)) {
-                double v = (*g)->value();
-                out += "\"type\":\"gauge\",\"value\":";
-                out += (std::isfinite(v) ? formatDouble(v)
-                                         : "\"" + formatDouble(v) + "\"");
-            } else if (const auto* h = std::get_if<
-                           std::unique_ptr<Histogram>>(&child)) {
-                const auto counts = (*h)->bucketCounts();
-                const auto& bounds = (*h)->bounds();
-                out += "\"type\":\"histogram\",\"count\":" +
-                       std::to_string((*h)->count()) +
-                       ",\"sum\":" + formatDouble((*h)->sum()) +
-                       ",\"buckets\":[";
-                for (std::size_t i = 0; i < counts.size(); ++i) {
-                    if (i > 0) out += ',';
-                    out += "{\"le\":";
-                    out += (i < bounds.size()
-                                ? formatDouble(bounds[i])
-                                : std::string("\"+Inf\""));
-                    out += ",\"n\":" + std::to_string(counts[i]) + "}";
-                }
-                out += ']';
-            }
-            out += '}';
-        }
-    }
-    out += "]}";
     return out;
 }
 

@@ -26,10 +26,10 @@
  * write to side state only, so results are bit-identical whether or not
  * anything reads the metrics. Collection is always on (the update sites
  * are per-job / per-unique-solve boundaries, far off the simplex inner
- * loops); only *export* is opt-in, via `renderPrometheus()` /
- * `renderJson()`, `SchedulerService::metricsText()`, `--metrics-out`
- * flags, or the `COSA_METRICS=<path>` env switch (writes Prometheus
- * text at process exit; "-" writes to stderr).
+ * loops); only *export* is opt-in, via `renderPrometheus()`,
+ * `SchedulerService::metricsText()`, `--metrics-out` flags, or the
+ * `COSA_METRICS=<path>` env switch (writes Prometheus text at process
+ * exit; "-" writes to stderr).
  *
  * Gauges that mirror live state (queue depths, in-flight jobs) are
  * refreshed by *collector* callbacks: register one with
@@ -198,10 +198,6 @@ class MetricsRegistry
 
     /** Prometheus text exposition (version 0.0.4), ending in '\n'. */
     std::string renderPrometheus();
-
-    /** The same data as a JSON document (for tools that would rather
-     *  not parse the text format). */
-    std::string renderJson();
 
     /**
      * Write renderPrometheus() to @p path at process exit ("-" =

@@ -1,5 +1,7 @@
 #include "mapper/hybrid_mapper.hpp"
 
+#include <atomic>
+#include <exception>
 #include <mutex>
 #include <thread>
 
@@ -38,14 +40,22 @@ HybridMapper::schedule(const LayerSpec& layer, const ArchSpec& arch,
         CandidateSelector(evaluator, *bound, config_.objective));
     std::mutex merge_mutex;
 
-    auto worker = [&](int thread_id) {
+    // A fault must not escape a raw thread (std::terminate, past the
+    // service firewall): each worker captures its own, and `stop` ends
+    // the other workers' sample loops early.
+    std::vector<std::exception_ptr> faults(
+        static_cast<std::size_t>(config_.num_threads));
+    std::atomic<bool> stop{false};
+
+    auto search = [&](int thread_id) {
         Rng rng(config_.seed + 0x9e37 * static_cast<std::uint64_t>(thread_id));
         SearchStats stats;
         CandidateSelector& select =
             locals[static_cast<std::size_t>(thread_id)];
         int consecutive_suboptimal = 0;
 
-        while (consecutive_suboptimal < config_.victory_condition &&
+        while (!stop.load(std::memory_order_relaxed) &&
+               consecutive_suboptimal < config_.victory_condition &&
                stats.samples < config_.max_samples_per_thread) {
             // (1) random tiling factorization + spatial choice
             const FactorAssignment assignment =
@@ -87,6 +97,15 @@ HybridMapper::schedule(const LayerSpec& layer, const ArchSpec& arch,
         result.stats.samples += stats.samples;
         result.stats.valid_evaluated += stats.valid_evaluated;
     };
+    auto worker = [&](int thread_id) {
+        try {
+            search(thread_id);
+        } catch (...) {
+            faults[static_cast<std::size_t>(thread_id)] =
+                std::current_exception();
+            stop.store(true, std::memory_order_relaxed);
+        }
+    };
 
     std::vector<std::thread> threads;
     threads.reserve(static_cast<std::size_t>(config_.num_threads));
@@ -94,6 +113,12 @@ HybridMapper::schedule(const LayerSpec& layer, const ArchSpec& arch,
         threads.emplace_back(worker, t);
     for (auto& t : threads)
         t.join();
+    // Surface the lowest-index fault on the calling thread, where the
+    // firewall retries and degrades it like any scheduler's.
+    for (const std::exception_ptr& fault : faults) {
+        if (fault)
+            std::rethrow_exception(fault);
+    }
 
     // Deterministic merge: every thread's kept candidates, in thread
     // order, flow into one funnel which then re-scores the top-k.

@@ -105,6 +105,24 @@ knownRequestKeys()
     return keys;
 }
 
+/** A scheduler's tunables must be an object of the @p known keys, so a
+ *  misspelled tunable fails instead of silently keeping its default. */
+Status
+checkTunables(const Value& v, const std::string& name,
+              const std::set<std::string>& known)
+{
+    if (!v.isObject())
+        return Status{ErrorCode::kInvalidInput,
+                      "\"" + name + "\" must be an object"};
+    for (const auto& [key, value] : v.members()) {
+        if (!known.count(key))
+            return Status{ErrorCode::kInvalidInput,
+                          "unknown request key \"" + name + "." + key +
+                              "\""};
+    }
+    return Status::Ok();
+}
+
 } // namespace
 
 StatusOr<ScheduleRequest>
@@ -188,6 +206,10 @@ requestFromJson(const Value& body, const std::string& tenant)
     request.tenant = tenant.empty() ? body.getString("tenant", "") : tenant;
 
     if (const Value* random = body.find("random")) {
+        Status checked = checkTunables(
+            *random, "random", {"max_samples", "target_valid", "seed"});
+        if (!checked.ok())
+            return checked;
         request.random.max_samples =
             random->getInt("max_samples", request.random.max_samples);
         request.random.target_valid = static_cast<int>(
@@ -197,6 +219,12 @@ requestFromJson(const Value& body, const std::string& tenant)
                            static_cast<std::int64_t>(request.random.seed)));
     }
     if (const Value* hybrid = body.find("hybrid")) {
+        Status checked = checkTunables(
+            *hybrid, "hybrid",
+            {"num_threads", "victory_condition", "max_samples_per_thread",
+             "seed"});
+        if (!checked.ok())
+            return checked;
         request.hybrid.num_threads = static_cast<int>(
             hybrid->getInt("num_threads", request.hybrid.num_threads));
         request.hybrid.victory_condition = static_cast<int>(
@@ -210,6 +238,10 @@ requestFromJson(const Value& body, const std::string& tenant)
                            static_cast<std::int64_t>(request.hybrid.seed)));
     }
     if (const Value* exhaustive = body.find("exhaustive")) {
+        Status checked = checkTunables(*exhaustive, "exhaustive",
+                                       {"max_points", "max_perms"});
+        if (!checked.ok())
+            return checked;
         request.exhaustive.max_points = exhaustive->getInt(
             "max_points", request.exhaustive.max_points);
         request.exhaustive.max_perms = static_cast<int>(

@@ -252,38 +252,49 @@ TEST_F(FaultTolerance, FaultyTenantDoesNotPerturbCoTenant)
     }
 
     // Same job next to a tenant whose evaluator throws on every call.
-    SchedulerService service(ServiceConfig{2});
-    ScheduleRequest faulty = randomRequest(tinyNet("faulty", 4));
-    faulty.evaluator = std::make_shared<ThrowingEvaluator>();
-    SubmitResult faulty_submitted = service.submit(std::move(faulty));
-    ASSERT_TRUE(faulty_submitted.accepted());
-    ScheduleJob faulty_job = faulty_submitted.takeJob();
-    const NetworkResult healthy = runOne(service, randomRequest(healthy_net));
-    const NetworkResult poisoned = faulty_job.wait().front();
+    // Hybrid searches on raw threads of its own, which must hand the
+    // fault back to the firewall instead of terminating the process.
+    for (const SchedulerKind kind :
+         {SchedulerKind::Random, SchedulerKind::Hybrid}) {
+        SCOPED_TRACE(schedulerKindName(kind));
+        SchedulerService service(ServiceConfig{2});
+        ScheduleRequest faulty = randomRequest(tinyNet("faulty", 4));
+        faulty.scheduler = kind;
+        faulty.hybrid.num_threads = 2;
+        faulty.evaluator = std::make_shared<ThrowingEvaluator>();
+        SubmitResult faulty_submitted = service.submit(std::move(faulty));
+        ASSERT_TRUE(faulty_submitted.accepted());
+        ScheduleJob faulty_job = faulty_submitted.takeJob();
+        const NetworkResult healthy =
+            runOne(service, randomRequest(healthy_net));
+        const NetworkResult poisoned = faulty_job.wait().front();
 
-    // The faulty tenant fails typed — contained, not crashed...
-    EXPECT_FALSE(poisoned.all_found);
-    EXPECT_EQ(poisoned.num_failed, 4);
-    for (const LayerScheduleResult& layer : poisoned.layers) {
-        EXPECT_EQ(layer.outcome, LayerOutcome::kFailed);
-        EXPECT_FALSE(layer.result.found);
-        EXPECT_EQ(layer.result.status.code(), ErrorCode::kEvaluatorFault);
-    }
-    // ...and the co-tenant's result is bit-identical to running alone.
-    ASSERT_EQ(healthy.layers.size(), reference.layers.size());
-    for (std::size_t l = 0; l < healthy.layers.size(); ++l) {
-        EXPECT_EQ(healthy.layers[l].result.mapping,
-                  reference.layers[l].result.mapping);
-        EXPECT_EQ(healthy.layers[l].result.eval.cycles,
-                  reference.layers[l].result.eval.cycles);
-        EXPECT_EQ(healthy.layers[l].result.eval.energy_pj,
-                  reference.layers[l].result.eval.energy_pj);
-        EXPECT_EQ(healthy.layers[l].outcome, LayerOutcome::kOptimal);
-    }
+        // The faulty tenant fails typed — contained, not crashed...
+        EXPECT_FALSE(poisoned.all_found);
+        EXPECT_EQ(poisoned.num_failed, 4);
+        for (const LayerScheduleResult& layer : poisoned.layers) {
+            EXPECT_EQ(layer.outcome, LayerOutcome::kFailed);
+            EXPECT_FALSE(layer.result.found);
+            EXPECT_EQ(layer.result.status.code(),
+                      ErrorCode::kEvaluatorFault);
+        }
+        // ...and the co-tenant's result is bit-identical to running
+        // alone.
+        ASSERT_EQ(healthy.layers.size(), reference.layers.size());
+        for (std::size_t l = 0; l < healthy.layers.size(); ++l) {
+            EXPECT_EQ(healthy.layers[l].result.mapping,
+                      reference.layers[l].result.mapping);
+            EXPECT_EQ(healthy.layers[l].result.eval.cycles,
+                      reference.layers[l].result.eval.cycles);
+            EXPECT_EQ(healthy.layers[l].result.eval.energy_pj,
+                      reference.layers[l].result.eval.energy_pj);
+            EXPECT_EQ(healthy.layers[l].outcome, LayerOutcome::kOptimal);
+        }
 
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.failed, 1);
-    EXPECT_EQ(stats.completed, 2);
+        const ServiceStats stats = service.stats();
+        EXPECT_EQ(stats.failed, 1);
+        EXPECT_EQ(stats.completed, 2);
+    }
 }
 
 TEST_F(FaultTolerance, ChaosRunsReplayBitIdentically)

@@ -120,6 +120,14 @@ TEST(RequestFromJson, RejectsBadInputsWithInvalidInput)
                  "priority": "urgent"})",
              R"({"workloads": ["alexnet"], "arch": "simba",
                  "weight": -1})",
+             R"({"workloads": ["alexnet"], "arch": "simba",
+                 "random": {"max_sample": 10, "target_valid": 1}})",
+             R"({"workloads": ["alexnet"], "arch": "simba",
+                 "random": 5})",
+             R"({"workloads": ["alexnet"], "arch": "simba",
+                 "hybrid": {"num_thread": 2}})",
+             R"({"workloads": ["alexnet"], "arch": "simba",
+                 "exhaustive": {"max_point": 10}})",
              R"([1,2,3])",
          }) {
         StatusOr<ScheduleRequest> decoded =
