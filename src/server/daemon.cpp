@@ -747,30 +747,18 @@ Daemon::handleJobGet(const HandlerTask& task, const std::string& tenant,
                               jsonResponse(200, v.dump(), keep_alive));
     }
     v.set("state", "done");
-    // Serialize the canonical result bytes once, under the entry lock
-    // (wait() returns instantly — the job is done). Provenance is
-    // serialized separately: it carries the cold-vs-warm accounting
-    // that must never leak into the canonical results.
-    std::string result_bytes;
-    std::string provenance_bytes;
-    {
-        std::lock_guard<std::mutex> lock(entry->mutex);
-        if (entry->result_bytes.empty()) {
-            const std::vector<NetworkResult> results = entry->job.wait();
-            entry->result_bytes = resultsToJson(results).dump();
-            entry->provenance_bytes = provenanceToJson(results).dump();
-        }
-        result_bytes = entry->result_bytes;
-        provenance_bytes = entry->provenance_bytes;
-    }
-    // Splice the pre-serialized array in verbatim: re-parsing would
-    // only risk the byte-identity the cache exists to pin down.
+    // Render the canonical result bytes from the job on every GET: the
+    // job is done, so wait() only copies its results, and rendering is
+    // deterministic, so every GET sends the same bytes. Provenance is
+    // rendered separately: it carries the cold-vs-warm accounting that
+    // must never leak into the canonical results.
+    const std::vector<NetworkResult> results = entry->job.wait();
     std::string body = v.dump();
     body.pop_back(); // '}'
     body += ",\"results\":";
-    body += result_bytes;
+    body += resultsToJson(results).dump();
     body += ",\"provenance\":";
-    body += provenance_bytes;
+    body += provenanceToJson(results).dump();
     body += "}";
     requestCounter(tenant, 200).inc();
     finishResponse(task.connection, task.slot,

@@ -150,10 +150,7 @@ class Daemon
         std::string tenant;
         std::string tag;
         JobPriority priority = JobPriority::Normal;
-        ScheduleJob job;
-        std::mutex mutex;             //!< guards the cached bytes
-        std::string result_bytes;     //!< canonical results (cached once)
-        std::string provenance_bytes; //!< cache/warm accounting
+        ScheduleJob job; //!< holds the results; GETs render them
     };
 
     struct HandlerTask

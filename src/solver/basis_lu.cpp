@@ -2,20 +2,76 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <numeric>
 
 #include "common/logging.hpp"
 
 namespace cosa::solver {
 
-bool
-BasisLu::factorize(int m, const std::vector<std::vector<Entry>>& cols)
+namespace {
+
+/**
+ * Variable-length lists in one pool: list i is
+ * pool[begin[i] .. begin[i] + len[i]) inside a slot of cap[i]
+ * elements. A list that outgrows its slot moves to the end of the
+ * pool, so a factorization allocates O(1) blocks however many lists
+ * grow.
+ */
+template <typename T>
+struct ListFile
 {
-    COSA_ASSERT(static_cast<int>(cols.size()) == m,
-                "basis has ", cols.size(), " columns for ", m, " rows");
+    std::vector<T> pool;
+    std::vector<std::int64_t> begin;
+    std::vector<std::int32_t> len;
+    std::vector<std::int32_t> cap;
+
+    /** Empty lists whose slots of @p caps elements lie back to back. */
+    explicit ListFile(const std::vector<std::int32_t>& caps)
+        : begin(caps.size(), 0), len(caps.size(), 0), cap(caps)
+    {
+        std::int64_t at = 0;
+        for (std::size_t i = 0; i < caps.size(); at += caps[i], ++i)
+            begin[i] = at;
+        pool.resize(static_cast<std::size_t>(at));
+    }
+
+    std::span<T>
+    list(int i)
+    {
+        const auto k = static_cast<std::size_t>(i);
+        return {pool.data() + begin[k], static_cast<std::size_t>(len[k])};
+    }
+
+    void
+    push_back(int i, T value)
+    {
+        const auto k = static_cast<std::size_t>(i);
+        if (len[k] == cap[k]) {
+            const auto at = static_cast<std::int64_t>(pool.size());
+            cap[k] = std::max<std::int32_t>(4, 2 * len[k]);
+            pool.resize(pool.size() + static_cast<std::size_t>(cap[k]));
+            std::copy_n(pool.begin() + begin[k], len[k], pool.begin() + at);
+            begin[k] = at;
+        }
+        pool[static_cast<std::size_t>(begin[k] + len[k]++)] = value;
+    }
+};
+
+} // namespace
+
+bool
+BasisLu::factorize(int m, std::span<const std::int64_t> col_start,
+                   std::span<const Entry> entries)
+{
+    COSA_ASSERT(static_cast<int>(col_start.size()) == m + 1,
+                "basis has ", col_start.size() - 1, " columns for ", m,
+                " rows");
     m_ = m;
     factorized_ = false;
     unstable_ = false;
     etas_.clear();
+    eta_entries_.clear();
     eta_nnz_ = 0;
     prow_.assign(static_cast<std::size_t>(m), -1);
     pcol_.assign(static_cast<std::size_t>(m), -1);
@@ -26,31 +82,102 @@ BasisLu::factorize(int m, const std::vector<std::vector<Entry>>& cols)
     u_entries_.clear();
     work_.assign(static_cast<std::size_t>(m), 0.0);
 
-    // Working copy of the basis, column-major with sorted row indices,
-    // physically maintained (eliminated entries are removed, fill-in is
-    // inserted) so column sizes double as live Markowitz column counts.
-    std::vector<std::vector<Entry>> acols = cols;
-    std::vector<std::int32_t> row_count(static_cast<std::size_t>(m), 0);
-    // Per row: the columns that (may) hold an entry of it. Fill-in
-    // appends; cancellations leave stale ids that lookups skip.
-    std::vector<std::vector<std::int32_t>> rpat(static_cast<std::size_t>(m));
-    std::vector<std::uint8_t> col_active(static_cast<std::size_t>(m), 1);
-    for (int j = 0; j < m; ++j) {
-        for (const Entry& e : acols[static_cast<std::size_t>(j)]) {
+    const auto um = static_cast<std::size_t>(m);
+    auto basisColumn = [&](std::size_t j) {
+        return entries.subspan(
+            static_cast<std::size_t>(col_start[j]),
+            static_cast<std::size_t>(col_start[j + 1] - col_start[j]));
+    };
+    std::vector<std::int32_t> col_len(um);
+    std::vector<std::int32_t> row_count(um, 0);
+    for (std::size_t j = 0; j < um; ++j) {
+        col_len[j] = static_cast<std::int32_t>(basisColumn(j).size());
+        for (const Entry& e : basisColumn(j))
             ++row_count[static_cast<std::size_t>(e.index)];
-            rpat[static_cast<std::size_t>(e.index)].push_back(j);
+    }
+    // Working copy of the basis: a column file with sorted row indices,
+    // physically maintained (eliminated entries are removed, fill-in is
+    // inserted) so column lengths double as live Markowitz column
+    // counts. Per row, a second list file holds the columns that (may)
+    // hold an entry of it: fill-in appends; cancellations leave stale
+    // ids that lookups skip.
+    ListFile<Entry> acols(col_len);
+    ListFile<std::int32_t> rpat(row_count);
+    for (int j = 0; j < m; ++j) {
+        for (const Entry& e : basisColumn(static_cast<std::size_t>(j))) {
+            acols.push_back(j, e);
+            rpat.push_back(e.index, j);
         }
     }
+    std::vector<std::uint8_t> col_active(um, 1);
+
+    // Zero-cost candidates: a min-heap of columns that may hold an
+    // eligible entry of Markowitz cost 0 (a column singleton, or an
+    // entry alone in its row). Every active column that holds one is
+    // queued, so popping in index order lands on the column where a
+    // full scan in column order would stop. A popped column without
+    // one is dropped until an event re-queues it: an update of the
+    // column itself, or a row of it whose count falls to 1.
+    std::vector<std::int32_t> heap(um);
+    std::iota(heap.begin(), heap.end(), 0); // ascending: a valid min-heap
+    std::vector<std::uint8_t> queued(um, 1);
+    auto enqueue = [&](int j) {
+        const auto k = static_cast<std::size_t>(j);
+        if (col_active[k] && !queued[k]) {
+            queued[k] = 1;
+            heap.push_back(j);
+            std::push_heap(heap.begin(), heap.end(), std::greater<>());
+        }
+    };
+    auto enqueueRow = [&](int row) {
+        for (std::int32_t j : rpat.list(row))
+            enqueue(j);
+    };
 
     // U rows are recorded with basis-position column ids during the
     // elimination and remapped to step indices once the column
     // permutation is complete.
     auto columnEntry = [&](int col, int row) -> Entry* {
-        auto& span = acols[static_cast<std::size_t>(col)];
+        const std::span<Entry> span = acols.list(col);
         auto it = std::lower_bound(
             span.begin(), span.end(), row,
             [](const Entry& e, int r) { return e.index < r; });
         return (it != span.end() && it->index == row) ? &*it : nullptr;
+    };
+
+    // Markowitz candidate: minimize (r-1)(c-1) over active entries whose
+    // magnitude clears the threshold-pivoting guard, deterministically
+    // (first minimum in column-then-row order).
+    struct Pivot
+    {
+        int row = -1;
+        int col = -1;
+        std::int64_t cost = -1; //!< -1: no candidate yet
+        double value = 0.0;
+    };
+    // Scan active column j, keeping the first entry (row order) that
+    // beats the candidate's cost.
+    auto scanColumn = [&](int j, Pivot& best) {
+        const std::span<Entry> span = acols.list(j);
+        double colmax = 0.0;
+        for (const Entry& e : span)
+            colmax = std::max(colmax, std::abs(e.value));
+        const double guard =
+            std::max(kSingularTol, kMarkowitzThreshold * colmax);
+        const std::int64_t cfactor =
+            static_cast<std::int64_t>(span.size()) - 1;
+        for (const Entry& e : span) {
+            if (std::abs(e.value) < guard)
+                continue;
+            const std::int64_t cost =
+                (row_count[static_cast<std::size_t>(e.index)] - 1) *
+                cfactor;
+            if (best.cost < 0 || cost < best.cost) {
+                best = {e.index, j, cost, e.value};
+                if (cost == 0)
+                    break;
+            }
+        }
     };
 
     std::vector<Entry> mult;    // (row, multiplier) of the pivot column
@@ -58,63 +185,62 @@ BasisLu::factorize(int m, const std::vector<std::vector<Entry>>& cols)
     std::vector<std::int32_t> prow_cols; // deduped pattern of the pivot row
 
     for (int k = 0; k < m; ++k) {
-        // Markowitz pivot search: minimize (r-1)(c-1) over active
-        // entries whose magnitude clears the threshold-pivoting guard,
-        // deterministically (first minimum in column-then-row order).
-        int pr = -1, pc = -1;
-        std::int64_t best_cost = -1;
-        double pivot_value = 0.0;
-        for (int j = 0; j < m && best_cost != 0; ++j) {
+        // Singletons first: the lowest queued column with a zero-cost
+        // entry, scanned exactly as the full scan would.
+        Pivot best;
+        while (!heap.empty() && best.row < 0) {
+            std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+            const int j = heap.back();
+            heap.pop_back();
+            queued[static_cast<std::size_t>(j)] = 0;
             if (!col_active[static_cast<std::size_t>(j)])
                 continue;
-            const auto& span = acols[static_cast<std::size_t>(j)];
-            if (span.empty())
+            if (acols.len[static_cast<std::size_t>(j)] == 0)
                 return false; // structurally singular
-            double colmax = 0.0;
-            for (const Entry& e : span)
-                colmax = std::max(colmax, std::abs(e.value));
-            const double guard =
-                std::max(kSingularTol, kMarkowitzThreshold * colmax);
-            const std::int64_t cfactor =
-                static_cast<std::int64_t>(span.size()) - 1;
-            for (const Entry& e : span) {
-                if (std::abs(e.value) < guard)
+            best.cost = 1; // accept cost 0 only
+            scanColumn(j, best);
+        }
+        // The nucleus: no active column holds a zero-cost entry, so
+        // search all of them.
+        if (best.row < 0) {
+            best = Pivot{};
+            for (int j = 0; j < m && best.cost != 0; ++j) {
+                if (!col_active[static_cast<std::size_t>(j)])
                     continue;
-                const std::int64_t cost =
-                    (row_count[static_cast<std::size_t>(e.index)] - 1) *
-                    cfactor;
-                if (best_cost < 0 || cost < best_cost) {
-                    best_cost = cost;
-                    pr = e.index;
-                    pc = j;
-                    pivot_value = e.value;
-                    if (best_cost == 0)
-                        break;
-                }
+                if (acols.len[static_cast<std::size_t>(j)] == 0)
+                    return false; // structurally singular
+                scanColumn(j, best);
             }
         }
-        if (pr < 0)
+        if (best.row < 0)
             return false; // numerically singular
+        const int pr = best.row;
+        const int pc = best.col;
         prow_[static_cast<std::size_t>(k)] = pr;
         pcol_[static_cast<std::size_t>(k)] = pc;
-        u_diag_[static_cast<std::size_t>(k)] = pivot_value;
+        u_diag_[static_cast<std::size_t>(k)] = best.value;
 
         // L column k: multipliers of the rows eliminated at this step.
+        col_active[static_cast<std::size_t>(pc)] = 0;
         mult.clear();
-        const double inv_pivot = 1.0 / pivot_value;
-        for (const Entry& e : acols[static_cast<std::size_t>(pc)]) {
-            --row_count[static_cast<std::size_t>(e.index)];
-            if (e.index != pr)
+        const double inv_pivot = 1.0 / best.value;
+        for (const Entry& e : acols.list(pc)) {
+            const bool single =
+                --row_count[static_cast<std::size_t>(e.index)] == 1;
+            if (e.index != pr) {
                 mult.push_back({e.index, e.value * inv_pivot});
+                if (single)
+                    enqueueRow(e.index);
+            }
         }
         l_entries_.insert(l_entries_.end(), mult.begin(), mult.end());
         l_start_.push_back(static_cast<std::int64_t>(l_entries_.size()));
-        acols[static_cast<std::size_t>(pc)].clear();
-        col_active[static_cast<std::size_t>(pc)] = 0;
+        acols.len[static_cast<std::size_t>(pc)] = 0;
 
         // Walk the pivot row's pattern once: each live entry (pr, j)
         // becomes a U entry and drives the rank-one update of column j.
-        prow_cols = rpat[static_cast<std::size_t>(pr)];
+        const std::span<const std::int32_t> pattern = rpat.list(pr);
+        prow_cols.assign(pattern.begin(), pattern.end());
         std::sort(prow_cols.begin(), prow_cols.end());
         prow_cols.erase(std::unique(prow_cols.begin(), prow_cols.end()),
                         prow_cols.end());
@@ -126,12 +252,13 @@ BasisLu::factorize(int m, const std::vector<std::vector<Entry>>& cols)
                 continue; // cancelled earlier; stale pattern id
             const double urj = pivot_entry->value;
             u_entries_.push_back({j, urj});
+            enqueue(j);
 
             // Column update: a[:,j] -= urj * mult[:], dropping the
             // pivot row's entry and cancellation noise, inserting
             // fill-in. Both inputs are row-sorted: one merge pass.
             newcol.clear();
-            const auto& old = acols[static_cast<std::size_t>(j)];
+            const std::span<const Entry> old = acols.list(j);
             std::size_t a = 0, b = 0;
             while (a < old.size() || b < mult.size()) {
                 if (b == mult.size() ||
@@ -147,8 +274,7 @@ BasisLu::factorize(int m, const std::vector<std::vector<Entry>>& cols)
                         newcol.push_back({mult[b].index, fill});
                         ++row_count[static_cast<std::size_t>(
                             mult[b].index)];
-                        rpat[static_cast<std::size_t>(mult[b].index)]
-                            .push_back(j);
+                        rpat.push_back(mult[b].index, j);
                     }
                     ++b;
                 } else {
@@ -158,15 +284,17 @@ BasisLu::factorize(int m, const std::vector<std::vector<Entry>>& cols)
                         kDropTol *
                             (std::abs(old[a].value) + std::abs(delta))) {
                         newcol.push_back({old[a].index, updated});
-                    } else {
-                        --row_count[static_cast<std::size_t>(
-                            old[a].index)];
+                    } else if (--row_count[static_cast<std::size_t>(
+                                   old[a].index)] == 1) {
+                        enqueueRow(old[a].index);
                     }
                     ++a;
                     ++b;
                 }
             }
-            acols[static_cast<std::size_t>(j)].swap(newcol);
+            acols.len[static_cast<std::size_t>(j)] = 0;
+            for (const Entry& e : newcol)
+                acols.push_back(j, e);
         }
         u_start_.push_back(static_cast<std::int64_t>(u_entries_.size()));
     }
@@ -222,13 +350,16 @@ BasisLu::ftran(double* x) const
         x[pcol_[static_cast<std::size_t>(k)]] =
             work_[static_cast<std::size_t>(k)];
     // Stream the eta file: B^-1 = E_K^-1 ... E_1^-1 (LU)^-1.
+    const Entry* off = eta_entries_.data();
     for (const Eta& eta : etas_) {
+        const Entry* const end = eta_entries_.data() + eta.end;
         const double xp = x[eta.p] * eta.inv_pivot;
         x[eta.p] = xp;
         if (xp != 0.0) {
-            for (const Entry& e : eta.off)
-                x[e.index] -= e.value * xp;
+            for (; off != end; ++off)
+                x[off->index] -= off->value * xp;
         }
+        off = end;
     }
 }
 
@@ -237,11 +368,14 @@ BasisLu::btran(double* y) const
 {
     COSA_ASSERT(factorized_, "btran before a successful factorization");
     // Transposed etas, newest first: B^-T = (LU)^-T E_1^-T ... E_K^-T.
-    for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-        double acc = y[it->p];
-        for (const Entry& e : it->off)
-            acc -= e.value * y[e.index];
-        y[it->p] = acc * it->inv_pivot;
+    for (std::size_t k = etas_.size(); k-- > 0;) {
+        const Eta& eta = etas_[k];
+        const Entry* const end = eta_entries_.data() + eta.end;
+        double acc = y[eta.p];
+        for (const Entry* e = eta_entries_.data() + (k ? etas_[k - 1].end : 0);
+             e != end; ++e)
+            acc -= e->value * y[e->index];
+        y[eta.p] = acc * eta.inv_pivot;
     }
     // Gather into step space (transpose of ftran's final scatter).
     for (int k = 0; k < m_; ++k)
@@ -282,28 +416,26 @@ void
 BasisLu::update(int p, const double* w)
 {
     COSA_ASSERT(factorized_, "eta update before a factorization");
-    Eta eta;
-    eta.p = static_cast<std::int32_t>(p);
+    // One pass over w: its max magnitude and the off-diagonal entries.
+    const auto first = static_cast<std::int64_t>(eta_entries_.size());
     double max_abs = 0.0;
-    for (int i = 0; i < m_; ++i)
-        max_abs = std::max(max_abs, std::abs(w[i]));
-    eta.inv_pivot = 1.0 / w[p];
     for (int i = 0; i < m_; ++i) {
+        max_abs = std::max(max_abs, std::abs(w[i]));
         if (i != p && w[i] != 0.0)
-            eta.off.push_back({i, w[i]});
+            eta_entries_.push_back({i, w[i]});
     }
-    eta_nnz_ += static_cast<std::int64_t>(eta.off.size()) + 1;
+    const auto off = static_cast<std::int64_t>(eta_entries_.size()) - first;
+    eta_nnz_ += off + 1;
     ++stats_.eta_updates;
     if (std::abs(w[p]) < kEtaStabilityTol * max_abs) {
         unstable_ = true;
         ++stats_.unstable_updates;
     } else if (!unstable_ && etas_.size() + 1 < kMaxEtas &&
-               eta_nnz_ > fillBound() &&
-               eta_nnz_ - static_cast<std::int64_t>(eta.off.size()) - 1 <=
-                   fillBound()) {
+               eta_nnz_ > fillBound() && eta_nnz_ - off - 1 <= fillBound()) {
         ++stats_.fill_refactor_requests; // first crossing of the bound
     }
-    etas_.push_back(std::move(eta));
+    etas_.push_back({static_cast<std::int32_t>(p), 1.0 / w[p],
+                     static_cast<std::int64_t>(eta_entries_.size())});
 }
 
 bool

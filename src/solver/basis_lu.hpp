@@ -33,6 +33,7 @@
  */
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "solver/sparse_matrix.hpp"
@@ -83,13 +84,16 @@ class BasisLu
     };
 
     /**
-     * Factorize the m x m basis whose column at basis position j is
-     * @p cols[j] (row indices ascending). Resets the eta file. Returns
-     * false when the basis is numerically singular (no pivot above
-     * kSingularTol survives); the factors are then unusable until the
-     * next successful factorize().
+     * Factorize the m x m basis given as one flat CSC: the column at
+     * basis position j is @p entries[col_start[j] .. col_start[j+1])
+     * (row indices ascending; @p col_start has m + 1 offsets). Resets
+     * the eta file. Returns false when the basis is singular (an
+     * active column runs empty, or no pivot above kSingularTol
+     * survives); the factors are then unusable until the next
+     * successful factorize().
      */
-    bool factorize(int m, const std::vector<std::vector<Entry>>& cols);
+    bool factorize(int m, std::span<const std::int64_t> col_start,
+                   std::span<const Entry> entries);
 
     /** True when the last factorize() succeeded (the factors are
      *  usable). */
@@ -148,12 +152,14 @@ class BasisLu
         return by_size > by_fill ? by_size : by_fill;
     }
 
-    /** One product-form eta: column p of E holds w. */
+    /** One product-form eta: column p of E holds w. Its off-diagonal
+     *  entries (i, w[i]), i != p, w[i] != 0, are
+     *  eta_entries_[previous eta's end .. end). */
     struct Eta
     {
         std::int32_t p = 0;     //!< replaced basis position
         double inv_pivot = 0.0; //!< 1 / w[p]
-        std::vector<Entry> off; //!< (i, w[i]) for i != p, w[i] != 0
+        std::int64_t end = 0;   //!< one past its last entry
     };
 
     int m_ = 0;
@@ -173,7 +179,10 @@ class BasisLu
     std::vector<std::int64_t> u_start_;
     std::vector<Entry> u_entries_;
 
+    /** The eta file, oldest first: FTRAN streams it forward, BTRAN
+     *  backward. */
     std::vector<Eta> etas_;
+    std::vector<Entry> eta_entries_;
     std::int64_t eta_nnz_ = 0;
     std::int64_t factor_nnz_ = 0;
 

@@ -140,23 +140,24 @@ Simplex::refactorize()
 {
     trace::Span span("simplex.refactorize", "solver", /*fine=*/true);
     COSA_FAILPOINT("simplex.factorize", ErrorCode::kSingularBasis);
-    // Gather the basis columns (implicit unit columns included) and
-    // hand them to the Markowitz LU; cost scales with fill, not m^3.
-    std::vector<std::vector<BasisLu::Entry>> cols(
-        static_cast<std::size_t>(m_));
+    // Gather the basis columns (implicit unit columns included) into
+    // one flat CSC and hand it to the Markowitz LU; cost scales with
+    // fill, not m^3.
+    std::vector<std::int64_t> start{0};
+    std::vector<BasisLu::Entry> entries;
     for (int col = 0; col < m_; ++col) {
         const int j = basic_[col];
-        auto& out = cols[static_cast<std::size_t>(col)];
         if (j < num_structural_) {
             const auto column = matrix_->column(j);
-            out.assign(column.begin(), column.end());
+            entries.insert(entries.end(), column.begin(), column.end());
         } else if (j < n_) {
-            out.push_back({j - num_structural_, 1.0});
+            entries.push_back({j - num_structural_, 1.0});
         } else {
-            out.push_back({j - n_, art_sign_[j - n_]});
+            entries.push_back({j - n_, art_sign_[j - n_]});
         }
+        start.push_back(static_cast<std::int64_t>(entries.size()));
     }
-    return lu_.factorize(m_, cols);
+    return lu_.factorize(m_, start, entries);
 }
 
 void
@@ -181,18 +182,23 @@ void
 Simplex::btranRow(int r)
 {
     // rho = e_r B^-1 (one BTRAN of the unit vector e_r), then
-    // work_row_[j] = rho . A_j for every column. Structural columns
-    // iterate their nonzeros; slack and artificial columns are unit
+    // work_row_[j] = rho . A_j for every column. The structural part
+    // walks the CSR rows with rho_i != 0 in ascending order, so each
+    // sum adds the nonzero terms a column-wise dot product would, in
+    // the same order; the skipped terms are exact +-0 additions to a
+    // sum that starts at +0. Slack and artificial columns are unit
     // vectors, so their entry is a single rho element.
     std::fill(work_rho_.begin(), work_rho_.end(), 0.0);
     work_rho_[r] = 1.0;
     lu_.btran(work_rho_.data());
     const double* rho = work_rho_.data();
-    for (int j = 0; j < num_structural_; ++j) {
-        double acc = 0.0;
-        for (const SparseMatrix::Entry& e : matrix_->column(j))
-            acc += rho[e.index] * e.value;
-        work_row_[j] = acc;
+    std::fill_n(work_row_.begin(), num_structural_, 0.0);
+    for (int i = 0; i < m_; ++i) {
+        const double rho_i = rho[i];
+        if (rho_i == 0.0)
+            continue;
+        for (const SparseMatrix::Entry& e : matrix_->row(i))
+            work_row_[e.index] += rho_i * e.value;
     }
     for (int k = 0; k < m_; ++k) {
         work_row_[num_structural_ + k] = rho[k];

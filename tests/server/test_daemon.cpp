@@ -195,6 +195,26 @@ TEST(Daemon, WireResultsAreByteIdenticalToInProcess)
     const std::string wire = resultBytes(status_body);
     EXPECT_FALSE(wire.empty());
     EXPECT_EQ(wire, localReference(body));
+
+    // A done job renders its bytes on every GET: once more from the
+    // same client and twice concurrently from two more clients, every
+    // body equals the first byte for byte.
+    auto fetch = [&](Client& from) {
+        StatusOr<WireResponse> response = from.jobStatus(id);
+        EXPECT_TRUE(response.ok()) << response.status().message();
+        return response.ok() ? response.value().body : std::string();
+    };
+    EXPECT_EQ(fetch(client), status_body);
+    Client second("127.0.0.1", daemon.port());
+    Client third("127.0.0.1", daemon.port());
+    std::string second_body;
+    std::string third_body;
+    std::thread second_get([&] { second_body = fetch(second); });
+    std::thread third_get([&] { third_body = fetch(third); });
+    second_get.join();
+    third_get.join();
+    EXPECT_EQ(second_body, status_body);
+    EXPECT_EQ(third_body, status_body);
 }
 
 TEST(Daemon, MixedTenantMixedTierResultsStayByteIdentical)

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "arch/arch_spec.hpp"
@@ -8,6 +11,7 @@
 #include "cosa/formulation.hpp"
 #include "problem/workloads.hpp"
 #include "reference_dense_simplex.hpp"
+#include "reference_markowitz_lu.hpp"
 #include "solver/basis_lu.hpp"
 #include "solver/simplex.hpp"
 
@@ -17,7 +21,22 @@ namespace {
 using Entry = BasisLu::Entry;
 using testing::DenseLp;
 using testing::RefDenseSimplex;
+using testing::RefMarkowitzLu;
 using testing::RefStatus;
+
+/** Factorize @p cols (one row-sorted entry list per basis column)
+ *  through BasisLu's flat CSC interface. */
+bool
+factorize(BasisLu& lu, int m, const std::vector<std::vector<Entry>>& cols)
+{
+    std::vector<std::int64_t> start{0};
+    std::vector<Entry> entries;
+    for (const auto& col : cols) {
+        entries.insert(entries.end(), col.begin(), col.end());
+        start.push_back(static_cast<std::int64_t>(entries.size()));
+    }
+    return lu.factorize(m, start, entries);
+}
 
 /** Dense Gaussian-elimination solve of A x = b (test oracle). */
 std::vector<double>
@@ -91,7 +110,7 @@ TEST(BasisLu, FtranBtranMatchDenseSolves)
     for (int m : {1, 2, 5, 17, 60}) {
         const auto cols = randomBasis(rng, m, 0.15);
         BasisLu lu;
-        ASSERT_TRUE(lu.factorize(m, cols)) << "m=" << m;
+        ASSERT_TRUE(factorize(lu, m, cols)) << "m=" << m;
 
         std::vector<double> v(static_cast<std::size_t>(m));
         for (double& x : v)
@@ -124,7 +143,7 @@ TEST(BasisLu, EtaUpdatesMatchFreshFactorization)
     const int m = 40;
     auto cols = randomBasis(rng, m, 0.2);
     BasisLu lu;
-    ASSERT_TRUE(lu.factorize(m, cols));
+    ASSERT_TRUE(factorize(lu, m, cols));
 
     // Replace 12 basis columns one by one through the product form.
     for (int round = 0; round < 12; ++round) {
@@ -154,7 +173,7 @@ TEST(BasisLu, EtaUpdatesMatchFreshFactorization)
     lu.ftran(via_etas.data());
 
     BasisLu fresh;
-    ASSERT_TRUE(fresh.factorize(m, cols));
+    ASSERT_TRUE(factorize(fresh, m, cols));
     std::vector<double> via_fresh = v;
     fresh.ftran(via_fresh.data());
     for (int i = 0; i < m; ++i)
@@ -172,7 +191,7 @@ TEST(BasisLu, GrowthToleranceTriggersRefactorization)
     for (int j = 0; j < m; ++j)
         cols[static_cast<std::size_t>(j)].push_back({j, 1.0});
     BasisLu lu;
-    ASSERT_TRUE(lu.factorize(m, cols));
+    ASSERT_TRUE(factorize(lu, m, cols));
     EXPECT_FALSE(lu.needsRefactorization());
 
     std::vector<double> w = {1e-3, 1e6, 0.0, 0.0};
@@ -181,7 +200,7 @@ TEST(BasisLu, GrowthToleranceTriggersRefactorization)
     EXPECT_EQ(lu.stats().unstable_updates, 1);
 
     // Refactorizing (here: back to the identity) clears the request.
-    ASSERT_TRUE(lu.factorize(m, cols));
+    ASSERT_TRUE(factorize(lu, m, cols));
     EXPECT_FALSE(lu.needsRefactorization());
 
     // A well-conditioned update does not trip it.
@@ -200,7 +219,7 @@ TEST(BasisLu, EtaFillBoundTriggersRefactorization)
     for (int j = 0; j < m; ++j)
         cols[static_cast<std::size_t>(j)].push_back({j, 1.0});
     BasisLu lu;
-    ASSERT_TRUE(lu.factorize(m, cols));
+    ASSERT_TRUE(factorize(lu, m, cols));
     int updates = 0;
     while (!lu.needsRefactorization() && updates < 1000) {
         std::vector<double> w(static_cast<std::size_t>(m), 0.5);
@@ -222,7 +241,7 @@ TEST(BasisLu, SingularBasisRejected)
         cols[0] = {{0, 1.0}};
         cols[2] = {{2, 1.0}};
         BasisLu lu;
-        EXPECT_FALSE(lu.factorize(3, cols));
+        EXPECT_FALSE(factorize(lu, 3, cols));
         EXPECT_FALSE(lu.factorized());
     }
     // Numerically singular: two identical columns.
@@ -232,7 +251,7 @@ TEST(BasisLu, SingularBasisRejected)
         cols[1] = {{0, 1.0}, {1, 2.0}};
         cols[2] = {{2, 1.0}};
         BasisLu lu;
-        EXPECT_FALSE(lu.factorize(3, cols));
+        EXPECT_FALSE(factorize(lu, 3, cols));
     }
 }
 
@@ -419,6 +438,231 @@ TEST(BasisLu, DualWarmStartsMatchDenseOracle)
     }
     EXPECT_GT(moved, 0);
     EXPECT_GT(infeasible, 0);
+}
+
+/** The basis matrix of @p basis: structural columns from the matrix,
+ *  slacks and artificials as unit columns. */
+std::vector<std::vector<Entry>>
+basisColumns(const LpProblem& lp, const Basis& basis)
+{
+    std::vector<std::vector<Entry>> cols;
+    for (const std::int32_t j : basis.basic) {
+        if (j < lp.num_structural) {
+            const auto column = lp.matrix.column(j);
+            cols.emplace_back(column.begin(), column.end());
+        } else {
+            cols.push_back({{(j - lp.num_structural) % lp.num_rows, 1.0}});
+        }
+    }
+    return cols;
+}
+
+/** Solutions of the unit vectors e_0 .. e_{m-1} under @p solve,
+ *  concatenated. */
+template <typename Solve>
+std::vector<double>
+unitSolves(int m, Solve solve)
+{
+    std::vector<double> out(static_cast<std::size_t>(m) * m, 0.0);
+    for (int i = 0; i < m; ++i) {
+        double* x = out.data() + static_cast<std::size_t>(i) * m;
+        x[i] = 1.0;
+        solve(x);
+    }
+    return out;
+}
+
+/**
+ * Factorize @p cols with BasisLu and with the full-scan oracle: both
+ * must agree on success, and on success FTRAN and BTRAN of every unit
+ * vector must match bit for bit, after the factorization and again
+ * after 20 identical eta updates. Returns whether the basis
+ * factorized.
+ */
+bool
+expectMatchesFullScanOracle(int m, const std::vector<std::vector<Entry>>& cols,
+                            Rng& rng, const std::string& what)
+{
+    BasisLu lu;
+    RefMarkowitzLu ref;
+    const bool ok = factorize(lu, m, cols);
+    const bool ref_ok = ref.factorize(m, cols);
+    EXPECT_EQ(ok, ref_ok) << what;
+    if (!ok || !ref_ok)
+        return ok;
+    const std::size_t bytes = sizeof(double) * static_cast<std::size_t>(m) * m;
+    auto expectSameSolves = [&](const char* stage) {
+        const auto lu_ftran =
+            unitSolves(m, [&](double* x) { lu.ftran(x); });
+        const auto ref_ftran =
+            unitSolves(m, [&](double* x) { ref.ftran(x); });
+        EXPECT_EQ(std::memcmp(lu_ftran.data(), ref_ftran.data(), bytes), 0)
+            << what << ": ftran " << stage;
+        const auto lu_btran =
+            unitSolves(m, [&](double* y) { lu.btran(y); });
+        const auto ref_btran =
+            unitSolves(m, [&](double* y) { ref.btran(y); });
+        EXPECT_EQ(std::memcmp(lu_btran.data(), ref_btran.data(), bytes), 0)
+            << what << ": btran " << stage;
+    };
+    expectSameSolves("after factorize");
+    for (int round = 0; round < 20; ++round) {
+        // A sparse entering column; it leaves at its largest |w_i|.
+        std::vector<double> w(static_cast<std::size_t>(m), 0.0);
+        for (int t = 0; t < 3; ++t)
+            w[rng.nextBelow(static_cast<std::uint64_t>(m))] =
+                rng.nextDouble() * 4.0 - 2.0;
+        lu.ftran(w.data());
+        int p = 0;
+        for (int i = 1; i < m; ++i) {
+            if (std::abs(w[static_cast<std::size_t>(i)]) >
+                std::abs(w[static_cast<std::size_t>(p)]))
+                p = i;
+        }
+        if (w[static_cast<std::size_t>(p)] == 0.0)
+            continue;
+        lu.update(p, w.data());
+        ref.update(p, w.data());
+    }
+    expectSameSolves("after 20 eta updates");
+    return true;
+}
+
+/**
+ * A random basis of unit, signed-unit and multi-entry columns around
+ * a random row permutation, some with a planted defect: an empty
+ * column or duplicate unit columns (structurally singular), a column
+ * of entries below kSingularTol or two proportional columns
+ * (numerically singular), or entries exactly at the threshold guard.
+ */
+std::vector<std::vector<Entry>>
+defectBasis(Rng& rng, int m, int variant)
+{
+    std::vector<int> perm(static_cast<std::size_t>(m));
+    std::iota(perm.begin(), perm.end(), 0);
+    rng.shuffle(perm);
+    std::vector<std::vector<Entry>> cols(static_cast<std::size_t>(m));
+    for (int j = 0; j < m; ++j) {
+        auto& col = cols[static_cast<std::size_t>(j)];
+        const int anchor = perm[static_cast<std::size_t>(j)];
+        const double kind = rng.nextDouble();
+        if (kind < 0.5) {
+            col.push_back({anchor, rng.nextDouble() < 0.5 ? 1.0 : -1.0});
+            continue;
+        }
+        std::vector<double> dense(static_cast<std::size_t>(m), 0.0);
+        dense[static_cast<std::size_t>(anchor)] = 1.0 + rng.nextDouble();
+        const int extra = 1 + static_cast<int>(rng.nextBelow(4));
+        for (int t = 0; t < extra; ++t) {
+            // Small integers make exact cancellations and cost ties.
+            const double v = rng.nextDouble() < 0.5
+                                 ? static_cast<double>(
+                                       static_cast<int>(rng.nextBelow(5)) - 2)
+                                 : rng.nextDouble() * 2.0 - 1.0;
+            const auto i = rng.nextBelow(static_cast<std::uint64_t>(m));
+            if (static_cast<int>(i) != anchor)
+                dense[i] = v;
+        }
+        for (int i = 0; i < m; ++i) {
+            if (dense[static_cast<std::size_t>(i)] != 0.0)
+                col.push_back({i, dense[static_cast<std::size_t>(i)]});
+        }
+    }
+    const auto pick = [&] {
+        return static_cast<std::size_t>(
+            rng.nextBelow(static_cast<std::uint64_t>(m)));
+    };
+    const std::size_t a = pick();
+    const std::size_t b = pick();
+    switch (variant % 8) {
+      case 4: // an empty column
+        cols[a].clear();
+        break;
+      case 5: // duplicate unit columns
+        cols[a] = {{cols[b].front().index, 1.0}};
+        cols[b] = cols[a];
+        break;
+      case 6: // a column of entries below kSingularTol
+        for (Entry& e : cols[a])
+            e.value *= 1e-12;
+        break;
+      case 7: // two proportional columns
+        cols[a] = cols[b];
+        for (Entry& e : cols[a])
+            e.value *= -3.0;
+        break;
+      case 3: // entries exactly at the threshold guard of their column
+        for (std::size_t j = 0; j < cols.size(); j += 3) {
+            double colmax = 0.0;
+            for (const Entry& e : cols[j])
+                colmax = std::max(colmax, std::abs(e.value));
+            for (std::size_t t = 1; t < cols[j].size(); t += 2)
+                cols[j][t].value = BasisLu::kMarkowitzThreshold * colmax;
+        }
+        break;
+      default:
+        break;
+    }
+    return cols;
+}
+
+/**
+ * The singleton queue, the column file and the flat eta file are pure
+ * speed: BasisLu must reproduce the full-scan Markowitz LU it replaced
+ * (reference_markowitz_lu.hpp) bit for bit, on the optimal bases of
+ * CoSA root LPs and their dual re-solves after branch-like bound
+ * changes, and on random bases with planted singularities.
+ */
+TEST(BasisLu, FactorsMatchFullScanOracle)
+{
+    Rng rng(29);
+    int lp_bases = 0;
+    for (const char* label :
+         {"3_14_256_256_2", "1_1_64_32_1", "1_1_2048_1000_1"}) {
+        const LayerSpec layer = LayerSpec::fromLabel(label);
+        cosa::CosaFormulation formulation(layer, ArchSpec::simbaBaseline(),
+                                          cosa::CosaConfig{});
+        const LpProblem lp = standardForm(formulation.model());
+        Simplex splx(lp);
+        ASSERT_EQ(splx.solvePrimal(), LpStatus::Optimal) << label;
+        const Basis root_basis = splx.saveBasis();
+        const std::vector<double> root_x = splx.solution();
+        EXPECT_TRUE(expectMatchesFullScanOracle(
+            lp.num_rows, basisColumns(lp, root_basis), rng,
+            std::string(label) + " root"));
+        ++lp_bases;
+        for (int round = 0; round < 6; ++round) {
+            // Fix a column one unit off its root value, re-solve from
+            // the root basis, and undo the fixing.
+            const int j = static_cast<int>(rng.nextBelow(
+                static_cast<std::uint64_t>(lp.num_structural)));
+            const double v = root_x[static_cast<std::size_t>(j)];
+            double fix = std::floor(v + 0.5);
+            if (std::abs(v - fix) <= 1e-6)
+                fix += fix < lp.ub[j] ? 1.0 : -1.0;
+            splx.setVarBounds(j, fix, fix);
+            if (splx.solveDual(root_basis) == LpStatus::Optimal) {
+                EXPECT_TRUE(expectMatchesFullScanOracle(
+                    lp.num_rows, basisColumns(lp, splx.saveBasis()), rng,
+                    std::string(label) + " round " + std::to_string(round)));
+                ++lp_bases;
+            }
+            splx.setVarBounds(j, lp.lb[j], lp.ub[j]);
+        }
+    }
+    EXPECT_GE(lp_bases, 6);
+
+    int factorized = 0;
+    int singular = 0;
+    for (int t = 0; t < 240; ++t) {
+        const int m = 1 + static_cast<int>(rng.nextBelow(60));
+        const auto cols = defectBasis(rng, m, t);
+        const bool ok = expectMatchesFullScanOracle(
+            m, cols, rng, "random basis " + std::to_string(t));
+        ++(ok ? factorized : singular);
+    }
+    EXPECT_GE(factorized, 100);
+    EXPECT_GE(singular, 80);
 }
 
 } // namespace
