@@ -1,11 +1,10 @@
 /**
  * @file
- * Persistent schedule-cache store performance: the binary sharded log
+ * Persistent schedule-cache store performance: the binary log
  * (src/cachestore) against the v3 text snapshot it replaces as the
  * primary format, at 10^3 and 10^5 synthetic entries.
  *
- *   ./bench_tab_cache_store [--sizes 1000,100000] [--shards K]
- *       [--json [PATH]]
+ *   ./bench_tab_cache_store [--sizes 1000,100000] [--json [PATH]]
  *
  * Per size the bench reports: text snapshot save/load seconds, binary
  * bulk-import and open-replay (the restart path) seconds, the restart
@@ -23,13 +22,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "bench_util.hpp"
 #include "cachestore/snapshot.hpp"
@@ -113,23 +111,6 @@ syntheticEntry(std::int64_t i, ScheduleCacheKey* key, SearchResult* result,
     }
 }
 
-/** rm -rf for a flat shard directory (logs + manifest only). */
-void
-removeStoreDir(const std::string& dir)
-{
-    for (const char* name :
-         {"MANIFEST", "MANIFEST.tmp"}) {
-        std::remove((dir + "/" + name).c_str());
-    }
-    for (int shard = 0; shard < 64; ++shard) {
-        char buffer[64];
-        std::snprintf(buffer, sizeof(buffer), "/shard-%04d.log", shard);
-        std::remove((dir + buffer).c_str());
-        std::remove((dir + buffer + ".tmp").c_str());
-    }
-    ::rmdir(dir.c_str());
-}
-
 std::shared_ptr<PersistentScheduleCache>
 mustOpen(StoreConfig config)
 {
@@ -169,7 +150,6 @@ main(int argc, char** argv)
     std::vector<std::int64_t> sizes =
         bench::quickMode() ? std::vector<std::int64_t>{1000, 10000}
                            : std::vector<std::int64_t>{1000, 100000};
-    int num_shards = 8;
     bool write_json = false;
     std::string json_path = "BENCH_cache.json";
     for (int a = 1; a < argc; ++a) {
@@ -179,8 +159,6 @@ main(int argc, char** argv)
             std::string item;
             while (std::getline(list, item, ','))
                 sizes.push_back(std::atoll(item.c_str()));
-        } else if (std::strcmp(argv[a], "--shards") == 0 && a + 1 < argc) {
-            num_shards = std::atoi(argv[++a]);
         } else if (std::strcmp(argv[a], "--json") == 0) {
             write_json = true;
             if (a + 1 < argc && std::strncmp(argv[a + 1], "--", 2) != 0)
@@ -191,8 +169,8 @@ main(int argc, char** argv)
     const std::string dir = "bench_cache_store_dir";
     const std::string text_path = "bench_cache_store_snapshot.txt";
 
-    TextTable table("persistent cache store: binary shard log vs v3 "
-                    "text snapshot");
+    TextTable table("persistent cache store: binary log vs v3 text "
+                    "snapshot");
     table.setHeader({"entries", "text_save_s", "text_load_s",
                      "bin_import_s", "bin_open_s", "speedup",
                      "lookup_p50_us", "lookup_p99_us"});
@@ -228,11 +206,10 @@ main(int argc, char** argv)
         }
 
         // Binary: bulk import (batched durability) then the restart
-        // path — open() replaying the shard logs.
-        removeStoreDir(dir);
+        // path — open() replaying the log.
+        std::filesystem::remove_all(dir);
         StoreConfig config;
         config.dir = dir;
-        config.num_shards = num_shards;
         config.fsync_each_append = false;
         {
             auto store = mustOpen(config);
@@ -291,11 +268,10 @@ main(int argc, char** argv)
     ChurnRow churn;
     churn.capacity = bench::quickMode() ? 500 : 2000;
     churn.inserts = churn.capacity * 5;
-    removeStoreDir(dir);
+    std::filesystem::remove_all(dir);
     {
         StoreConfig config;
         config.dir = dir;
-        config.num_shards = num_shards;
         config.capacity = churn.capacity;
         config.fsync_each_append = false;
         config.compaction.min_bytes = 16 * 1024;
@@ -306,20 +282,15 @@ main(int argc, char** argv)
             LayerSpec layer;
             syntheticEntry(i, &key, &result, &layer);
             store->insert(key, result, layer);
-            if (i % 250 == 0) {
-                std::uint64_t log_bytes = 0;
-                for (const auto& shard : store->storeStats().shards)
-                    log_bytes += shard.log_bytes;
+            if (i % 250 == 0)
                 churn.max_log_bytes =
-                    std::max(churn.max_log_bytes, log_bytes);
-            }
+                    std::max(churn.max_log_bytes,
+                             store->storeStats().shards[0].log_bytes);
         }
-        const auto stats = store->storeStats();
-        for (const auto& shard : stats.shards) {
-            churn.final_log_bytes += shard.log_bytes;
-            churn.live_bytes += shard.live_bytes;
-            churn.compactions += shard.compactions;
-        }
+        const cachestore::ShardStats log = store->storeStats().shards[0];
+        churn.final_log_bytes = log.log_bytes;
+        churn.live_bytes = log.live_bytes;
+        churn.compactions = log.compactions;
         churn.max_log_bytes =
             std::max(churn.max_log_bytes, churn.final_log_bytes);
     }
@@ -329,13 +300,12 @@ main(int argc, char** argv)
               << churn.final_log_bytes / 1024 << " KiB (high water "
               << churn.max_log_bytes / 1024 << " KiB)\n";
 
-    removeStoreDir(dir);
+    std::filesystem::remove_all(dir);
     std::remove(text_path.c_str());
 
     if (write_json) {
         json::Value doc = json::Value::object();
         doc.set("bench", "cache_store");
-        doc.set("num_shards", num_shards);
         json::Value series = json::Value::array();
         for (const Row& row : rows) {
             json::Value entry = json::Value::object();

@@ -17,17 +17,16 @@ compactionTempPath(const std::string& log_path)
 }
 
 StatusOr<std::uint64_t>
-compactShardFile(const std::string& log_path, std::uint32_t shard_index,
-                 std::uint32_t num_shards,
-                 const std::vector<std::string>& payloads)
+compactLogFile(const std::string& log_path,
+               const std::vector<std::string>& payloads)
 {
     const std::string tmp_path = compactionTempPath(log_path);
     LogWriter writer;
-    // Batch mode: one fsync for the whole generation (below), not one
-    // per record — the generation only becomes real at the rename.
-    Status opened = writer.openTruncated(tmp_path, shard_index,
-                                         num_shards,
-                                         /*fsync_each_append=*/false);
+    // valid_bytes 0 truncates whatever a crashed fold left. Batch mode:
+    // one fsync for the whole generation (below), not one per record —
+    // the generation only becomes real at the rename.
+    Status opened = writer.open(tmp_path, 0, 1, /*valid_bytes=*/0,
+                                /*fsync_each_append=*/false);
     if (!opened.ok())
         return opened;
     for (const std::string& payload : payloads) {

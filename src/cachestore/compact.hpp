@@ -2,11 +2,11 @@
 
 /**
  * @file
- * Generation-swap compaction of one shard log.
+ * Generation-swap compaction of the store's log.
  *
- * An append-only shard accumulates dead frames: overwritten inserts
+ * An append-only log accumulates dead frames: overwritten inserts
  * and evict records (plus the inserts they killed) stay on disk until
- * someone folds them away. Compaction rewrites the shard as a fresh
+ * someone folds them away. Compaction rewrites the log as a fresh
  * generation holding exactly the live entries (one insert record each,
  * ascending sequence number, no evicts), then swaps it in with the
  * crash-safe temp-file + atomic-rename pattern the text snapshot and
@@ -15,7 +15,7 @@
  * next open); a crash after it leaves the new one — there is no state
  * in between.
  *
- * Policy: a shard is worth compacting when its log has grown past
+ * Policy: a log is worth compacting when its log has grown past
  * `min_bytes` AND dead bytes outweigh live ones (folding tiny or
  * mostly-live logs is pure IO noise). The store checks the policy
  * after every append and either runs the fold inline (offline mode)
@@ -33,7 +33,7 @@
 namespace cosa {
 namespace cachestore {
 
-/** When a shard log is worth folding. */
+/** When a log is worth folding. */
 struct CompactionPolicy
 {
     /** Logs smaller than this never compact (rewriting a few KiB is
@@ -63,13 +63,12 @@ std::string compactionTempPath(const std::string& log_path);
 /**
  * Write @p payloads (pre-encoded live insert records, ascending seq)
  * as a fresh generation of @p log_path and atomically swap it in.
- * Returns the new generation's byte size. The caller holds the shard
+ * Returns the new generation's byte size. The caller holds the store
  * lock (the swap must not race an append) and reopens its writer on
  * the new file afterwards.
  */
-StatusOr<std::uint64_t> compactShardFile(
-    const std::string& log_path, std::uint32_t shard_index,
-    std::uint32_t num_shards, const std::vector<std::string>& payloads);
+StatusOr<std::uint64_t> compactLogFile(
+    const std::string& log_path, const std::vector<std::string>& payloads);
 
 } // namespace cachestore
 } // namespace cosa

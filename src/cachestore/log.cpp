@@ -1,9 +1,11 @@
 #include "cachestore/log.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -262,16 +264,43 @@ headerBytesFor(std::uint32_t shard_index, std::uint32_t num_shards)
     return header;
 }
 
+constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
+
+/** fnv1a() of @p a and @p b at once. Each hash is a serial chain of
+ *  multiplies; two independent chains overlap in the CPU, so a pair of
+ *  frames costs about as much to check as the longer one alone. */
+void
+fnv1aPair(std::string_view a, std::string_view b, std::uint64_t* ha,
+          std::uint64_t* hb)
+{
+    const auto* pa = reinterpret_cast<const unsigned char*>(a.data());
+    const auto* pb = reinterpret_cast<const unsigned char*>(b.data());
+    std::uint64_t x = kFnvOffset;
+    std::uint64_t y = kFnvOffset;
+    const std::size_t both = std::min(a.size(), b.size());
+    for (std::size_t i = 0; i < both; ++i) {
+        x = (x ^ pa[i]) * kFnvPrime;
+        y = (y ^ pb[i]) * kFnvPrime;
+    }
+    for (std::size_t i = both; i < a.size(); ++i)
+        x = (x ^ pa[i]) * kFnvPrime;
+    for (std::size_t i = both; i < b.size(); ++i)
+        y = (y ^ pb[i]) * kFnvPrime;
+    *ha = x;
+    *hb = y;
+}
+
 } // namespace
 
 std::uint64_t
 fnv1a(const void* data, std::size_t size)
 {
     const unsigned char* bytes = static_cast<const unsigned char*>(data);
-    std::uint64_t h = 0xCBF29CE484222325ULL;
+    std::uint64_t h = kFnvOffset;
     for (std::size_t i = 0; i < size; ++i) {
         h ^= bytes[i];
-        h *= 0x100000001B3ULL;
+        h *= kFnvPrime;
     }
     return h;
 }
@@ -472,11 +501,11 @@ readLog(const std::string& path,
     LogReadResult out;
     std::error_code ec;
     if (!std::filesystem::exists(path, ec)) {
-        // A fresh shard: nothing to replay, the writer creates it.
+        // A fresh log: nothing to replay, the writer creates it.
         out.ok = true;
         return out;
     }
-    // Map the file when possible (no copy of a multi-MiB shard just
+    // Map the file when possible (no copy of a multi-MiB log just
     // to scan it); fall back to a plain read. The scan only ever
     // touches [0, st_size) captured at open, so a concurrent append
     // past it is invisible rather than a race.
@@ -499,7 +528,7 @@ readLog(const std::string& path,
         const std::size_t size = static_cast<std::size_t>(st.st_size);
         if (size > 0) {
             // POPULATE prefills the page tables in one pass instead of
-            // one soft fault per 4 KiB of a multi-MiB shard (the scan
+            // one soft fault per 4 KiB of a multi-MiB log (the scan
             // touches every byte anyway).
             int flags = MAP_PRIVATE;
 #ifdef MAP_POPULATE
@@ -563,58 +592,64 @@ readLog(const std::string& path,
     // before it is intact (each frame carries its own checksum);
     // everything after it is unreachable in an append-only file, so
     // the prefix cut *is* the recovery.
-    std::size_t pos = kHeaderBytes;
-    out.valid_bytes = pos;
-    while (pos < bytes.size()) {
-        if (bytes.size() - pos < kFrameBytes) {
-            ++out.records_skipped; // torn mid frame header
-            break;
-        }
+    struct Frame
+    {
+        std::string_view payload;
+        std::uint64_t checksum = 0;
+    };
+    // The frame at @p at, or none when it is torn (or its length junk).
+    const auto frameAt = [&bytes](std::size_t at) -> std::optional<Frame> {
+        if (bytes.size() - at < kFrameBytes)
+            return std::nullopt;
         Cursor frame(bytes);
-        frame.pos = pos;
+        frame.pos = at;
         const std::uint32_t payload_len = frame.u32();
         const std::uint64_t checksum = frame.u64();
         if (payload_len > kMaxPayloadBytes ||
-            bytes.size() - frame.pos < payload_len) {
-            ++out.records_skipped; // torn mid payload (or length junk)
+            bytes.size() - frame.pos < payload_len)
+            return std::nullopt;
+        return Frame{bytes.substr(frame.pos, payload_len), checksum};
+    };
+    std::size_t pos = kHeaderBytes;
+    std::size_t checked_end = pos; // frames ending by here are checked
+    out.valid_bytes = pos;
+    while (pos < bytes.size()) {
+        const std::optional<Frame> frame = frameAt(pos);
+        if (!frame) {
+            ++out.records_skipped; // torn mid frame
             break;
         }
-        const std::string_view payload(bytes.data() + frame.pos,
-                                       payload_len);
-        if (fnv1a(payload.data(), payload.size()) != checksum) {
-            ++out.records_skipped; // bit flip
-            break;
+        const std::size_t framed = kFrameBytes + frame->payload.size();
+        const std::size_t end = pos + framed;
+        if (end > checked_end) {
+            // Check this frame together with the next whole one.
+            const std::optional<Frame> next =
+                end < bytes.size() ? frameAt(end) : std::nullopt;
+            std::uint64_t sum = 0;
+            std::uint64_t next_sum = 0;
+            fnv1aPair(frame->payload, next ? next->payload : "", &sum,
+                      &next_sum);
+            if (sum != frame->checksum) {
+                ++out.records_skipped; // bit flip
+                break;
+            }
+            checked_end = next && next_sum == next->checksum
+                              ? end + kFrameBytes + next->payload.size()
+                              : end;
         }
         LogRecord record;
-        if (!decodeRecord(payload, &record)) {
+        if (!decodeRecord(frame->payload, &record)) {
             ++out.records_skipped;
             ++out.decode_failures;
             break;
         }
-        pos = frame.pos + payload_len;
+        pos = end;
         out.valid_bytes = pos;
-        if (!visit(std::move(record),
-                   static_cast<std::uint32_t>(kFrameBytes + payload_len)))
+        if (!visit(std::move(record), static_cast<std::uint32_t>(framed)))
             break;
     }
     out.torn_tail = out.valid_bytes < bytes.size();
     out.ok = true;
-    return out;
-}
-
-LogReadResult
-readLog(const std::string& path)
-{
-    std::vector<LogRecord> records;
-    std::vector<std::uint32_t> framed_bytes;
-    LogReadResult out = readLog(
-        path, [&](LogRecord&& record, std::uint32_t bytes) {
-            records.push_back(std::move(record));
-            framed_bytes.push_back(bytes);
-            return true;
-        });
-    out.records = std::move(records);
-    out.framed_bytes = std::move(framed_bytes);
     return out;
 }
 
@@ -659,17 +694,6 @@ LogWriter::open(const std::string& path, std::uint32_t shard_index,
     }
     bytes_ = valid_bytes;
     return Status::Ok();
-}
-
-Status
-LogWriter::openTruncated(const std::string& path,
-                         std::uint32_t shard_index,
-                         std::uint32_t num_shards, bool fsync_each_append)
-{
-    close();
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    return open(path, shard_index, num_shards, 0, fsync_each_append);
 }
 
 Status

@@ -2,12 +2,16 @@
 
 /**
  * @file
- * Binary append-only record log of one schedule-cache shard.
+ * Binary append-only record log of the schedule-cache store.
  *
- * A shard file is a fixed header followed by framed records:
+ * A log file is a fixed header followed by framed records:
  *
  *   header   "cosaclog" + u32 version + u32 shard_index + u32 num_shards
  *   record   u32 payload_len + u64 fnv1a64(payload) + payload
+ *
+ * The store writes one log, whose header reads shard 0 of 1; the two
+ * header fields remain so directories of the older sharded layout
+ * (shard i of K) stay readable.
  *
  * Header and frame integers are fixed-width little-endian; integers
  * *inside* a payload are LEB128 varints (zigzag for signed), since
@@ -17,18 +21,18 @@
  * kinds exist: an insert
  * carries the full (key, layer, SearchResult) of one cache entry plus
  * its global sequence number; an evict carries just the key. Replaying
- * the records front to back reproduces the shard's live map, and the
- * sequence numbers let the sharded store reconstruct the *global*
- * first-insertion order across shards (the order nearestNeighbor scans
- * and ties break on).
+ * the records front to back reproduces the store's live map, and the
+ * sequence numbers give the *global* first-insertion order (the order
+ * nearestNeighbor scans and ties break on) even across the files of a
+ * sharded directory.
  *
  * Durability follows write -> fsync -> publish: LogWriter::append
  * writes the frame and (by default) fsyncs before returning, and the
  * store only publishes the in-memory entry after the append returned.
  * A crash therefore leaves at worst a torn tail: readLog() verifies
  * every frame's length and checksum and stops at the first bad one,
- * returning the records before it plus where the valid prefix ends —
- * load never fails on a torn or bit-flipped tail, it truncates
+ * visiting the records before it and reporting where the valid prefix
+ * ends — load never fails on a torn or bit-flipped tail, it truncates
  * (see docs/cache-store.md for the recovery semantics).
  */
 
@@ -47,12 +51,12 @@ namespace cachestore {
 /** FNV-1a 64 over @p size bytes (the frame checksum). */
 std::uint64_t fnv1a(const void* data, std::size_t size);
 
-/** One replayable event of a shard log. */
+/** One replayable event of a log. */
 struct LogRecord
 {
     enum class Kind : std::uint8_t {
         kInsert = 1, //!< full entry (key + layer + result) at `seq`
-        kEvict = 2,  //!< key only: the entry left the shard
+        kEvict = 2,  //!< key only: the entry left the store
     };
 
     Kind kind = Kind::kInsert;
@@ -74,15 +78,11 @@ bool decodeRecord(std::string_view payload, LogRecord* record);
 /** Frame @p payload exactly as LogWriter::append writes it. */
 std::string frameRecord(const std::string& payload);
 
-/** Outcome of reading one shard file. */
+/** Outcome of reading one log file. */
 struct LogReadResult
 {
     bool ok = false;
     std::string error; //!< set when !ok (unreadable / foreign header)
-    std::vector<LogRecord> records; //!< valid prefix, file order
-    /** Framed on-disk size of each record (parallel to records) — the
-     *  store's live-bytes accounting without re-encoding at replay. */
-    std::vector<std::uint32_t> framed_bytes;
     /** Bad frames dropped at the tail (0 or 1: a torn or bit-flipped
      *  frame ends the readable prefix of an append-only file). */
     std::int64_t records_skipped = 0;
@@ -99,27 +99,19 @@ struct LogReadResult
 };
 
 /**
- * Read and verify @p path front to back. A missing file is ok with
- * zero records (a fresh shard); a foreign or truncated header is a
- * hard error (wrong directory, not a crash); everything after the
- * header recovers per the file comment.
- */
-LogReadResult readLog(const std::string& path);
-
-/**
- * Streaming variant: hand each valid record (and its framed on-disk
- * size) to @p visit in file order instead of accumulating them —
- * replaying a large shard never materializes a second copy of every
- * entry. The result's records/framed_bytes stay empty; everything
- * else (valid_bytes, skip counts, torn_tail, header fields) is filled
- * identically. @p visit returning false stops the scan early (the
- * remaining prefix still counts as valid).
+ * Read and verify @p path front to back, handing each valid record
+ * (and its framed on-disk size, the store's live-bytes accounting) to
+ * @p visit in file order — replaying a large log never materializes a
+ * second copy of every entry. @p visit returning false stops the scan
+ * early. A missing file is ok with zero records (a fresh log); a
+ * foreign or truncated header is a hard error (wrong directory, not a
+ * crash); everything after the header recovers per the file comment.
  */
 LogReadResult readLog(
     const std::string& path,
     const std::function<bool(LogRecord&&, std::uint32_t)>& visit);
 
-/** Append-side handle of one shard file. */
+/** Append-side handle of one log file. */
 class LogWriter
 {
   public:
@@ -132,19 +124,14 @@ class LogWriter
     /**
      * Open @p path for appending, creating it (with a fresh header)
      * when absent. @p valid_bytes — from readLog() — truncates a torn
-     * tail before the first append so a recovered shard never carries
-     * unreachable garbage. @p fsync_each_append: false batches
-     * durability to explicit sync() calls (bulk imports, benches).
+     * tail before the first append so a recovered log never carries
+     * unreachable garbage; below the header size it starts the file
+     * afresh. @p fsync_each_append: false batches durability to
+     * explicit sync() calls (bulk imports, benches).
      */
     Status open(const std::string& path, std::uint32_t shard_index,
                 std::uint32_t num_shards, std::uint64_t valid_bytes,
                 bool fsync_each_append = true);
-
-    /** Open @p path fresh (truncate + new header). */
-    Status openTruncated(const std::string& path,
-                         std::uint32_t shard_index,
-                         std::uint32_t num_shards,
-                         bool fsync_each_append = true);
 
     /** Frame + write @p payload (fsync per the open mode). The record
      *  is durable when this returns ok — publish after, not before. */

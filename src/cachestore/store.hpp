@@ -2,30 +2,25 @@
 
 /**
  * @file
- * PersistentScheduleCache — the schedule cache as a sharded on-disk
- * tier behind the ScheduleCache interface.
+ * PersistentScheduleCache — the schedule cache as an on-disk tier
+ * behind the ScheduleCache interface.
  *
- * The store hashes each cache key's flat fingerprint (canonical layer
- * | arch | scheduler config | evaluator) into K shards. Each shard
- * owns its own append-only log file (see log.hpp), lock, LRU budget
- * and metrics, so shards never contend with each other and N daemon
- * replicas can mount disjoint shard directories — or share one, since
- * every mutation is durable before it is published.
+ * The store is one append-only record log (see log.hpp) behind one
+ * mutex, with one entry map, one LRU list and one seq-ordered scan
+ * index. Every mutation is durable before it is published, so a crash
+ * loses at most the torn tail of the log.
  *
  * Determinism contract (asserted bit-for-bit by the tests): a fixed
  * ScheduleRequest returns byte-identical results whether it runs on
- * the in-memory base cache or this store, at 1 shard or 16, freshly
- * opened or reloaded, before or after torn-tail recovery. The two
- * load-bearing pieces:
- *
- *  - every entry carries a store-global monotonic sequence number
- *    (persisted in its log record; an overwrite keeps the original),
- *    so the per-shard indexes merge back into the exact global
- *    first-insertion order the base cache scans;
- *  - nearestNeighbor() runs that K-way merge over compact per-shard
- *    index vectors through the base cache's NeighborScan — same
- *    candidates, same distance calls, same tie-breaks, so warm-start
- *    quality is identical to the single-map baseline.
+ * the in-memory base cache or this store, freshly opened or reloaded,
+ * before or after torn-tail recovery, and after folding a directory
+ * written in the older sharded layout. The load-bearing piece: every
+ * entry carries a store-global monotonic sequence number (persisted in
+ * its log record; an overwrite keeps the original), and the scan index
+ * visits live entries in ascending seq — the exact first-insertion
+ * order the base cache scans — so nearestNeighbor() through the base
+ * cache's NeighborScan sees the same candidates, makes the same
+ * distance calls and breaks ties the same way.
  *
  * This is the one persistent tier: cosad --cache-dir and the examples'
  * --cache-dir mount it, and its StoreConfig::capacity is the one cache
@@ -33,7 +28,6 @@
  * it for `cosactl cache export|import`.
  */
 
-#include <atomic>
 #include <functional>
 #include <list>
 #include <memory>
@@ -52,15 +46,9 @@ namespace cachestore {
 /** Everything open() needs to mount (or create) a store. */
 struct StoreConfig
 {
-    /** Shard directory (created when missing). */
+    /** Store directory (created when missing). */
     std::string dir;
-    /** Shard count when creating a fresh directory; on reopen it must
-     *  match the directory's manifest (0 = adopt whatever is there,
-     *  defaulting to 8 for a fresh directory). */
-    int num_shards = 0;
-    /** Total LRU entry budget across shards; 0 = unbounded. Bounded
-     *  stores keep at least one entry per shard, so the effective
-     *  bound is max(capacity, num_shards). */
+    /** Exact LRU entry bound; 0 = unbounded. */
     std::int64_t capacity = 0;
     /** fsync every append (write -> fsync -> publish). False batches
      *  durability to sync()/close — for bulk imports and benches. */
@@ -68,7 +56,7 @@ struct StoreConfig
     CompactionPolicy compaction;
 };
 
-/** One shard's live accounting, as /v1/cache/stats reports it. */
+/** The log's live accounting, as /v1/cache/stats reports it. */
 struct ShardStats
 {
     std::int64_t entries = 0;
@@ -86,17 +74,17 @@ struct ShardStats
     bool torn_tail_recovered = false;
 };
 
-/** Store-wide roll-up + per-shard detail. */
+/** Store-wide roll-up + the log's detail. */
 struct StoreStats
 {
     ScheduleCacheStats cache; //!< aggregate, base-cache compatible
     std::string dir;
-    int num_shards = 0;
     std::int64_t capacity = 0;
+    /** Exactly one element: the store's log. */
     std::vector<ShardStats> shards;
 };
 
-/** The sharded persistent tier. Create via open(); thread-safe. */
+/** The persistent tier. Create via open(); thread-safe. */
 class PersistentScheduleCache final
     : public ScheduleCache,
       public std::enable_shared_from_this<PersistentScheduleCache>
@@ -104,15 +92,13 @@ class PersistentScheduleCache final
   public:
     /**
      * Mount @p config.dir: create it (with a manifest) when missing,
-     * otherwise replay every shard log — recovering torn tails per
-     * log.hpp — and resume appending. Fails only on real IO errors or
-     * a layout mismatch (foreign files, manifest shard-count
-     * conflict); crash damage recovers.
+     * otherwise replay the log — recovering a torn tail per log.hpp —
+     * and resume appending. A directory in the older sharded layout is
+     * folded into one log first (docs/cache-store.md). Fails only on
+     * real IO errors or foreign files; crash damage recovers.
      */
     static StatusOr<std::shared_ptr<PersistentScheduleCache>> open(
         StoreConfig config);
-
-    ~PersistentScheduleCache() override;
 
     // --- ScheduleCache interface ------------------------------------
     std::optional<SearchResult> lookup(const ScheduleCacheKey& key)
@@ -157,78 +143,58 @@ class PersistentScheduleCache final
         std::size_t index_slot = 0;
     };
 
-    /** One slot of a shard's seq-ordered scan index. Entry pointers
-     *  stay valid across unrelated map mutations (node-based map);
-     *  an evicted entry tombstones its slot (null). */
-    struct IndexEntry
-    {
-        std::uint64_t seq = 0;
-        StoreEntry* entry = nullptr;
-    };
-
-    struct Shard
-    {
-        mutable std::mutex mutex;
-        std::string path;
-        std::unordered_map<std::string, StoreEntry> entries;
-        /** Ascending seq; the shard's lane of the global NN merge. */
-        std::vector<IndexEntry> index;
-        std::size_t index_tombstones = 0;
-        /** Flat keys by recency, least recent first. Points at the
-         *  entries map's keys (node-based, so stable until erase). */
-        std::list<const std::string*> lru;
-        LogWriter writer;
-        std::uint64_t live_bytes = 0;
-        std::int64_t budget = 0; //!< this shard's LRU bound; 0 = none
-        bool compaction_pending = false;
-
-        std::int64_t hits = 0;
-        std::int64_t misses = 0;
-        std::int64_t inserts = 0;
-        std::int64_t evictions = 0;
-        std::int64_t compactions = 0;
-        std::int64_t records_recovered = 0;
-        std::int64_t records_skipped = 0;
-        bool torn_tail_recovered = false;
-
-        metrics::Counter* hit_counter = nullptr;
-        metrics::Counter* miss_counter = nullptr;
-        metrics::Counter* insert_counter = nullptr;
-        metrics::Counter* evict_counter = nullptr;
-        metrics::Counter* eviction_total = nullptr;
-        metrics::Counter* compaction_counter = nullptr;
-        metrics::Gauge* log_bytes_gauge = nullptr;
-    };
+    using EntryMap = std::unordered_map<std::string, StoreEntry>;
 
     PersistentScheduleCache() = default;
 
     Status openLocked(); //!< open()-time body (no concurrency yet)
-    std::size_t shardOf(const std::string& flat_key) const;
-    /** Per-shard budgets for @p total (effective min: one per shard). */
-    void distributeBudgets(std::int64_t total);
-    void insertOneLocked(Shard& shard, const ScheduleCacheKey& key,
-                         const SearchResult& result, const LayerSpec& layer,
-                         bool log_it);
-    void evictOneLocked(Shard& shard);
-    void enforceBudgetLocked(Shard& shard);
-    void compactIndexLocked(Shard& shard);
-    /** Visit every live entry in ascending seq — the global
-     *  first-insertion order — by a K-way merge of the shard indexes;
-     *  the caller holds every shard lock. */
-    template <typename Visit>
-    void mergeInSeqOrderLocked(Visit&& visit) const;
+    /** Apply one replayed record to the maps. */
+    void replayRecord(LogRecord&& record, std::uint32_t record_bytes);
+    /** Rewrite the replayed K-shard directory as one log; returns the
+     *  log's size. */
+    StatusOr<std::uint64_t> foldShardsLocked(int num_shards,
+                                             const std::string& manifest);
+    /** Unlink @p it from the map, the LRU list and the index. */
+    void eraseLocked(EntryMap::iterator it);
+    void evictOneLocked();
+    void enforceCapacityLocked();
+    /** Drop the index's tombstones (slots of evicted entries). */
+    void compactIndexLocked();
+    /** The live entries' insert records, ascending seq. */
+    std::vector<std::string> livePayloadsLocked() const;
     /** Policy check + inline fold or async dispatch. */
-    void maybeCompactLocked(Shard& shard, std::size_t shard_index);
-    void compactShardLocked(Shard& shard, std::size_t shard_index);
-    void publishLogBytes(Shard& shard);
+    void maybeCompactLocked();
+    void compactLocked();
+    void publishLogBytes();
 
     StoreConfig config_;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::atomic<std::uint64_t> next_seq_{1};
-    std::atomic<std::int64_t> neighbor_hits_{0};
+    std::string path_; //!< the log file
 
-    mutable std::mutex runner_mutex_;
+    mutable std::mutex mutex_;
+    EntryMap entries_;
+    /** Entries by ascending seq — the global first-insertion order.
+     *  Entry pointers stay valid across unrelated map mutations
+     *  (node-based map); an evicted entry tombstones its slot (null). */
+    std::vector<StoreEntry*> index_;
+    std::size_t index_tombstones_ = 0;
+    /** Flat keys by recency, least recent first. Points at the entries
+     *  map's keys (node-based, so stable until erase). */
+    std::list<const std::string*> lru_;
+    LogWriter writer_;
+    std::uint64_t next_seq_ = 1;
+    bool compaction_pending_ = false;
+    /** Counters; entries and log_bytes are filled in by storeStats(). */
+    ShardStats counters_;
+    std::int64_t neighbor_hits_ = 0;
     std::function<void(std::function<void()>)> runner_;
+
+    metrics::Counter* hit_counter_ = nullptr;
+    metrics::Counter* miss_counter_ = nullptr;
+    metrics::Counter* insert_counter_ = nullptr;
+    metrics::Counter* evict_counter_ = nullptr;
+    metrics::Counter* eviction_total_ = nullptr;
+    metrics::Counter* compaction_counter_ = nullptr;
+    metrics::Gauge* log_bytes_gauge_ = nullptr;
 };
 
 } // namespace cachestore

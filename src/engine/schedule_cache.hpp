@@ -24,7 +24,7 @@
  *
  * The in-memory tier lives as long as its process and is unbounded.
  * Solves outlive the process in cachestore::PersistentScheduleCache,
- * the sharded on-disk tier behind this same interface, which also
+ * the on-disk tier behind this same interface, which also
  * carries the one LRU bound (docs/cache-store.md).
  *
  * Thread-safe: a single mutex guards the map and the counters, which is
@@ -54,8 +54,12 @@ struct ScheduleCacheKey
     /** Flat string form used as the map key. */
     std::string flat() const
     {
-        return layer_key + "|" + arch_key + "|" + scheduler_key + "|" +
-               evaluator_key;
+        std::string out;
+        out.reserve(layer_key.size() + arch_key.size() +
+                    scheduler_key.size() + evaluator_key.size() + 3);
+        out.append(layer_key).append("|").append(arch_key).append("|");
+        out.append(scheduler_key).append("|").append(evaluator_key);
+        return out;
     }
 };
 
@@ -124,7 +128,7 @@ class NeighborScan
  *
  * The class is the polymorphic cache interface of the service: every
  * method a job touches is virtual, so a request can mount a different
- * tier (cachestore::PersistentScheduleCache, the sharded on-disk
+ * tier (cachestore::PersistentScheduleCache, the on-disk
  * store) behind the same `std::shared_ptr<ScheduleCache>` without the
  * service knowing. The base class is the process-local in-memory
  * implementation.

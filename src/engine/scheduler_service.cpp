@@ -419,21 +419,26 @@ solveWithFirewall(const ScheduleRequest& req, const LayerSpec& layer,
             .observe(static_cast<double>(retries));
     };
 
+    auto fail = [&](Status cause) {
+        report->outcome = LayerOutcome::kFailed;
+        SearchResult failed;
+        failed.scheduler = schedulerKindName(req.scheduler);
+        failed.status = std::move(cause);
+        return failed;
+    };
+
     if (Status guard = validateSolveInputs(layer, arch); !guard.ok()) {
         // The problem statement itself is poisoned: retrying or falling
         // back would only launder garbage into a "schedule".
         recordFault(guard, "input-validation");
         observeRetries(0);
-        report->outcome = LayerOutcome::kFailed;
-        SearchResult failed;
-        failed.scheduler = schedulerKindName(req.scheduler);
-        failed.status = std::move(guard);
-        return failed;
+        return fail(std::move(guard));
     }
 
     Status last;
     const int max_attempts = 1 + std::max(req.max_solve_retries, 0);
-    for (int attempt = 0; attempt < max_attempts; ++attempt) {
+    int attempt = 0;
+    for (; attempt < max_attempts; ++attempt) {
         SearchResult result;
         Status fault;
         try {
@@ -456,7 +461,13 @@ solveWithFirewall(const ScheduleRequest& req, const LayerSpec& layer,
             last.code() == ErrorCode::kCancelled)
             break;
     }
-    observeRetries(max_attempts - 1);
+    observeRetries(std::min(attempt, max_attempts - 1));
+    if (last.code() == ErrorCode::kInvalidInput) {
+        // The scheduler refused the problem (an exhaustive search too
+        // large to enumerate): like the input guard, a fallback would
+        // pass another scheduler's schedule off as its answer.
+        return fail(std::move(last));
+    }
 
     // Degradation ladder, rung 1: the greedy schedule is constructible
     // for every well-formed problem; score it on the full evaluator.
@@ -504,13 +515,9 @@ solveWithFirewall(const ScheduleRequest& req, const LayerSpec& layer,
                     "random-fallback");
     }
 
-    report->outcome = LayerOutcome::kFailed;
-    SearchResult failed;
-    failed.scheduler = schedulerKindName(req.scheduler);
-    failed.status = last.ok() ? Status(ErrorCode::kInternal,
-                                       "solve failed without a typed cause")
-                              : std::move(last);
-    return failed;
+    return fail(last.ok() ? Status(ErrorCode::kInternal,
+                                   "solve failed without a typed cause")
+                          : std::move(last));
 }
 
 } // namespace

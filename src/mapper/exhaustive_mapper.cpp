@@ -1,6 +1,7 @@
 #include "mapper/exhaustive_mapper.hpp"
 
-#include "common/logging.hpp"
+#include <sstream>
+
 #include "mapper/random_mapper.hpp"
 
 namespace cosa {
@@ -42,8 +43,13 @@ ExhaustiveMapper::schedule(const LayerSpec& layer, const ArchSpec& arch,
     for (int f = 0; f < pool.size(); ++f)
         space *= static_cast<double>(num_slots);
     if (space > static_cast<double>(config_.max_points)) {
-        fatal("exhaustive mapper: assignment space ", space,
-              " exceeds max_points; use a smaller layer");
+        std::ostringstream why;
+        why << "exhaustive mapper: assignment space " << space
+            << " exceeds max_points " << config_.max_points
+            << "; use a smaller layer";
+        result.status = {ErrorCode::kInvalidInput, why.str()};
+        result.stats.search_time_sec = wallTimeSec() - start;
+        return result;
     }
 
     FactorAssignment assignment;

@@ -16,7 +16,8 @@ namespace cosa {
 /** Exhaustive mapper configuration. */
 struct ExhaustiveMapperConfig
 {
-    /** Abort if the assignment space exceeds this many points. */
+    /** Refuse (found = false, kInvalidInput) a layer whose assignment
+     *  space exceeds this many points. */
     std::int64_t max_points = 20'000'000;
     /** Also scan permutations of the NoC level for each assignment. */
     bool permute_noc_level = true;

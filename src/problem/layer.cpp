@@ -59,25 +59,27 @@ LayerSpec::canonicalKey() const
     return oss.str();
 }
 
-LayerSpec
-LayerSpec::fromLabel(const std::string& label, std::int64_t batch)
+StatusOr<LayerSpec>
+LayerSpec::parseLabel(const std::string& label, std::int64_t batch)
 {
+    const auto invalid = [&](const std::string& why) {
+        return Status{ErrorCode::kInvalidInput,
+                      "layer label `" + label + "` " + why};
+    };
     std::vector<std::int64_t> parts;
     std::istringstream iss(label);
     std::string tok;
     while (std::getline(iss, tok, '_')) {
+        std::size_t consumed = 0;
         try {
-            std::size_t consumed = 0;
             parts.push_back(std::stoll(tok, &consumed));
-            if (consumed != tok.size())
-                throw std::invalid_argument(tok);
         } catch (const std::exception&) {
-            fatal("layer label `", label, "` has non-numeric field `",
-                  tok, "`");
         }
+        if (tok.empty() || consumed != tok.size())
+            return invalid("has non-numeric field `" + tok + "`");
     }
     if (parts.size() != 5)
-        fatal("layer label `", label, "` must be R_P_C_K_Stride");
+        return invalid("must be R_P_C_K_Stride");
     LayerSpec spec;
     spec.name = label;
     spec.r = spec.s = parts[0];
@@ -88,11 +90,20 @@ LayerSpec::fromLabel(const std::string& label, std::int64_t batch)
     spec.n = batch;
     for (Dim d : kAllDims) {
         if (spec.bound(d) < 1)
-            fatal("layer label `", label, "` has non-positive bound");
+            return invalid("has non-positive bound");
     }
     if (spec.stride < 1)
-        fatal("layer label `", label, "` has non-positive stride");
+        return invalid("has non-positive stride");
     return spec;
+}
+
+LayerSpec
+LayerSpec::fromLabel(const std::string& label, std::int64_t batch)
+{
+    StatusOr<LayerSpec> spec = parseLabel(label, batch);
+    if (!spec.ok())
+        fatal(spec.status().message());
+    return std::move(spec).value();
 }
 
 FactorPool::FactorPool(const LayerSpec& layer, std::int64_t max_prime)

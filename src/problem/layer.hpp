@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.hpp"
 #include "problem/dims.hpp"
 
 namespace cosa {
@@ -65,9 +66,15 @@ struct LayerSpec
     std::string canonicalKey() const;
 
     /**
-     * Construct from a paper-style label (e.g. "3_14_256_256_1"),
-     * expanding S=R, Q=P, N=batch.
+     * Parse a paper-style label (e.g. "3_14_256_256_1"), expanding
+     * S=R, Q=P, N=batch. kInvalidInput when the label does not have
+     * five integer fields or names a bound or stride below 1.
      */
+    static StatusOr<LayerSpec> parseLabel(const std::string& label,
+                                          std::int64_t batch = 1);
+
+    /** parseLabel(), exiting through fatal() on a malformed label (for
+     *  command-line tools). */
     static LayerSpec fromLabel(const std::string& label,
                                std::int64_t batch = 1);
 

@@ -92,11 +92,10 @@ Daemon::start()
         return Status::Ok();
 
     // Mount the persistent cache tier before the first connection: a
-    // bad shard directory must fail startup, not the first job.
+    // bad store directory must fail startup, not the first job.
     if (!config_.cache_dir.empty() && !cache_) {
         cachestore::StoreConfig store_config;
         store_config.dir = config_.cache_dir;
-        store_config.num_shards = config_.cache_shards;
         store_config.capacity = config_.cache_capacity;
         auto opened =
             cachestore::PersistentScheduleCache::open(store_config);
@@ -816,7 +815,6 @@ Daemon::handleCacheStats(const HandlerTask& task, const std::string& tenant)
     const cachestore::StoreStats stats = cache_->storeStats();
     json::Value v = json::Value::object();
     v.set("dir", stats.dir);
-    v.set("num_shards", static_cast<std::int64_t>(stats.num_shards));
     v.set("capacity", stats.capacity);
     v.set("entries", stats.cache.entries);
     v.set("hits", stats.cache.hits);

@@ -75,16 +75,13 @@ struct DaemonConfig
     std::vector<TenantSpec> tenants;
     /**
      * Persistent schedule-cache tier: when non-empty, start() mounts
-     * (or creates) a cachestore::PersistentScheduleCache on this shard
+     * (or creates) a cachestore::PersistentScheduleCache on this
      * directory and every submitted job with use_cache shares it —
      * solves survive daemon restarts. Empty = per-job private caches
      * (the pre-cachestore behavior).
      */
     std::string cache_dir;
-    /** Shard count for a fresh cache_dir (0 adopts the directory's
-     *  manifest, defaulting to 8). */
-    int cache_shards = 0;
-    /** Total cache LRU entry budget (0 = unbounded). */
+    /** Exact cache LRU entry bound (0 = unbounded). */
     std::int64_t cache_capacity = 0;
 };
 

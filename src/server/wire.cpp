@@ -44,13 +44,10 @@ workloadFromJson(const Value& v)
     for (const Value& item : layers->items()) {
         if (item.isString()) {
             // Paper label convention R_P_C_K_Stride.
-            try {
-                net.layers.push_back(LayerSpec::fromLabel(item.asString()));
-            } catch (const std::exception& e) {
-                return Status{ErrorCode::kInvalidInput,
-                              "bad layer label \"" + item.asString() +
-                                  "\": " + e.what()};
-            }
+            StatusOr<LayerSpec> layer = LayerSpec::parseLabel(item.asString());
+            if (!layer.ok())
+                return layer.status();
+            net.layers.push_back(std::move(layer).value());
             continue;
         }
         if (!item.isObject())

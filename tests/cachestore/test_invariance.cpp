@@ -3,11 +3,13 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cachestore/store.hpp"
 #include "../engine/service_test_util.hpp"
 #include "engine/scheduler_service.hpp"
 #include "server/wire.hpp"
+#include "sharded_layout.hpp"
 
 namespace cosa {
 namespace {
@@ -15,7 +17,8 @@ namespace {
 // The store's acceptance bar: a fixed request produces *byte-identical*
 // wire results no matter which cache tier sits behind the request —
 // private in-memory map, fresh persistent store, warm reloaded store,
-// 1 shard or 16, even a store that just recovered a torn log tail.
+// a store that just recovered a torn log tail, or one folded from a
+// directory of the older sharded layout.
 // resultsToJson is the canonical deterministic serialization, so
 // string equality here is bit-for-bit equality of every mapping and
 // every double in the response.
@@ -47,11 +50,10 @@ runFixedRequest(const std::shared_ptr<ScheduleCache>& cache)
 }
 
 cachestore::StoreConfig
-storeConfig(const std::string& dir, int num_shards)
+storeConfig(const std::string& dir)
 {
     cachestore::StoreConfig config;
     config.dir = dir;
-    config.num_shards = num_shards;
     config.fsync_each_append = false;
     return config;
 }
@@ -71,18 +73,20 @@ TEST(CachestoreInvariance, EveryTierProducesIdenticalWireBytes)
         runFixedRequest(std::make_shared<ScheduleCache>());
     ASSERT_FALSE(baseline.empty());
 
-    // A fresh 1-shard store behaves like the empty base cache.
+    // A fresh store behaves like the empty base cache.
     TempDir dir1("one");
+    std::vector<ScheduleCache::ExportedEntry> solved;
     {
-        auto store = openStore(storeConfig(dir1.path(), 1));
+        auto store = openStore(storeConfig(dir1.path()));
         ASSERT_NE(store, nullptr);
         EXPECT_EQ(runFixedRequest(store), baseline);
+        solved = store->exportEntries();
     }
 
     // Reopening the same directory replays the logs; the warm store
     // answers from disk yet serializes the same bytes.
     {
-        auto warm = openStore(storeConfig(dir1.path(), 1));
+        auto warm = openStore(storeConfig(dir1.path()));
         ASSERT_NE(warm, nullptr);
         EXPECT_GT(warm->size(), 0u);
         EXPECT_EQ(runFixedRequest(warm), baseline);
@@ -90,16 +94,20 @@ TEST(CachestoreInvariance, EveryTierProducesIdenticalWireBytes)
         EXPECT_GT(stats.hits, 0); // it really answered from the cache
     }
 
-    // 16 shards hash the same entries differently on disk; the global
-    // sequence merge keeps the observable behavior identical.
-    TempDir dir16("sixteen");
+    // The same solves written as a 4-shard directory of the older
+    // layout: the fold at open restores the global sequence order, and
+    // the folded store answers from disk with the same bytes.
+    TempDir legacy("legacy");
+    cachestore::test::writeShardedDir(legacy.path(), 4, solved);
     {
-        auto store = openStore(storeConfig(dir16.path(), 16));
-        ASSERT_NE(store, nullptr);
-        EXPECT_EQ(runFixedRequest(store), baseline);
+        auto folded = openStore(storeConfig(legacy.path()));
+        ASSERT_NE(folded, nullptr);
+        EXPECT_EQ(folded->size(), solved.size());
+        EXPECT_EQ(runFixedRequest(folded), baseline);
+        EXPECT_GT(folded->stats().hits, 0);
     }
 
-    // Tear the tail off one warm shard: recovery drops the damaged
+    // Tear the tail off the warm log: recovery drops the damaged
     // record, the service re-solves just that layer, and the response
     // bytes still match.
     const std::string log = dir1.path() + "/shard-0000.log";
@@ -107,7 +115,7 @@ TEST(CachestoreInvariance, EveryTierProducesIdenticalWireBytes)
     ASSERT_GT(size, 17u);
     std::filesystem::resize_file(log, size - 17);
     {
-        auto torn = openStore(storeConfig(dir1.path(), 1));
+        auto torn = openStore(storeConfig(dir1.path()));
         ASSERT_NE(torn, nullptr);
         EXPECT_TRUE(
             torn->storeStats().shards[0].torn_tail_recovered);

@@ -86,6 +86,26 @@ sampleInsert(int i)
     return record;
 }
 
+/** What a streaming readLog() visited, with the scan's outcome. */
+struct Collected
+{
+    LogReadResult read;
+    std::vector<LogRecord> records;
+    std::vector<std::uint32_t> framed_bytes;
+};
+
+Collected
+collect(const std::string& path)
+{
+    Collected out;
+    out.read = readLog(path, [&](LogRecord&& record, std::uint32_t bytes) {
+        out.records.push_back(std::move(record));
+        out.framed_bytes.push_back(bytes);
+        return true;
+    });
+    return out;
+}
+
 void
 expectRecordsEqual(const LogRecord& a, const LogRecord& b)
 {
@@ -185,7 +205,8 @@ TEST(CachestoreLog, WriterProducesReplayableLog)
     ASSERT_TRUE(writer.sync().ok());
     writer.close();
 
-    const LogReadResult read = readLog(file.path());
+    const Collected log = collect(file.path());
+    const LogReadResult& read = log.read;
     ASSERT_TRUE(read.ok) << read.error;
     EXPECT_EQ(read.shard_index, 3u);
     EXPECT_EQ(read.num_shards, 8u);
@@ -193,11 +214,11 @@ TEST(CachestoreLog, WriterProducesReplayableLog)
     EXPECT_FALSE(read.torn_tail);
     EXPECT_EQ(read.valid_bytes,
               std::filesystem::file_size(file.path()));
-    ASSERT_EQ(read.records.size(), originals.size());
-    ASSERT_EQ(read.framed_bytes.size(), originals.size());
+    ASSERT_EQ(log.records.size(), originals.size());
+    ASSERT_EQ(log.framed_bytes.size(), originals.size());
     for (std::size_t i = 0; i < originals.size(); ++i) {
-        expectRecordsEqual(originals[i], read.records[i]);
-        EXPECT_EQ(read.framed_bytes[i],
+        expectRecordsEqual(originals[i], log.records[i]);
+        EXPECT_EQ(log.framed_bytes[i],
                   framedBytes(encodeRecord(originals[i])));
     }
 }
@@ -218,7 +239,6 @@ TEST(CachestoreLog, StreamingVisitorCanStopEarly)
         });
     ASSERT_TRUE(read.ok) << read.error;
     EXPECT_EQ(seen, 3);
-    EXPECT_TRUE(read.records.empty()); // streaming never accumulates
     // The early stop only cut the *visit*, not the valid prefix scan
     // bookkeeping for the records actually visited.
     EXPECT_GT(read.valid_bytes, logHeaderBytes());
@@ -244,26 +264,27 @@ expectTornTailRecovery(
     writer.close();
     mutilate(file.path());
 
-    LogReadResult read = readLog(file.path());
-    ASSERT_TRUE(read.ok) << read.error;
-    EXPECT_EQ(read.records.size(), static_cast<std::size_t>(keep));
-    EXPECT_EQ(read.records_skipped, 1);
-    EXPECT_TRUE(read.torn_tail);
-    EXPECT_EQ(read.valid_bytes, good_bytes);
+    Collected log = collect(file.path());
+    ASSERT_TRUE(log.read.ok) << log.read.error;
+    EXPECT_EQ(log.records.size(), static_cast<std::size_t>(keep));
+    EXPECT_EQ(log.read.records_skipped, 1);
+    EXPECT_TRUE(log.read.torn_tail);
+    EXPECT_EQ(log.read.valid_bytes, good_bytes);
 
     // Reopening the writer at valid_bytes truncates the tail; the log
     // then appends cleanly and replays without damage.
     LogWriter recovered;
     ASSERT_TRUE(
-        recovered.open(file.path(), 0, 1, read.valid_bytes, false).ok());
+        recovered.open(file.path(), 0, 1, log.read.valid_bytes, false)
+            .ok());
     ASSERT_TRUE(recovered.append(encodeRecord(sampleInsert(99))).ok());
     recovered.close();
-    read = readLog(file.path());
-    ASSERT_TRUE(read.ok) << read.error;
-    EXPECT_EQ(read.records.size(), static_cast<std::size_t>(keep) + 1);
-    EXPECT_EQ(read.records_skipped, 0);
-    EXPECT_FALSE(read.torn_tail);
-    EXPECT_EQ(read.records.back().key.arch_key, "simba/pe99");
+    log = collect(file.path());
+    ASSERT_TRUE(log.read.ok) << log.read.error;
+    ASSERT_EQ(log.records.size(), static_cast<std::size_t>(keep) + 1);
+    EXPECT_EQ(log.read.records_skipped, 0);
+    EXPECT_FALSE(log.read.torn_tail);
+    EXPECT_EQ(log.records.back().key.arch_key, "simba/pe99");
 }
 
 TEST(CachestoreLog, RecoversTornMidFrameHeader)
@@ -299,19 +320,41 @@ TEST(CachestoreLog, RecoversBitFlippedTailRecord)
     });
 }
 
+TEST(CachestoreLog, RecoversBitFlipInAnEarlierRecord)
+{
+    // The scan checks frames in pairs: a bad frame must end the prefix
+    // whether it is the first or the second of its pair.
+    for (int bad = 0; bad < 3; ++bad) {
+        expectTornTailRecovery(
+            "bit_flip_" + std::to_string(bad), bad,
+            [bad](const std::string& path) {
+                std::uint64_t at = logHeaderBytes();
+                for (int i = 0; i < bad; ++i)
+                    at += framedBytes(encodeRecord(sampleInsert(i)));
+                std::fstream f(path, std::ios::in | std::ios::out |
+                                         std::ios::binary);
+                f.seekg(static_cast<std::streamoff>(at + 20));
+                char b = 0;
+                f.get(b);
+                f.seekp(static_cast<std::streamoff>(at + 20));
+                f.put(static_cast<char>(b ^ 0x40));
+            });
+    }
+}
+
 TEST(CachestoreLog, MissingFileIsAnEmptyShard)
 {
-    const LogReadResult read = readLog("cosa_cachestore_no_such.log");
-    EXPECT_TRUE(read.ok);
-    EXPECT_TRUE(read.records.empty());
-    EXPECT_EQ(read.valid_bytes, 0u);
+    const Collected log = collect("cosa_cachestore_no_such.log");
+    EXPECT_TRUE(log.read.ok);
+    EXPECT_TRUE(log.records.empty());
+    EXPECT_EQ(log.read.valid_bytes, 0u);
 }
 
 TEST(CachestoreLog, ForeignFileIsAHardError)
 {
     TempLog file("foreign");
     std::ofstream(file.path()) << "definitely not a shard log\n";
-    const LogReadResult read = readLog(file.path());
+    const LogReadResult read = collect(file.path()).read;
     EXPECT_FALSE(read.ok);
     EXPECT_NE(read.error.find("not a cosa cachestore shard log"),
               std::string::npos);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -11,6 +12,7 @@
 #include "cachestore/snapshot.hpp"
 #include "cachestore/store.hpp"
 #include "common/metrics.hpp"
+#include "sharded_layout.hpp"
 
 namespace cosa {
 namespace cachestore {
@@ -33,11 +35,10 @@ class TempDir
 };
 
 StoreConfig
-fastConfig(const std::string& dir, int num_shards = 4)
+fastConfig(const std::string& dir)
 {
     StoreConfig config;
     config.dir = dir;
-    config.num_shards = num_shards;
     config.fsync_each_append = false; // tests churn hundreds of inserts
     return config;
 }
@@ -100,6 +101,73 @@ readAll(const std::string& path)
     return text.str();
 }
 
+/** File names in @p dir, sorted. */
+std::vector<std::string>
+listDir(const std::string& dir)
+{
+    std::vector<std::string> names;
+    for (const auto& file : std::filesystem::directory_iterator(dir))
+        names.push_back(file.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+/** Same entries in the same order, and the same neighbor picks for
+ *  unseen shapes and for shapes excluded as exact pairs. */
+void
+expectSameStore(ScheduleCache& a, ScheduleCache& b)
+{
+    static const char* const kProbes[] = {"3_14_256_256_1", "5_56_64_256_1",
+                                          "1_7_512_2048_1", "11_224_3_32_4"};
+    const auto ea = a.exportEntries();
+    const auto eb = b.exportEntries();
+    ASSERT_EQ(ea.size(), eb.size());
+    for (std::size_t i = 0; i < ea.size(); ++i) {
+        EXPECT_EQ(ea[i].key.flat(), eb[i].key.flat()) << i;
+        EXPECT_EQ(ea[i].layer, eb[i].layer) << i;
+        expectSameResult(ea[i].result, eb[i].result);
+    }
+    for (const char* label : kProbes) {
+        for (int arch = 0; arch < 6; ++arch) {
+            const LayerSpec probe = LayerSpec::fromLabel(label);
+            const std::string arch_key = "simba/pe" + std::to_string(arch);
+            const auto na = a.nearestNeighbor(arch_key, "random/s11",
+                                              "analytical/v1", probe);
+            const auto nb = b.nearestNeighbor(arch_key, "random/s11",
+                                              "analytical/v1", probe);
+            ASSERT_EQ(na.has_value(), nb.has_value()) << label;
+            if (na.has_value())
+                expectSameResult(*na, *nb);
+        }
+    }
+}
+
+/** 50 entries, then overwrites of every seventh. */
+std::vector<ScheduleCache::ExportedEntry>
+insertsWithOverwrites()
+{
+    std::vector<ScheduleCache::ExportedEntry> inserts;
+    for (int i = 0; i < 50; ++i)
+        inserts.push_back(makeEntry(i));
+    for (int i = 0; i < 50; i += 7) {
+        inserts.push_back(makeEntry(i));
+        inserts.back().result.eval.cycles *= 1.25;
+    }
+    return inserts;
+}
+
+/** A one-log store fed @p inserts in order. */
+std::shared_ptr<PersistentScheduleCache>
+oneLogStore(const std::string& dir,
+            const std::vector<ScheduleCache::ExportedEntry>& inserts)
+{
+    auto store = openOrDie(fastConfig(dir));
+    if (store)
+        for (const auto& e : inserts)
+            store->insert(e.key, e.result, e.layer);
+    return store;
+}
+
 TEST(CachestoreStore, InsertLookupPersistsAcrossReopen)
 {
     TempDir dir("reopen");
@@ -128,12 +196,14 @@ TEST(CachestoreStore, InsertLookupPersistsAcrossReopen)
         expectSameResult(e.result, *hit);
     }
     const StoreStats stats = revived->storeStats();
-    std::int64_t recovered = 0;
-    for (const auto& shard : stats.shards) {
-        recovered += shard.records_recovered;
-        EXPECT_FALSE(shard.torn_tail_recovered);
-    }
-    EXPECT_EQ(recovered, static_cast<std::int64_t>(entries.size()));
+    ASSERT_EQ(stats.shards.size(), 1u);
+    EXPECT_EQ(stats.shards[0].records_recovered,
+              static_cast<std::int64_t>(entries.size()));
+    EXPECT_FALSE(stats.shards[0].torn_tail_recovered);
+    EXPECT_EQ(listDir(dir.path()),
+              (std::vector<std::string>{"MANIFEST", "shard-0000.log"}));
+    EXPECT_EQ(readAll(dir.path() + "/MANIFEST"),
+              "cosa-cachestore v1\nshards 1\n");
 }
 
 TEST(CachestoreStore, MatchesBaseCacheBitForBit)
@@ -165,104 +235,132 @@ TEST(CachestoreStore, MatchesBaseCacheBitForBit)
         expectSameResult(*a, *b);
     }
 
-    // Nearest-neighbor scans agree (same candidate, same tie-breaks)
-    // for both unseen shapes and shapes excluded as exact pairs.
-    const char* kProbes[] = {"3_14_256_256_1", "5_56_64_256_1",
-                             "1_7_512_2048_1", "11_224_3_32_4"};
-    for (const char* label : kProbes) {
-        for (int arch = 0; arch < 6; ++arch) {
-            const LayerSpec probe = LayerSpec::fromLabel(label);
-            const std::string arch_key =
-                "simba/pe" + std::to_string(arch);
-            const auto a = base->nearestNeighbor(
-                arch_key, "random/s11", "analytical/v1", probe);
-            const auto b = store->nearestNeighbor(
-                arch_key, "random/s11", "analytical/v1", probe);
-            ASSERT_EQ(a.has_value(), b.has_value()) << label;
-            if (a.has_value())
-                expectSameResult(*a, *b);
-        }
-    }
+    // Insertion order and nearest-neighbor scans agree (same candidate,
+    // same tie-breaks) for both unseen shapes and shapes excluded as
+    // exact pairs.
+    expectSameStore(*base, *store);
     EXPECT_EQ(base->stats().neighbor_hits, store->stats().neighbor_hits);
 }
 
-TEST(CachestoreStore, ShardCountIsInvisible)
+TEST(CachestoreStore, LegacyShardedDirectoryFoldsIntoOneLog)
 {
-    TempDir dir1("shards1");
-    TempDir dir16("shards16");
-    auto one = openOrDie(fastConfig(dir1.path(), 1));
-    auto sixteen = openOrDie(fastConfig(dir16.path(), 16));
+    // The same inserts into a one-log store and into a 4-shard
+    // directory of the older layout.
+    const auto inserts = insertsWithOverwrites();
+    TempDir one_dir("fold_one");
+    auto one = oneLogStore(one_dir.path(), inserts);
     ASSERT_NE(one, nullptr);
-    ASSERT_NE(sixteen, nullptr);
+    TempDir dir("fold_legacy");
+    test::writeShardedDir(dir.path(), 4, inserts);
+    {
+        auto folded = openOrDie(fastConfig(dir.path()));
+        ASSERT_NE(folded, nullptr);
+        expectSameStore(*one, *folded);
+    }
+    // Folded for good: one log under a one-log manifest, and a reopen
+    // replays it to the same store.
+    EXPECT_EQ(listDir(dir.path()),
+              (std::vector<std::string>{"MANIFEST", "shard-0000.log"}));
+    EXPECT_EQ(readAll(dir.path() + "/MANIFEST"),
+              "cosa-cachestore v1\nshards 1\n");
+    auto reopened = openOrDie(fastConfig(dir.path()));
+    ASSERT_NE(reopened, nullptr);
+    expectSameStore(*one, *reopened);
+}
 
-    for (int i = 0; i < 50; ++i) {
-        const auto e = makeEntry(i);
-        one->insert(e.key, e.result, e.layer);
-        sixteen->insert(e.key, e.result, e.layer);
+TEST(CachestoreStore, CrashDuringFoldReopensToTheSameEntries)
+{
+    const auto inserts = insertsWithOverwrites();
+    TempDir one_dir("crash_one");
+    auto one = oneLogStore(one_dir.path(), inserts);
+    ASSERT_NE(one, nullptr);
+    // A fold that crashed after swapping in the folded shard-0000.log,
+    // while the 4-shard manifest and the other old files (all of them,
+    // or all but those already removed) are still in place.
+    TempDir folded_dir("crash_folded");
+    test::writeShardedDir(folded_dir.path(), 4, inserts);
+    ASSERT_NE(openOrDie(fastConfig(folded_dir.path())), nullptr);
+    for (const int removed : {0, 2}) {
+        TempDir dir("crash_legacy" + std::to_string(removed));
+        test::writeShardedDir(dir.path(), 4, inserts);
+        std::filesystem::copy_file(
+            folded_dir.path() + "/shard-0000.log",
+            dir.path() + "/shard-0000.log",
+            std::filesystem::copy_options::overwrite_existing);
+        for (int i = 1; i <= removed; ++i)
+            std::filesystem::remove(dir.path() + "/shard-000" +
+                                    std::to_string(i) + ".log");
+
+        auto recovered = openOrDie(fastConfig(dir.path()));
+        ASSERT_NE(recovered, nullptr);
+        expectSameStore(*one, *recovered);
+        EXPECT_EQ(listDir(dir.path()),
+                  (std::vector<std::string>{"MANIFEST", "shard-0000.log"}));
     }
-    // exportEntries is global first-insertion order — identical
-    // regardless of how keys landed on shards.
-    const auto a = one->exportEntries();
-    const auto b = sixteen->exportEntries();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].key.flat(), b[i].key.flat()) << i;
-        expectSameResult(a[i].result, b[i].result);
+}
+
+TEST(CachestoreStore, CapacityIsAnExactGlobalBound)
+{
+    TempDir dir("exact_bound");
+    StoreConfig config = fastConfig(dir.path());
+    config.capacity = 16;
+    std::vector<ScheduleCache::ExportedEntry> entries;
+    for (int i = 0; i < 17; ++i)
+        entries.push_back(makeEntry(i));
+    {
+        auto store = openOrDie(config);
+        ASSERT_NE(store, nullptr);
+        for (int i = 0; i < 16; ++i)
+            store->insert(entries[i].key, entries[i].result,
+                          entries[i].layer);
+        EXPECT_EQ(store->size(), 16u);
+        EXPECT_EQ(store->stats().evictions, 0);
+
+        // Entry 0 is used again, so entry 1 is the least recently used
+        // and the 17th insert evicts exactly it.
+        ASSERT_TRUE(store->lookup(entries[0].key).has_value());
+        store->insert(entries[16].key, entries[16].result,
+                      entries[16].layer);
+        EXPECT_EQ(store->size(), 16u);
+        EXPECT_EQ(store->stats().evictions, 1);
+        for (int i = 0; i < 17; ++i)
+            EXPECT_EQ(store->contains(entries[i].key), i != 1) << i;
+        ASSERT_TRUE(store->syncAll().ok());
     }
-    // And the NN merge picks the same candidate.
-    const LayerSpec probe = LayerSpec::fromLabel("5_56_64_256_1");
-    const auto na = one->nearestNeighbor("simba/pe1", "random/s11",
-                                         "analytical/v1", probe);
-    const auto nb = sixteen->nearestNeighbor("simba/pe1", "random/s11",
-                                             "analytical/v1", probe);
-    ASSERT_EQ(na.has_value(), nb.has_value());
-    if (na.has_value())
-        expectSameResult(*na, *nb);
+    // The evict record replays: a reopen holds the same 16 entries.
+    auto revived = openOrDie(config);
+    ASSERT_NE(revived, nullptr);
+    EXPECT_EQ(revived->size(), 16u);
+    EXPECT_FALSE(revived->contains(entries[1].key));
 }
 
 TEST(CachestoreStore, EvictionsPersistAndCountInMetrics)
 {
     TempDir dir("evict");
-    StoreConfig config = fastConfig(dir.path(), 2);
+    StoreConfig config = fastConfig(dir.path());
     config.capacity = 10;
-
-    std::int64_t metric_before = 0;
+    // The registry is process-global: read the counter before the churn.
+    const metrics::Counter& evictions =
+        metrics::MetricsRegistry::global().counter(
+            "cosa_cache_evictions_total", "Schedule-cache LRU evictions");
     {
         auto store = openOrDie(config);
         ASSERT_NE(store, nullptr);
-        // Capture the per-shard eviction counters before the churn
-        // (the registry is process-global).
-        for (int s = 0; s < 2; ++s)
-            metric_before +=
-                metrics::MetricsRegistry::global()
-                    .counter("cosa_cache_evictions_total",
-                             "Schedule-cache LRU evictions by shard",
-                             {{"shard", std::to_string(s)}})
-                    .value();
+        const std::int64_t metric_before = evictions.value();
         for (int i = 0; i < 30; ++i) {
             const auto e = makeEntry(i);
             store->insert(e.key, e.result, e.layer);
         }
-        EXPECT_LE(store->size(), 10u);
-        const auto stats = store->stats();
-        EXPECT_GT(stats.evictions, 0);
-
-        std::int64_t metric_after = 0;
-        for (int s = 0; s < 2; ++s)
-            metric_after +=
-                metrics::MetricsRegistry::global()
-                    .counter("cosa_cache_evictions_total",
-                             "Schedule-cache LRU evictions by shard",
-                             {{"shard", std::to_string(s)}})
-                    .value();
-        EXPECT_EQ(metric_after - metric_before, stats.evictions);
+        EXPECT_EQ(store->size(), 10u);
+        EXPECT_EQ(store->stats().evictions, 20);
+        EXPECT_EQ(evictions.value() - metric_before, 20);
         ASSERT_TRUE(store->syncAll().ok());
     }
     // Evict records replayed: the reopened store holds exactly the
     // survivors, not the evicted keys.
     auto revived = openOrDie(config);
     ASSERT_NE(revived, nullptr);
-    EXPECT_LE(revived->size(), 10u);
+    EXPECT_EQ(revived->size(), 10u);
     EXPECT_EQ(revived->stats().entries,
               static_cast<std::int64_t>(revived->size()));
 }
@@ -272,7 +370,7 @@ TEST(CachestoreStore, EvictionKeepsNearestNeighborConsistent)
     // After an eviction, nearest-neighbor scans must only see live
     // entries, in this process and after a reopen replays the evict.
     TempDir dir("evict_nn");
-    StoreConfig config = fastConfig(dir.path(), 1);
+    StoreConfig config = fastConfig(dir.path());
     config.capacity = 1;
     const LayerSpec a = LayerSpec::fromLabel("3_14_256_256_1");
     const LayerSpec b = LayerSpec::fromLabel("3_14_256_512_1");
@@ -326,10 +424,9 @@ TEST(CachestoreStore, TextSnapshotRoundTripsBothWays)
         expectSameResult(e.result, *hit);
     }
 
-    // v3 text -> a fresh store with another shard count, the layout
-    // change the shard-mismatch error sends operators through; its
-    // re-export is byte-identical to the first.
-    auto imported = openOrDie(fastConfig(dir.path() + "/imported", 16));
+    // v3 text -> a fresh store; its re-export is byte-identical to the
+    // first.
+    auto imported = openOrDie(fastConfig(dir.path() + "/imported"));
     ASSERT_NE(imported, nullptr);
     const auto merged = importSnapshot(snapshot, *imported);
     ASSERT_TRUE(merged.ok) << merged.error;
@@ -343,7 +440,7 @@ TEST(CachestoreStore, TextSnapshotRoundTripsBothWays)
 TEST(CachestoreStore, CompactionBoundsLogUnderChurn)
 {
     TempDir dir("churn");
-    StoreConfig config = fastConfig(dir.path(), 2);
+    StoreConfig config = fastConfig(dir.path());
     config.capacity = 20;
     config.compaction.min_bytes = 4 * 1024;
     auto store = openOrDie(config);
@@ -356,18 +453,11 @@ TEST(CachestoreStore, CompactionBoundsLogUnderChurn)
             store->insert(e.key, e.result, e.layer);
         }
 
-    const StoreStats stats = store->storeStats();
-    std::int64_t compactions = 0;
-    std::uint64_t log_bytes = 0, live_bytes = 0;
-    for (const auto& shard : stats.shards) {
-        compactions += shard.compactions;
-        log_bytes += shard.log_bytes;
-        live_bytes += shard.live_bytes;
-    }
-    EXPECT_GT(compactions, 0);
+    const ShardStats log = store->storeStats().shards[0];
+    EXPECT_GT(log.compactions, 0);
     // The fold keeps dead weight below ~garbage_ratio x live (plus
-    // headers and the records appended since the last fold).
-    EXPECT_LT(log_bytes, live_bytes * 4 + 64 * 1024);
+    // the header and the records appended since the last fold).
+    EXPECT_LT(log.log_bytes, log.live_bytes * 4 + 64 * 1024);
 
     // The folded generation still replays to the same live set.
     const auto before = store->exportEntries();
@@ -386,7 +476,7 @@ TEST(CachestoreStore, StaleCompactionTempIsIgnoredAndRemoved)
 {
     TempDir dir("staletmp");
     {
-        auto store = openOrDie(fastConfig(dir.path(), 2));
+        auto store = openOrDie(fastConfig(dir.path()));
         ASSERT_NE(store, nullptr);
         for (int i = 0; i < 10; ++i) {
             const auto e = makeEntry(i);
@@ -401,7 +491,7 @@ TEST(CachestoreStore, StaleCompactionTempIsIgnoredAndRemoved)
     std::ofstream(tmp, std::ios::binary) << "half-written generation";
     ASSERT_TRUE(std::filesystem::exists(tmp));
 
-    auto revived = openOrDie(fastConfig(dir.path(), 2));
+    auto revived = openOrDie(fastConfig(dir.path()));
     ASSERT_NE(revived, nullptr);
     EXPECT_EQ(revived->size(), 10u);
     EXPECT_FALSE(std::filesystem::exists(tmp));
@@ -412,7 +502,7 @@ TEST(CachestoreStore, TornShardTailRecoversOnReopen)
     TempDir dir("torntail");
     std::vector<ScheduleCache::ExportedEntry> entries;
     {
-        auto store = openOrDie(fastConfig(dir.path(), 1));
+        auto store = openOrDie(fastConfig(dir.path()));
         ASSERT_NE(store, nullptr);
         for (int i = 0; i < 12; ++i) {
             entries.push_back(makeEntry(i));
@@ -426,7 +516,7 @@ TEST(CachestoreStore, TornShardTailRecoversOnReopen)
     const auto size = std::filesystem::file_size(log);
     std::filesystem::resize_file(log, size - 13);
 
-    auto revived = openOrDie(fastConfig(dir.path(), 1));
+    auto revived = openOrDie(fastConfig(dir.path()));
     ASSERT_NE(revived, nullptr);
     EXPECT_EQ(revived->size(), entries.size() - 1);
     const StoreStats stats = revived->storeStats();
@@ -446,26 +536,10 @@ TEST(CachestoreStore, TornShardTailRecoversOnReopen)
     revived->insert(extra.key, extra.result, extra.layer);
     ASSERT_TRUE(revived->syncAll().ok());
     revived.reset();
-    auto third = openOrDie(fastConfig(dir.path(), 1));
+    auto third = openOrDie(fastConfig(dir.path()));
     ASSERT_NE(third, nullptr);
     EXPECT_EQ(third->size(), entries.size());
     EXPECT_FALSE(third->storeStats().shards[0].torn_tail_recovered);
-}
-
-TEST(CachestoreStore, ShardCountMismatchIsAHardError)
-{
-    TempDir dir("mismatch");
-    {
-        auto store = openOrDie(fastConfig(dir.path(), 4));
-        ASSERT_NE(store, nullptr);
-    }
-    auto reopened = PersistentScheduleCache::open(fastConfig(dir.path(), 8));
-    EXPECT_FALSE(reopened.ok());
-
-    // num_shards = 0 adopts whatever the manifest says.
-    auto adopted = openOrDie(fastConfig(dir.path(), 0));
-    ASSERT_NE(adopted, nullptr);
-    EXPECT_EQ(adopted->storeStats().num_shards, 4);
 }
 
 } // namespace

@@ -128,6 +128,14 @@ TEST(RequestFromJson, RejectsBadInputsWithInvalidInput)
                  "hybrid": {"num_thread": 2}})",
              R"({"workloads": ["alexnet"], "arch": "simba",
                  "exhaustive": {"max_point": 10}})",
+             R"({"workloads": [{"name": "x", "layers": ["3_14_abc_32_1"]}],
+                 "arch": "simba"})", // non-numeric field
+             R"({"workloads": [{"name": "x", "layers": ["3_14_32"]}],
+                 "arch": "simba"})", // three fields
+             R"({"workloads": [{"name": "x", "layers": ["3_0_32_32_1"]}],
+                 "arch": "simba"})", // zero bound
+             R"({"workloads": [{"name": "x", "layers": ["3_14_32_32_0"]}],
+                 "arch": "simba"})", // zero stride
              R"([1,2,3])",
          }) {
         StatusOr<ScheduleRequest> decoded =

@@ -18,13 +18,14 @@
  *   cache stats       the daemon's persistent-cache tier stats
  *                     (GET /v1/cache/stats; 404 without --cache-dir)
  *   cache export DIR FILE
- *                     open the binary shard directory DIR locally and
- *                     write its live entries as a v3 text snapshot
+ *                     open the store directory DIR locally and write
+ *                     its live entries as a v3 text snapshot (DIR must
+ *                     hold a store: export creates nothing)
  *   cache import FILE DIR
- *                     merge a v3 text snapshot into the binary shard
- *                     directory DIR (created when missing)
+ *                     merge a v3 text snapshot into the store directory
+ *                     DIR (created when missing)
  *
- * cache export/import run locally against the shard directory — stop
+ * cache export/import run locally against the store directory — stop
  * any daemon using it first. The API key may also come from
  * COSAD_API_KEY. Exit status is 0 on a 2xx answer, 1 otherwise (error
  * bodies print to stderr).
@@ -32,6 +33,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -138,12 +140,16 @@ runLocal(const std::string& text)
     return 0;
 }
 
-/** `cache export|import`: binary shard directory <-> v3 text
- *  snapshot, run locally (no daemon may be using the directory). */
+/** `cache export|import`: store directory <-> v3 text snapshot, run
+ *  locally (no daemon may be using the directory). */
 int
 runCacheCopy(const std::string& verb, const std::string& dir,
              const std::string& file)
 {
+    // Opening a store creates a missing one, which only import wants.
+    if (verb == "export" &&
+        !std::filesystem::exists(std::filesystem::path(dir) / "MANIFEST"))
+        fatal("cannot export '", dir, "': not a cache store (no MANIFEST)");
     cachestore::StoreConfig config;
     config.dir = dir;
     // Bulk path: batch durability to the final syncAll().

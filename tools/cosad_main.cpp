@@ -4,19 +4,17 @@
  *
  *   cosad [--host H] [--port P] [--threads N] [--handlers N]
  *         [--tenants FILE] [--max-queued N] [--max-inflight N]
- *         [--aging-sec S] [--cache-dir DIR] [--cache-shards K]
- *         [--cache-capacity N]
+ *         [--aging-sec S] [--cache-dir DIR] [--cache-capacity N]
  *
  * --port 0 (the default) binds an ephemeral port and prints it, which
  * is what the smoke tests use. --tenants points at the JSON tenant
  * config (see docs/serving-daemon.md); the COSAD_TENANTS environment
  * variable overrides file entries of the same name. With no tenants
  * configured the daemon runs open (single "default" tenant, no
- * quota). --cache-dir mounts the persistent sharded schedule cache
- * (docs/cache-store.md) so solves survive restarts; --cache-shards
- * sets the shard count for a fresh directory and --cache-capacity
- * bounds the LRU entry count (0 = unbounded). SIGINT/SIGTERM shut
- * down cleanly.
+ * quota). --cache-dir mounts the persistent schedule cache
+ * (docs/cache-store.md) so solves survive restarts; --cache-capacity
+ * bounds its LRU entry count exactly (0 = unbounded). SIGINT/SIGTERM
+ * shut down cleanly.
  */
 
 #include <csignal>
@@ -72,8 +70,6 @@ main(int argc, char** argv)
             config.service.aging_sec = std::atof(argv[++a]);
         } else if (want("--cache-dir")) {
             config.cache_dir = argv[++a];
-        } else if (want("--cache-shards")) {
-            config.cache_shards = std::atoi(argv[++a]);
         } else if (want("--cache-capacity")) {
             config.cache_capacity = std::atoll(argv[++a]);
         } else {
