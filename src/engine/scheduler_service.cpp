@@ -353,13 +353,8 @@ fallbackCounter(const char* stage)
 Status
 validateSolveInputs(const LayerSpec& layer, const ArchSpec& arch)
 {
-    for (std::int64_t dim :
-         {layer.r, layer.s, layer.p, layer.q, layer.c, layer.k, layer.n,
-          layer.stride}) {
-        if (dim < 1)
-            return {ErrorCode::kInvalidInput,
-                    "layer " + layer.name + " has a non-positive dimension"};
-    }
+    if (Status positive = layer.checkPositive(); !positive.ok())
+        return positive;
     auto finite = [](double v) { return std::isfinite(v); };
     for (const MemLevelSpec& level : arch.levels) {
         if (!finite(level.energy_pj_per_byte) ||

@@ -88,13 +88,24 @@ LayerSpec::parseLabel(const std::string& label, std::int64_t batch)
     spec.k = parts[3];
     spec.stride = parts[4];
     spec.n = batch;
-    for (Dim d : kAllDims) {
-        if (spec.bound(d) < 1)
-            return invalid("has non-positive bound");
-    }
-    if (spec.stride < 1)
-        return invalid("has non-positive stride");
+    if (Status positive = spec.checkPositive(); !positive.ok())
+        return positive;
     return spec;
+}
+
+Status
+LayerSpec::checkPositive() const
+{
+    for (Dim d : kAllDims) {
+        if (bound(d) < 1)
+            return {ErrorCode::kInvalidInput,
+                    "layer `" + name + "` has non-positive bound " +
+                        dimName(d)};
+    }
+    if (stride < 1)
+        return {ErrorCode::kInvalidInput,
+                "layer `" + name + "` has non-positive stride"};
+    return Status::Ok();
 }
 
 LayerSpec

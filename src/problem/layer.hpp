@@ -65,6 +65,11 @@ struct LayerSpec
      */
     std::string canonicalKey() const;
 
+    /** kInvalidInput naming the first loop bound or the stride below 1;
+     *  Ok otherwise. Every way a layer enters (label, wire object,
+     *  in-process solve) runs this one check. */
+    Status checkPositive() const;
+
     /**
      * Parse a paper-style label (e.g. "3_14_256_256_1"), expanding
      * S=R, Q=P, N=batch. kInvalidInput when the label does not have

@@ -177,6 +177,12 @@ Daemon::stop()
     if (!running_.exchange(false, std::memory_order_acq_rel))
         return;
     wake();
+    {
+        // A handler between its predicate check and its wait holds
+        // queue_mutex_; taking it here orders the store before that
+        // wait, so the notify below cannot be lost.
+        std::lock_guard<std::mutex> lock(queue_mutex_);
+    }
     queue_cv_.notify_all();
     if (loop_thread_.joinable())
         loop_thread_.join();

@@ -65,6 +65,8 @@ workloadFromJson(const Value& v)
         layer.stride = item.getInt("stride", 1);
         if (layer.name.empty())
             layer.name = layer.label();
+        if (Status positive = layer.checkPositive(); !positive.ok())
+            return positive;
         net.layers.push_back(std::move(layer));
     }
     return net;

@@ -1,9 +1,8 @@
 #include "solver/basis_lu.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <functional>
-#include <numeric>
 
 #include "common/logging.hpp"
 
@@ -77,10 +76,12 @@ BasisLu::factorize(int m, std::span<const std::int64_t> col_start,
     pcol_.assign(static_cast<std::size_t>(m), -1);
     l_start_.assign(1, 0);
     l_entries_.clear();
+    l_steps_.clear();
     u_diag_.assign(static_cast<std::size_t>(m), 0.0);
     u_start_.assign(1, 0);
     u_entries_.clear();
     work_.assign(static_cast<std::size_t>(m), 0.0);
+    eta_scratch_.resize(static_cast<std::size_t>(m));
 
     const auto um = static_cast<std::size_t>(m);
     auto basisColumn = [&](std::size_t j) {
@@ -111,22 +112,26 @@ BasisLu::factorize(int m, std::span<const std::int64_t> col_start,
     }
     std::vector<std::uint8_t> col_active(um, 1);
 
-    // Zero-cost candidates: a min-heap of columns that may hold an
+    // Zero-cost candidates: a bitset of columns that may hold an
     // eligible entry of Markowitz cost 0 (a column singleton, or an
     // entry alone in its row). Every active column that holds one is
-    // queued, so popping in index order lands on the column where a
+    // queued, so popping the lowest set bit lands on the column where a
     // full scan in column order would stop. A popped column without
     // one is dropped until an event re-queues it: an update of the
-    // column itself, or a row of it whose count falls to 1.
-    std::vector<std::int32_t> heap(um);
-    std::iota(heap.begin(), heap.end(), 0); // ascending: a valid min-heap
-    std::vector<std::uint8_t> queued(um, 1);
+    // column itself, or a row of it whose count falls to 1. Only active
+    // columns are queued, and a column is deactivated only after its
+    // pop or, for a nucleus pivot, when the queue is empty, so every
+    // queued column is active.
+    const std::size_t words = (um + 63) / 64;
+    std::vector<std::uint64_t> queued(words, ~std::uint64_t{0});
+    if (um % 64 != 0)
+        queued.back() = (std::uint64_t{1} << (um % 64)) - 1;
+    std::size_t low_word = 0; // no queued column below this word
     auto enqueue = [&](int j) {
         const auto k = static_cast<std::size_t>(j);
-        if (col_active[k] && !queued[k]) {
-            queued[k] = 1;
-            heap.push_back(j);
-            std::push_heap(heap.begin(), heap.end(), std::greater<>());
+        if (col_active[k]) {
+            queued[k / 64] |= std::uint64_t{1} << (k % 64);
+            low_word = std::min(low_word, k / 64);
         }
     };
     auto enqueueRow = [&](int row) {
@@ -188,13 +193,15 @@ BasisLu::factorize(int m, std::span<const std::int64_t> col_start,
         // Singletons first: the lowest queued column with a zero-cost
         // entry, scanned exactly as the full scan would.
         Pivot best;
-        while (!heap.empty() && best.row < 0) {
-            std::pop_heap(heap.begin(), heap.end(), std::greater<>());
-            const int j = heap.back();
-            heap.pop_back();
-            queued[static_cast<std::size_t>(j)] = 0;
-            if (!col_active[static_cast<std::size_t>(j)])
-                continue;
+        while (best.row < 0) {
+            while (low_word < words && queued[low_word] == 0)
+                ++low_word;
+            if (low_word == words)
+                break;
+            std::uint64_t& word = queued[low_word];
+            const int j =
+                static_cast<int>(low_word * 64) + std::countr_zero(word);
+            word &= word - 1;
             if (acols.len[static_cast<std::size_t>(j)] == 0)
                 return false; // structurally singular
             best.cost = 1; // accept cost 0 only
@@ -235,6 +242,8 @@ BasisLu::factorize(int m, std::span<const std::int64_t> col_start,
         }
         l_entries_.insert(l_entries_.end(), mult.begin(), mult.end());
         l_start_.push_back(static_cast<std::int64_t>(l_entries_.size()));
+        if (!mult.empty())
+            l_steps_.push_back(k);
         acols.len[static_cast<std::size_t>(pc)] = 0;
 
         // Walk the pivot row's pattern once: each live entry (pr, j)
@@ -247,12 +256,22 @@ BasisLu::factorize(int m, std::span<const std::int64_t> col_start,
         for (std::int32_t j : prow_cols) {
             if (!col_active[static_cast<std::size_t>(j)])
                 continue;
-            const Entry* pivot_entry = columnEntry(j, pr);
+            Entry* const pivot_entry = columnEntry(j, pr);
             if (pivot_entry == nullptr)
                 continue; // cancelled earlier; stale pattern id
             const double urj = pivot_entry->value;
             u_entries_.push_back({j, urj});
             enqueue(j);
+            if (mult.empty()) {
+                // A column-singleton pivot eliminates no row: the update
+                // below would only drop the pivot row's entry, so erase
+                // it in place (same entries, same order).
+                const std::span<Entry> col = acols.list(j);
+                std::copy(pivot_entry + 1, col.data() + col.size(),
+                          pivot_entry);
+                --acols.len[static_cast<std::size_t>(j)];
+                continue;
+            }
 
             // Column update: a[:,j] -= urj * mult[:], dropping the
             // pivot row's entry and cancellation noise, inserting
@@ -320,8 +339,9 @@ BasisLu::ftran(double* x) const
 {
     COSA_ASSERT(factorized_, "ftran before a successful factorization");
     // Forward solve L z = P x, accumulating in the original row space:
-    // after step k, x[prow_k] holds z_k.
-    for (int k = 0; k < m_; ++k) {
+    // after step k, x[prow_k] holds z_k. Steps with an empty L column
+    // change nothing, so only l_steps_ are visited.
+    for (const std::int32_t k : l_steps_) {
         const double zk = x[prow_[static_cast<std::size_t>(k)]];
         if (zk != 0.0) {
             const std::int64_t b = l_start_[static_cast<std::size_t>(k)];
@@ -381,15 +401,23 @@ BasisLu::btran(double* y) const
     for (int k = 0; k < m_; ++k)
         work_[static_cast<std::size_t>(k)] =
             y[pcol_[static_cast<std::size_t>(k)]];
-    // Forward solve U^T s = w in step space.
+    // Forward solve U^T s = w in step space. A zero w_k skips its
+    // division and its scatter, but keeps the zero signed as the
+    // division would sign it: w_k * d is -w_k for a negative diagonal
+    // (d is finite and nonzero). The factor oracle compares with
+    // memcmp, where +0 and -0 differ.
     for (int k = 0; k < m_; ++k) {
-        const double sk = work_[static_cast<std::size_t>(k)] /
-                          u_diag_[static_cast<std::size_t>(k)];
-        work_[static_cast<std::size_t>(k)] = sk;
+        const auto uk = static_cast<std::size_t>(k);
+        const double v = work_[uk];
+        if (v == 0.0) {
+            work_[uk] = v * u_diag_[uk];
+            continue;
+        }
+        const double sk = v / u_diag_[uk];
+        work_[uk] = sk;
         if (sk != 0.0) {
-            const std::int64_t b = u_start_[static_cast<std::size_t>(k)];
-            const std::int64_t e =
-                u_start_[static_cast<std::size_t>(k) + 1];
+            const std::int64_t b = u_start_[uk];
+            const std::int64_t e = u_start_[uk + 1];
             for (std::int64_t t = b; t < e; ++t) {
                 const Entry& ue = u_entries_[static_cast<std::size_t>(t)];
                 work_[static_cast<std::size_t>(ue.index)] -=
@@ -399,16 +427,23 @@ BasisLu::btran(double* y) const
     }
     // Back solve L^T y' = s into the original row space: L's column k
     // only references rows eliminated later, so descending steps have
-    // their dependencies already final.
-    for (int k = m_ - 1; k >= 0; --k) {
-        double acc = work_[static_cast<std::size_t>(k)];
-        const std::int64_t b = l_start_[static_cast<std::size_t>(k)];
-        const std::int64_t e = l_start_[static_cast<std::size_t>(k) + 1];
-        for (std::int64_t t = b; t < e; ++t) {
-            const Entry& le = l_entries_[static_cast<std::size_t>(t)];
+    // their dependencies already final. A step with an empty L column
+    // reads nothing and writes s_k, so every row first takes its s_k,
+    // and the steps in l_steps_ then overwrite theirs in descending
+    // order.
+    for (int k = 0; k < m_; ++k)
+        y[prow_[static_cast<std::size_t>(k)]] =
+            work_[static_cast<std::size_t>(k)];
+    for (std::size_t t = l_steps_.size(); t-- > 0;) {
+        const auto uk = static_cast<std::size_t>(l_steps_[t]);
+        double acc = work_[uk];
+        const std::int64_t b = l_start_[uk];
+        const std::int64_t e = l_start_[uk + 1];
+        for (std::int64_t t2 = b; t2 < e; ++t2) {
+            const Entry& le = l_entries_[static_cast<std::size_t>(t2)];
             acc -= le.value * y[le.index];
         }
-        y[prow_[static_cast<std::size_t>(k)]] = acc;
+        y[prow_[uk]] = acc;
     }
 }
 
@@ -416,15 +451,35 @@ void
 BasisLu::update(int p, const double* w)
 {
     COSA_ASSERT(factorized_, "eta update before a factorization");
-    // One pass over w: its max magnitude and the off-diagonal entries.
-    const auto first = static_cast<std::int64_t>(eta_entries_.size());
-    double max_abs = 0.0;
-    for (int i = 0; i < m_; ++i) {
-        max_abs = std::max(max_abs, std::abs(w[i]));
-        if (i != p && w[i] != 0.0)
-            eta_entries_.push_back({i, w[i]});
+    // ||w||_inf over four independent max chains: max is exact and
+    // ignores a NaN operand whatever the grouping, so the value is the
+    // serial chain's.
+    const int m = m_;
+    double max4[4] = {0.0, 0.0, 0.0, 0.0};
+    int i = 0;
+    for (; i + 4 <= m; i += 4) {
+        for (int t = 0; t < 4; ++t)
+            max4[t] = std::max(max4[t], std::abs(w[i + t]));
     }
-    const auto off = static_cast<std::int64_t>(eta_entries_.size()) - first;
+    for (; i < m; ++i)
+        max4[0] = std::max(max4[0], std::abs(w[i]));
+    const double max_abs =
+        std::max(std::max(max4[0], max4[1]), std::max(max4[2], max4[3]));
+    // The off-diagonal nonzeros of w in index order, compacted without
+    // a branch per entry: every entry is written, and the cursor moves
+    // past the nonzero ones.
+    Entry* const out = eta_scratch_.data();
+    std::size_t off_count = 0;
+    const auto compact = [&](int begin, int end) {
+        for (int t = begin; t < end; ++t) {
+            out[off_count] = {t, w[t]};
+            off_count += w[t] != 0.0;
+        }
+    };
+    compact(0, p);
+    compact(p + 1, m);
+    eta_entries_.insert(eta_entries_.end(), out, out + off_count);
+    const auto off = static_cast<std::int64_t>(off_count);
     eta_nnz_ += off + 1;
     ++stats_.eta_updates;
     if (std::abs(w[p]) < kEtaStabilityTol * max_abs) {

@@ -173,6 +173,9 @@ class BasisLu
      *  (original row, multiplier) entries of L's column k. */
     std::vector<std::int64_t> l_start_;
     std::vector<Entry> l_entries_;
+    /** Steps whose L column is non-empty, ascending: the only steps
+     *  the L solves have work for. */
+    std::vector<std::int32_t> l_steps_;
     /** U stored by pivot row: u_start_[k]..u_start_[k+1] are the
      *  (step index, value) entries right of the diagonal. */
     std::vector<double> u_diag_;
@@ -187,6 +190,7 @@ class BasisLu
     std::int64_t factor_nnz_ = 0;
 
     mutable std::vector<double> work_; //!< length-m solve scratch
+    std::vector<Entry> eta_scratch_;   //!< length-m update scratch
 
     Stats stats_;
 };

@@ -78,7 +78,9 @@ Simplex::Simplex(const LpProblem& prob)
     work_rho_.assign(m_, 0.0);
     xb_.assign(m_, 0.0);
     work_col_.assign(m_, 0.0);
-    work_row_.assign(total_, 0.0);
+    work_row_.assign(num_structural_, 0.0);
+    rho_rows_.reserve(m_);
+    viol_rows_.assign(m_, 0);
     dual_y_.assign(m_, 0.0);
     redcost_.assign(total_, 0.0);
 }
@@ -141,10 +143,12 @@ Simplex::refactorize()
     trace::Span span("simplex.refactorize", "solver", /*fine=*/true);
     COSA_FAILPOINT("simplex.factorize", ErrorCode::kSingularBasis);
     // Gather the basis columns (implicit unit columns included) into
-    // one flat CSC and hand it to the Markowitz LU; cost scales with
-    // fill, not m^3.
-    std::vector<std::int64_t> start{0};
-    std::vector<BasisLu::Entry> entries;
+    // one flat CSC, in buffers kept across calls, and hand it to the
+    // Markowitz LU; cost scales with fill, not m^3.
+    std::vector<std::int64_t>& start = basis_start_;
+    std::vector<BasisLu::Entry>& entries = basis_entries_;
+    start.assign(1, 0);
+    entries.clear();
     for (int col = 0; col < m_; ++col) {
         const int j = basic_[col];
         if (j < num_structural_) {
@@ -182,27 +186,25 @@ void
 Simplex::btranRow(int r)
 {
     // rho = e_r B^-1 (one BTRAN of the unit vector e_r), then
-    // work_row_[j] = rho . A_j for every column. The structural part
-    // walks the CSR rows with rho_i != 0 in ascending order, so each
-    // sum adds the nonzero terms a column-wise dot product would, in
-    // the same order; the skipped terms are exact +-0 additions to a
-    // sum that starts at +0. Slack and artificial columns are unit
-    // vectors, so their entry is a single rho element.
+    // work_row_[j] = rho . A_j for every structural column, walking the
+    // CSR rows with rho_i != 0 in ascending order, so each sum adds the
+    // nonzero terms a column-wise dot product would, in the same order;
+    // the skipped terms are exact +-0 additions to a sum that starts at
+    // +0. Slack and artificial columns are unit vectors: their entry is
+    // a single rho element, nonzero only on rho_rows_.
     std::fill(work_rho_.begin(), work_rho_.end(), 0.0);
     work_rho_[r] = 1.0;
     lu_.btran(work_rho_.data());
     const double* rho = work_rho_.data();
-    std::fill_n(work_row_.begin(), num_structural_, 0.0);
+    std::fill(work_row_.begin(), work_row_.end(), 0.0);
+    rho_rows_.clear();
     for (int i = 0; i < m_; ++i) {
         const double rho_i = rho[i];
         if (rho_i == 0.0)
             continue;
+        rho_rows_.push_back(i);
         for (const SparseMatrix::Entry& e : matrix_->row(i))
             work_row_[e.index] += rho_i * e.value;
-    }
-    for (int k = 0; k < m_; ++k) {
-        work_row_[num_structural_ + k] = rho[k];
-        work_row_[n_ + k] = art_sign_[k] * rho[k];
     }
 }
 
@@ -558,11 +560,23 @@ Simplex::dualLoop()
         }
 
         // Leaving row: most bound-violating basic variable (or the
-        // first violating row under the anti-cycling rule).
-        int r = -1;
-        double worst = 1e-7;
-        int s = 0;
+        // first violating row under the anti-cycling rule). Only a row
+        // violated by more than the floor can win or move the
+        // incumbent, so the selection runs over those rows alone, in
+        // ascending order.
+        constexpr double kViolationFloor = 1e-7;
+        std::size_t violated = 0;
         for (int i = 0; i < m_; ++i) {
+            const int bj = basic_[i];
+            viol_rows_[violated] = i;
+            violated += (lb_[bj] - xb_[i] > kViolationFloor) |
+                        (xb_[i] - ub_[bj] > kViolationFloor);
+        }
+        int r = -1;
+        double worst = kViolationFloor;
+        int s = 0;
+        for (std::size_t t = 0; t < violated; ++t) {
+            const int i = viol_rows_[t];
             const int bj = basic_[i];
             const double below = lb_[bj] - xb_[i];
             const double above = xb_[i] - ub_[bj];
@@ -588,20 +602,27 @@ Simplex::dualLoop()
         }
 
         btranRow(r);
+        const double* rho = work_rho_.data();
 
         // Entering column: dual ratio test (lowest index under Bland).
+        // It visits every column whose pivot-row entry can be nonzero,
+        // in ascending order: the structural columns, then the slack
+        // and then the artificial column of each row in rho_rows_. The
+        // columns it skips hold an exact zero and are never candidates.
         int q = -1;
         double best_theta = kInf;
         double best_a = 0.0;
-        for (int j = 0; j < total_; ++j) {
+        double alpha_q = 0.0; // pivot-row entry of column q
+        // Returns true when the anti-cycling rule stops the test at j.
+        const auto consider = [&](int j, double alpha) {
             if (state_[j] == kBasic || ub_[j] - lb_[j] < kTol)
-                continue;
-            const double a = s * work_row_[j];
+                return false;
+            const double a = s * alpha;
             const bool candidate =
                 (state_[j] == kAtLower && a > kPivotTol) ||
                 (state_[j] == kAtUpper && a < -kPivotTol);
             if (!candidate)
-                continue;
+                return false;
             const double theta = redcost_[j] / a;
             if (bland) {
                 // Any candidate with (near-)zero ratio keeps dual
@@ -609,7 +630,8 @@ Simplex::dualLoop()
                 if (theta <= kTol) {
                     q = j;
                     best_a = a;
-                    break;
+                    alpha_q = alpha;
+                    return true;
                 }
             }
             // First candidate always wins; afterwards the step window
@@ -629,8 +651,21 @@ Simplex::dualLoop()
             if (better) {
                 best_theta = theta;
                 best_a = a;
+                alpha_q = alpha;
                 q = j;
             }
+            return false;
+        };
+        bool stopped = false;
+        for (int j = 0; j < num_structural_ && !stopped; ++j)
+            stopped = consider(j, work_row_[j]);
+        for (std::size_t t = 0; t < rho_rows_.size() && !stopped; ++t) {
+            const int i = rho_rows_[t];
+            stopped = consider(num_structural_ + i, rho[i]);
+        }
+        for (std::size_t t = 0; t < rho_rows_.size() && !stopped; ++t) {
+            const int i = rho_rows_[t];
+            stopped = consider(n_ + i, art_sign_[i] * rho[i]);
         }
         if (q < 0)
             return LpStatus::Infeasible; // dual unbounded
@@ -658,9 +693,17 @@ Simplex::dualLoop()
         }
         // Incremental dual update: d' = d - gamma * (row r of B^-1 A)
         // with gamma chosen to zero the entering column's reduced cost.
-        const double gamma = redcost_[q] / work_row_[q];
-        for (int j = 0; j < total_; ++j)
+        // Over the pivot row's possible nonzeros only: subtracting
+        // gamma * (+-0) could change nothing but a zero's sign, and a
+        // zero reduced cost's sign reaches no comparison and no nonzero
+        // value.
+        const double gamma = redcost_[q] / alpha_q;
+        for (int j = 0; j < num_structural_; ++j)
             redcost_[j] -= gamma * work_row_[j];
+        for (const std::int32_t i : rho_rows_) {
+            redcost_[num_structural_ + i] -= gamma * rho[i];
+            redcost_[n_ + i] -= gamma * (art_sign_[i] * rho[i]);
+        }
         const double entering_value = colValue(q) + delta;
         pivot(q, r, entering_value);
         state_[bj] = s > 0 ? kAtUpper : kAtLower;

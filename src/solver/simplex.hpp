@@ -178,8 +178,15 @@ class Simplex
     BasisLu lu_;                        //!< LU factors + eta file
     std::vector<double> xb_;            //!< basic variable values
     std::vector<double> work_col_;      //!< scratch: B^-1 * A_j
-    std::vector<double> work_row_;      //!< scratch: row of B^-1 A
+    std::vector<double> work_row_;      //!< scratch: structural part of
+                                        //!< row of B^-1 A
     std::vector<double> work_rho_;      //!< scratch: e_r B^-1
+    std::vector<std::int32_t> rho_rows_;  //!< rows with rho_i != 0, ascending
+    std::vector<std::int32_t> viol_rows_; //!< scratch: violated rows
+    /** Scratch: the basis as one flat CSC, kept across refactorize()
+     *  calls so a factorization allocates nothing for its input. */
+    std::vector<std::int64_t> basis_start_;
+    std::vector<BasisLu::Entry> basis_entries_;
     std::vector<double> dual_y_;        //!< scratch: simplex multipliers
     std::vector<double> redcost_;       //!< scratch: reduced costs
 
@@ -194,7 +201,8 @@ class Simplex
     bool refactorize();           //!< factorize the basis; false if
                                   //!< the basis matrix is singular
     void ftran(int j);            //!< work_col_ = B^-1 * column j
-    void btranRow(int r);         //!< work_row_[j] = (e_r B^-1 A)_j
+    void btranRow(int r);         //!< work_rho_, rho_rows_ and, per
+                                  //!< structural j, (e_r B^-1 A)_j
     void computeDuals(const double* costs);
     void computeReducedCosts(const double* costs);
     void pivot(int entering, int leaving_row, double entering_value);

@@ -454,6 +454,19 @@ TEST(Daemon, StopWithJobsInFlightDrainsCleanly)
     daemon.stop();
 }
 
+TEST(Daemon, StartStopCyclesNeverHang)
+{
+    // stop() right after start() finds handlers between their predicate
+    // check and their wait; a wakeup lost there hangs the join.
+    DaemonConfig config = smallConfig();
+    config.num_handler_threads = 4;
+    Daemon daemon{config};
+    for (int cycle = 0; cycle < 50; ++cycle) {
+        ASSERT_TRUE(daemon.start().ok()) << "cycle " << cycle;
+        daemon.stop();
+    }
+}
+
 TEST(Daemon, CacheStatsIs404WithoutAMountedStore)
 {
     Daemon daemon{smallConfig()};

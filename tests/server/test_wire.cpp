@@ -136,6 +136,11 @@ TEST(RequestFromJson, RejectsBadInputsWithInvalidInput)
                  "arch": "simba"})", // zero bound
              R"({"workloads": [{"name": "x", "layers": ["3_14_32_32_0"]}],
                  "arch": "simba"})", // zero stride
+             R"({"workloads": [{"name": "x",
+                 "layers": [{"r": 3, "p": 0, "c": 8, "k": 8}]}],
+                 "arch": "simba"})", // inline zero bound
+             R"({"workloads": [{"name": "x", "layers": [{"stride": 0}]}],
+                 "arch": "simba"})", // inline zero stride
              R"([1,2,3])",
          }) {
         StatusOr<ScheduleRequest> decoded =

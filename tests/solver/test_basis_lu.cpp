@@ -663,6 +663,23 @@ TEST(BasisLu, FactorsMatchFullScanOracle)
     }
     EXPECT_GE(factorized, 100);
     EXPECT_GE(singular, 80);
+
+    // Sizes on both sides of the singleton bitset's 64-bit word
+    // boundaries, every defect variant at each.
+    int wide_factorized = 0;
+    int wide_singular = 0;
+    for (const int m : {63, 64, 65, 127, 128, 129, 200}) {
+        for (int variant = 0; variant < 8; ++variant) {
+            const auto cols = defectBasis(rng, m, variant);
+            const bool ok = expectMatchesFullScanOracle(
+                m, cols, rng,
+                "random basis m=" + std::to_string(m) + " variant " +
+                    std::to_string(variant));
+            ++(ok ? wide_factorized : wide_singular);
+        }
+    }
+    EXPECT_GE(wide_factorized, 21);
+    EXPECT_GE(wide_singular, 21);
 }
 
 } // namespace

@@ -26,6 +26,7 @@
 #include <string>
 
 #include "common/logging.hpp"
+#include "flag_value.hpp"
 #include "server/daemon.hpp"
 
 namespace {
@@ -55,23 +56,26 @@ main(int argc, char** argv)
         if (want("--host")) {
             config.host = argv[++a];
         } else if (want("--port")) {
-            config.port = std::atoi(argv[++a]);
+            config.port = tools::flagValue(argv, a, 0, 65535);
         } else if (want("--threads")) {
-            config.service.num_threads = std::atoi(argv[++a]);
+            config.service.num_threads = tools::flagValue<int>(argv, a);
         } else if (want("--handlers")) {
-            config.num_handler_threads = std::atoi(argv[++a]);
+            config.num_handler_threads = tools::flagValue<int>(argv, a);
         } else if (want("--tenants")) {
             tenants_file = argv[++a];
         } else if (want("--max-queued")) {
-            config.service.max_queued_jobs = std::atoll(argv[++a]);
+            config.service.max_queued_jobs =
+                tools::flagValue<std::int64_t>(argv, a);
         } else if (want("--max-inflight")) {
-            config.service.max_inflight_jobs = std::atoll(argv[++a]);
+            config.service.max_inflight_jobs =
+                tools::flagValue<std::int64_t>(argv, a);
         } else if (want("--aging-sec")) {
-            config.service.aging_sec = std::atof(argv[++a]);
+            config.service.aging_sec = tools::flagValue<double>(argv, a);
         } else if (want("--cache-dir")) {
             config.cache_dir = argv[++a];
         } else if (want("--cache-capacity")) {
-            config.cache_capacity = std::atoll(argv[++a]);
+            config.cache_capacity =
+                tools::flagValue<std::int64_t>(argv, a);
         } else {
             fatal("unknown or incomplete flag '", argv[a],
                   "' (see the file comment in tools/cosad_main.cpp)");
