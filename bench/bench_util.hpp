@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flag_value.hpp"
 #include "common/logging.hpp"
 #include "common/math_utils.hpp"
 #include "common/table.hpp"
@@ -40,8 +41,8 @@ quickMode()
 inline double
 timeLimit()
 {
-    const char* env = std::getenv("COSA_TIME_LIMIT");
-    return env ? std::atof(env) : 5.0;
+    return envValue("COSA_TIME_LIMIT", 5.0, 0.0,
+                    CosaConfig::kMaxBudgetSeconds);
 }
 
 inline CosaConfig

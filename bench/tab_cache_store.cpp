@@ -32,6 +32,7 @@
 #include "bench_util.hpp"
 #include "cachestore/snapshot.hpp"
 #include "cachestore/store.hpp"
+#include "common/flag_value.hpp"
 #include "common/json.hpp"
 #include "common/logging.hpp"
 #include "engine/schedule_cache.hpp"
@@ -158,7 +159,8 @@ main(int argc, char** argv)
             std::stringstream list(argv[++a]);
             std::string item;
             while (std::getline(list, item, ','))
-                sizes.push_back(std::atoll(item.c_str()));
+                sizes.push_back(numberValue<std::int64_t>(
+                    "flag '--sizes'", item.c_str(), 1));
         } else if (std::strcmp(argv[a], "--json") == 0) {
             write_json = true;
             if (a + 1 < argc && std::strncmp(argv[a + 1], "--", 2) != 0)

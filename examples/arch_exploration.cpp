@@ -24,11 +24,11 @@
  * tier and auto-cancel budget.
  */
 
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 
 #include "cachestore/store.hpp"
+#include "common/flag_value.hpp"
 #include "common/logging.hpp"
 #include "common/table.hpp"
 #include "common/telemetry.hpp"
@@ -47,14 +47,14 @@ main(int argc, char** argv)
     std::string cache_dir;
     for (int a = 1; a < argc; ++a) {
         if (std::strcmp(argv[a], "--threads") == 0 && a + 1 < argc) {
-            threads = std::atoi(argv[++a]);
+            threads = flagValue(argv, a, 0);
         } else if (parseObjectiveFlag(argc, argv, &a, &objective) ||
                    parsePriorityFlag(argc, argv, &a, &priority) ||
                    parseTelemetryFlag(argc, argv, &a)) {
             continue;
         } else if (std::strcmp(argv[a], "--deadline-ms") == 0 &&
                    a + 1 < argc) {
-            deadline_ms = std::atof(argv[++a]);
+            deadline_ms = flagValue(argv, a, 0.0);
         } else if (std::strcmp(argv[a], "--cache-dir") == 0 &&
                    a + 1 < argc) {
             cache_dir = argv[++a];

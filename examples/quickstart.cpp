@@ -17,10 +17,10 @@
  * deadline after which the job gives up cooperatively.
  */
 
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 
+#include "common/flag_value.hpp"
 #include "common/logging.hpp"
 #include "common/telemetry.hpp"
 #include "engine/scheduler_service.hpp"
@@ -42,7 +42,7 @@ main(int argc, char** argv)
             continue;
         } else if (std::strcmp(argv[a], "--deadline-ms") == 0 &&
                    a + 1 < argc) {
-            deadline_ms = std::atof(argv[++a]);
+            deadline_ms = flagValue(argv, a, 0.0);
         } else if (std::strncmp(argv[a], "--", 2) == 0) {
             fatal("unknown argument \"", argv[a], "\"");
         } else {

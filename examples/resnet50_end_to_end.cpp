@@ -28,11 +28,11 @@
  * solves are skipped (solved layers keep their results).
  */
 
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 
 #include "cachestore/store.hpp"
+#include "common/flag_value.hpp"
 #include "common/logging.hpp"
 #include "common/table.hpp"
 #include "common/telemetry.hpp"
@@ -50,21 +50,22 @@ main(int argc, char** argv)
     std::string cache_dir;
     for (int a = 1; a < argc; ++a) {
         if (std::strcmp(argv[a], "--threads") == 0 && a + 1 < argc) {
-            threads = std::atoi(argv[++a]);
+            threads = flagValue(argv, a, 0);
         } else if (parseObjectiveFlag(argc, argv, &a, &objective) ||
                    parsePriorityFlag(argc, argv, &a, &priority) ||
                    parseTelemetryFlag(argc, argv, &a)) {
             continue;
         } else if (std::strcmp(argv[a], "--deadline-ms") == 0 &&
                    a + 1 < argc) {
-            deadline_ms = std::atof(argv[++a]);
+            deadline_ms = flagValue(argv, a, 0.0);
         } else if (std::strcmp(argv[a], "--cache-dir") == 0 &&
                    a + 1 < argc) {
             cache_dir = argv[++a];
         } else if (std::strncmp(argv[a], "--", 2) == 0) {
             fatal("unknown argument \"", argv[a], "\"");
         } else {
-            time_limit = std::atof(argv[a]);
+            time_limit = numberValue("the time limit argument", argv[a],
+                                     0.0, CosaConfig::kMaxBudgetSeconds);
         }
     }
 

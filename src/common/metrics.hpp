@@ -4,7 +4,7 @@
  * @file
  * Process-wide metrics: sharded counters, gauges, and fixed
  * log-bucketed histograms, labeled (tenant/tier/backend/...), exported
- * as Prometheus text exposition or JSON.
+ * as Prometheus text exposition.
  *
  * Shape of the API: a *family* is a metric name plus help text and a
  * type; a *child* is one (label-set, value) cell inside a family.

@@ -85,6 +85,11 @@ struct CosaConfig
     std::vector<std::vector<double>> capacity_fraction;
     solver::MipParams mip; //!< time limit, gap, verbosity
 
+    /** Largest budget in seconds the command-line surfaces accept
+     *  (about 11.6 days), so workLimitFromSeconds stays well inside
+     *  int64. */
+    static constexpr double kMaxBudgetSeconds = 1e6;
+
     /**
      * Deterministic work units equivalent to @p seconds of the
      * historical dense-core throughput (5000 units/s) — the one

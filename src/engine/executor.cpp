@@ -1,8 +1,6 @@
 #include "engine/executor.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <exception>
 
@@ -46,42 +44,34 @@ runTaskContained(const std::function<void(std::size_t)>& task,
          "); contained, set continues");
 }
 
-/** Monotonic seconds for the aging clock (kept local so the executor
- *  has no dependency on the mapper layer's wallTimeSec). */
-double
-monotonicSec()
+std::size_t
+tierIndex(JobPriority tier)
 {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
+    return static_cast<std::size_t>(tier);
 }
 
 } // namespace
 
-// --- Executor::TaskSet ---------------------------------------------------
-
-void
-Executor::TaskSet::wait()
+/** One submitted task set; tasks are claimed in index order. */
+struct Executor::TaskSet
 {
-    if (done_.load(std::memory_order_acquire))
-        return;
-    // The slow path touches the owning executor, so wait() must not
-    // race its destruction (see the header contract); the destructor
-    // does drain every set, but a waiter has no way to know the mutex
-    // it would block on is still alive.
-    COSA_ASSERT(owner_ != nullptr, "waiting on an unsubmitted task set");
-    std::unique_lock<std::mutex> lock(owner_->mutex_);
-    done_cv_.wait(lock, [&] {
-        return done_.load(std::memory_order_acquire);
-    });
-}
+    std::function<void(std::size_t)> task;
+    std::function<void()> on_complete;
+    std::size_t num_tasks = 0;
+    std::size_t next = 0;      //!< next unclaimed index
+    std::size_t completed = 0; //!< tasks finished
+    int inflight = 0;          //!< tasks currently running
+    JobPriority tier = JobPriority::Normal;
+    int max_parallelism = 0;
+    double stride = 1.0;       //!< 1 / weight
+    double pass = 0.0;         //!< stride-scheduling virtual time
+    std::uint64_t id = 0;      //!< submission order (FIFO ties)
+};
 
 // --- Executor ------------------------------------------------------------
 
-Executor::Executor(int num_threads, int num_tiers)
+Executor::Executor(int num_threads)
     : num_threads_(std::max(num_threads, 1)),
-      num_tiers_(std::max(num_tiers, 1)),
-      active_(static_cast<std::size_t>(num_tiers_)),
       worker_last_set_(static_cast<std::size_t>(num_threads_), 0)
 {
     workers_.reserve(static_cast<std::size_t>(num_threads_));
@@ -102,114 +92,62 @@ Executor::~Executor()
         worker.join();
 }
 
-std::shared_ptr<Executor::TaskSet>
-Executor::submit(std::size_t num_tasks, std::function<void(std::size_t)> task)
-{
-    return submit(num_tasks, std::move(task), TaskSetOptions());
-}
-
-std::shared_ptr<Executor::TaskSet>
+void
 Executor::submit(std::size_t num_tasks, std::function<void(std::size_t)> task,
                  TaskSetOptions options)
 {
     auto set = std::make_shared<TaskSet>();
-    set->owner_ = this;
-    set->task_ = std::move(task);
-    set->on_complete_ = std::move(options.on_complete);
-    set->num_tasks_ = num_tasks;
-    set->tier_ = std::clamp(options.tier, 0, num_tiers_ - 1);
-    set->max_parallelism_ = std::max(options.max_parallelism, 0);
-    set->stride_ = 1.0 / std::max(options.weight, 1e-9);
-    set->last_dispatch_sec_ = monotonicSec();
+    set->task = std::move(task);
+    set->on_complete = std::move(options.on_complete);
+    set->num_tasks = num_tasks;
+    set->tier = options.tier;
+    set->max_parallelism = std::max(options.max_parallelism, 0);
+    set->stride = 1.0 / std::max(options.weight, 1e-9);
 
     std::unique_lock<std::mutex> lock(mutex_);
     ++sets_submitted_;
-    set->id_ = next_set_id_++;
+    set->id = next_set_id_++;
     if (num_tasks == 0) {
         ++sets_completed_;
-        set->done_.store(true, std::memory_order_release);
-        if (set->on_complete_) {
-            // Inline, outside the lock: the continuation may submit().
-            std::function<void()> continuation =
-                std::move(set->on_complete_);
-            lock.unlock();
-            continuation();
-        }
-        return set;
+        lock.unlock();
+        // Inline, outside the lock: the continuation may submit().
+        if (set->on_complete)
+            set->on_complete();
+        return;
     }
     // Join the tier at its current virtual time: a newcomer shares from
     // now on instead of monopolizing workers until its pass catches up
     // with long-running co-tenants.
+    auto& tier = active_[tierIndex(set->tier)];
     double min_pass = 0.0;
-    bool have_pass = false;
-    for (const auto& other : active_[static_cast<std::size_t>(set->tier_)]) {
-        if (!have_pass || other->pass_ < min_pass) {
-            min_pass = other->pass_;
-            have_pass = true;
-        }
+    for (std::size_t i = 0; i < tier.size(); ++i) {
+        if (i == 0 || tier[i]->pass < min_pass)
+            min_pass = tier[i]->pass;
     }
-    set->pass_ = have_pass ? min_pass : 0.0;
-    active_[static_cast<std::size_t>(set->tier_)].push_back(set);
+    set->pass = min_pass;
+    tier.push_back(std::move(set));
     work_cv_.notify_all();
-    return set;
-}
-
-int
-Executor::effectiveTier(const TaskSet& set, double now_sec) const
-{
-    if (aging_sec_ <= 0.0 || set.tier_ == 0)
-        return set.tier_;
-    const double waited = now_sec - set.last_dispatch_sec_;
-    if (waited <= aging_sec_)
-        return set.tier_;
-    const int credit = static_cast<int>(waited / aging_sec_);
-    return std::max(set.tier_ - credit, 0);
 }
 
 std::shared_ptr<Executor::TaskSet>
-Executor::pickRunnable(double now_sec) const
+Executor::pickRunnable() const
 {
-    // With aging on, a starving high-tier set competes at its aged
-    // (effective) tier, so strict priority degrades gracefully into
-    // bounded starvation instead of unbounded.
-    std::shared_ptr<TaskSet> best;
-    int best_tier = num_tiers_;
     for (const auto& tier : active_) {
+        std::shared_ptr<TaskSet> best;
         for (const auto& set : tier) {
-            if (set->next_ >= set->num_tasks_)
+            if (set->next >= set->num_tasks)
                 continue; // fully claimed; lingers until completed
-            if (set->max_parallelism_ > 0 &&
-                set->inflight_ >= set->max_parallelism_)
+            if (set->max_parallelism > 0 &&
+                set->inflight >= set->max_parallelism)
                 continue;
-            const int eff = effectiveTier(*set, now_sec);
-            if (!best || eff < best_tier ||
-                (eff == best_tier &&
-                 (set->pass_ < best->pass_ ||
-                  (set->pass_ == best->pass_ && set->id_ < best->id_)))) {
+            if (!best || set->pass < best->pass ||
+                (set->pass == best->pass && set->id < best->id))
                 best = set;
-                best_tier = eff;
-            }
         }
-        // Strict-tier fast path: with aging off, never look past a
-        // runnable tier (identical to the historical scan).
-        if (best && aging_sec_ <= 0.0)
-            return best;
+        if (best)
+            return best; // strict tiers: never look past a runnable one
     }
-    return best;
-}
-
-void
-Executor::setAgingSec(double aging_sec)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    aging_sec_ = std::max(aging_sec, 0.0);
-}
-
-double
-Executor::agingSec() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return aging_sec_;
+    return nullptr;
 }
 
 void
@@ -218,75 +156,62 @@ Executor::workerLoop(int worker_id)
     const auto self = static_cast<std::size_t>(worker_id);
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        std::shared_ptr<TaskSet> set = pickRunnable(monotonicSec());
+        std::shared_ptr<TaskSet> set = pickRunnable();
         if (!set) {
             if (stop_)
                 return;
-            if (aging_sec_ > 0.0) {
-                // Aging changes which set is runnable as time passes,
-                // so parked workers must re-check periodically instead
-                // of sleeping until a submit/completion notification.
-                work_cv_.wait_for(
-                    lock, std::chrono::duration<double>(aging_sec_ * 0.5));
-            } else {
-                work_cv_.wait(lock);
-            }
+            work_cv_.wait(lock);
             continue;
         }
-        const std::size_t index = set->next_++;
-        set->pass_ += set->stride_;
-        set->last_dispatch_sec_ = monotonicSec();
-        ++set->inflight_;
+        const std::size_t index = set->next++;
+        set->pass += set->stride;
+        ++set->inflight;
         ++tasks_executed_;
-        if (worker_last_set_[self] != 0 && worker_last_set_[self] != set->id_)
+        if (worker_last_set_[self] != 0 && worker_last_set_[self] != set->id)
             ++steals_;
-        worker_last_set_[self] = set->id_;
+        worker_last_set_[self] = set->id;
 
         lock.unlock();
         {
             trace::Span span("executor.task", "executor");
             char detail[32];
             std::snprintf(detail, sizeof(detail), "tier=%d set=%lld",
-                          set->tier_,
-                          static_cast<long long>(set->id_));
+                          static_cast<int>(set->tier),
+                          static_cast<long long>(set->id));
             span.arg(detail);
-            runTaskContained(set->task_, index);
+            runTaskContained(set->task, index);
         }
         lock.lock();
 
-        --set->inflight_;
-        ++set->completed_;
-        if (set->completed_ == set->num_tasks_) {
-            auto& tier = active_[static_cast<std::size_t>(set->tier_)];
+        --set->inflight;
+        ++set->completed;
+        if (set->completed == set->num_tasks) {
+            auto& tier = active_[tierIndex(set->tier)];
             tier.erase(std::find(tier.begin(), tier.end(), set));
             ++sets_completed_;
-            set->done_.store(true, std::memory_order_release);
-            set->done_cv_.notify_all();
-            if (set->on_complete_) {
+            if (set->on_complete) {
                 // The continuation runs outside the lock so it may
                 // submit() follow-up sets (job epilogues do). It is
                 // exception-contained like a task but bypasses the
                 // executor.task failpoint: a continuation advances a
                 // job's state machine, and chaos runs must not be able
                 // to wedge completion itself.
-                std::function<void()> continuation =
-                    std::move(set->on_complete_);
                 lock.unlock();
                 try {
-                    continuation();
+                    set->on_complete();
                 } catch (const std::exception& e) {
-                    warn("executor: set ", set->id_,
+                    warn("executor: set ", set->id,
                          " completion continuation threw (", e.what(),
                          "); contained");
                 } catch (...) {
-                    warn("executor: set ", set->id_,
+                    warn("executor: set ", set->id,
                          " completion continuation threw (non-std "
                          "exception); contained");
                 }
                 lock.lock();
             }
-        } else if (set->max_parallelism_ > 0 &&
-                   set->next_ < set->num_tasks_) {
+        } else if (set->max_parallelism > 0 &&
+                   set->next < set->num_tasks) {
             // Dropped below the set's cap: a sleeping worker may now
             // claim the next task.
             work_cv_.notify_one();
@@ -303,11 +228,10 @@ Executor::stats() const
     stats.steals = steals_;
     stats.sets_submitted = sets_submitted_;
     stats.sets_completed = sets_completed_;
-    stats.queue_depth.resize(static_cast<std::size_t>(num_tiers_), 0);
-    for (int t = 0; t < num_tiers_; ++t) {
-        for (const auto& set : active_[static_cast<std::size_t>(t)]) {
-            stats.queue_depth[static_cast<std::size_t>(t)] +=
-                static_cast<std::int64_t>(set->num_tasks_ - set->next_);
+    for (std::size_t t = 0; t < active_.size(); ++t) {
+        for (const auto& set : active_[t]) {
+            stats.queue_depth[t] +=
+                static_cast<std::int64_t>(set->num_tasks - set->next);
         }
     }
     return stats;

@@ -8,12 +8,12 @@
  * multiplexes *task sets* — indexed batches [0, n) of per-layer solves,
  * one set per job — from many concurrent jobs onto them:
  *
- *  - strict priority tiers: a task from tier t is never dispatched
- *    while any tier < t has a *claimable* task — one that is unclaimed
- *    and whose set is under its max_parallelism cap (a capped set
- *    yields its surplus workers to lower tiers rather than idling
- *    them). Preemption happens at task boundaries — running solves
- *    always complete;
+ *  - strict priority tiers, one per `JobPriority`: a task from tier t
+ *    is never dispatched while any tier < t has a *claimable* task —
+ *    one that is unclaimed and whose set is under its max_parallelism
+ *    cap (a capped set yields its surplus workers to lower tiers
+ *    rather than idling them). Preemption happens at task boundaries —
+ *    running solves always complete;
  *  - weighted fair share within a tier: co-tenant sets are interleaved
  *    at single-task granularity by stride scheduling (each dispatch
  *    advances the set's virtual pass by 1/weight; the lowest pass runs
@@ -28,6 +28,10 @@
  *    instead of idling; the `steals` counter tracks those cross-set
  *    migrations (it is also the observable of fair-share interleaving).
  *
+ * Completion is continuation-only: submit() returns nothing, and a
+ * set's `on_complete` runs once its last task has returned. Nothing
+ * blocks on a set, so a queued job holds no thread.
+ *
  * Determinism contract: the executor only decides *which worker runs
  * which task when*; callers write task i's output into a pre-sized
  * slot i, so a set's results are identical for any worker count, any
@@ -35,7 +39,7 @@
  * a pure function of its index.
  */
 
-#include <atomic>
+#include <array>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -46,6 +50,16 @@
 #include <vector>
 
 namespace cosa {
+
+/** Strict priority tier of a job; lower tiers always run first. */
+enum class JobPriority {
+    Interactive = 0, //!< latency-sensitive user queries
+    Normal = 1,      //!< default traffic
+    Batch = 2,       //!< arch sweeps, offline exploration, maintenance
+};
+
+/** Number of priorities, and of the executor's strict tiers. */
+inline constexpr int kNumJobPriorities = 3;
 
 /** Lifetime counters of one Executor (monotonic). */
 struct ExecutorStats
@@ -62,13 +76,13 @@ struct ExecutorStats
     std::int64_t sets_submitted = 0;
     std::int64_t sets_completed = 0;
     /** Claimable (not yet dispatched) tasks right now, per tier. */
-    std::vector<std::int64_t> queue_depth;
+    std::array<std::int64_t, kNumJobPriorities> queue_depth{};
 };
 
 /**
  * Long-lived shared executor for indexed task sets. Thread-safe:
  * submit() may be called from any thread, including a worker running a
- * task of another set (but a *task* must never block on its own set).
+ * task or a continuation of another set.
  * The destructor drains every submitted set, then joins the workers.
  */
 class Executor
@@ -77,9 +91,8 @@ class Executor
     /** Scheduling knobs of one task set. */
     struct TaskSetOptions
     {
-        /** Strict priority tier; lower runs first. Clamped to the
-         *  executor's tier range. */
-        int tier = 1;
+        /** Strict priority tier; lower runs first. */
+        JobPriority tier = JobPriority::Normal;
         /** Fair-share weight against same-tier sets (> 0). */
         double weight = 1.0;
         /** Max concurrently running tasks of this set; 0 = unlimited.
@@ -91,108 +104,47 @@ class Executor
          * the last task, outside the executor lock (so it may submit()
          * further sets, including on this same executor). An empty set
          * runs it inline from submit(). This is what lets a queued job
-         * hold no thread: instead of a runner blocking on wait(), the
-         * continuation advances the job's state machine.
+         * hold no thread: the continuation advances the job's state
+         * machine.
          */
         std::function<void()> on_complete;
     };
 
-    /**
-     * Handle to one submitted task set. Tasks are claimed in index
-     * order; done() flips once every task returned.
-     */
-    class TaskSet
-    {
-      public:
-        /** Block until every task of this set completed. Safe from any
-         *  thread except a task of this same set, but must not race
-         *  the executor's destruction: every wait() must have returned
-         *  before the executor is destroyed. (A set that has already
-         *  been observed done() stays safely waitable afterwards.) */
-        void wait();
-
-        bool done() const { return done_.load(std::memory_order_acquire); }
-        std::size_t numTasks() const { return num_tasks_; }
-
-      private:
-        friend class Executor;
-
-        Executor* owner_ = nullptr;
-        std::function<void(std::size_t)> task_;
-        std::function<void()> on_complete_;
-        std::size_t num_tasks_ = 0;
-        std::size_t next_ = 0;      //!< next unclaimed index
-        std::size_t completed_ = 0; //!< tasks finished
-        int inflight_ = 0;          //!< tasks currently running
-        int tier_ = 1;
-        int max_parallelism_ = 0;
-        double stride_ = 1.0;       //!< 1 / weight
-        double pass_ = 0.0;         //!< stride-scheduling virtual time
-        double last_dispatch_sec_ = 0.0; //!< aging reference instant
-        std::uint64_t id_ = 0;      //!< submission order (FIFO ties)
-        std::atomic<bool> done_{false};
-        std::condition_variable done_cv_; //!< paired with owner mutex
-    };
-
-    /**
-     * @param num_threads worker count (clamped to >= 1).
-     * @param num_tiers   number of strict priority tiers.
-     */
-    explicit Executor(int num_threads, int num_tiers = 3);
+    /** @param num_threads worker count (clamped to >= 1). */
+    explicit Executor(int num_threads);
     ~Executor();
 
     /**
      * Enqueue @p task(i) for every i in [0, num_tasks) and return
-     * immediately. The callable must stay valid until the set is done
-     * (hold results/captures alive across wait()). An empty set
-     * completes immediately. Tasks should contain their own
-     * exceptions; one that throws anyway is caught by the executor's
-     * last-resort firewall (logged + counted in
-     * `cosa_executor_task_failures_total`), its index counts as
+     * immediately. The callable must stay valid until the set's
+     * on_complete has run. An empty set completes immediately. Tasks
+     * should contain their own exceptions; one that throws anyway is
+     * caught by the executor's last-resort firewall (logged + counted
+     * in `cosa_executor_task_failures_total`), its index counts as
      * completed with whatever its result slot already held, and the
      * set, its siblings and the workers proceed — a leaked exception
      * never aborts the process.
      */
-    std::shared_ptr<TaskSet> submit(std::size_t num_tasks,
-                                    std::function<void(std::size_t)> task,
-                                    TaskSetOptions options);
-
-    /** submit() with default options (tier 1, weight 1, no cap). */
-    std::shared_ptr<TaskSet> submit(std::size_t num_tasks,
-                                    std::function<void(std::size_t)> task);
+    void submit(std::size_t num_tasks, std::function<void(std::size_t)> task,
+                TaskSetOptions options);
 
     ExecutorStats stats() const;
     int numThreads() const { return num_threads_; }
-    int numTiers() const { return num_tiers_; }
-
-    /**
-     * Cross-tier aging (the anti-starvation knob): when > 0, a set that
-     * has not had a task dispatched for `aging_sec` seconds is treated
-     * as one tier better for dispatch, two tiers after 2x aging_sec,
-     * and so on — so under a sustained flood of tier-0 work a starving
-     * tier-2 set ages into tier 0 and is guaranteed a task slot within
-     * `tier * aging_sec` of its last dispatch. 0 (the default) keeps
-     * the historical strict-tier behavior. Aging permutes dispatch
-     * *order* only, which the determinism contract already ignores.
-     */
-    void setAgingSec(double aging_sec);
-    double agingSec() const;
 
   private:
+    struct TaskSet;
+
     void workerLoop(int worker_id);
-    /** Best runnable set under (effective tier, pass, id); caller
-     *  holds mutex_. @p now_sec feeds the aging computation. */
-    std::shared_ptr<TaskSet> pickRunnable(double now_sec) const;
-    /** Tier after aging credit for @p set at time @p now_sec. */
-    int effectiveTier(const TaskSet& set, double now_sec) const;
+    /** Best claimable set: the first tier with one, then the lowest
+     *  (pass, id) within it; caller holds mutex_. */
+    std::shared_ptr<TaskSet> pickRunnable() const;
 
     int num_threads_ = 1;
-    int num_tiers_ = 3;
-    double aging_sec_ = 0.0; //!< guarded by mutex_
     mutable std::mutex mutex_;
     std::condition_variable work_cv_;
     /** Per-tier active sets (submitted, not yet fully completed). */
-    std::vector<std::vector<std::shared_ptr<TaskSet>>> active_;
+    std::array<std::vector<std::shared_ptr<TaskSet>>, kNumJobPriorities>
+        active_;
     std::vector<std::uint64_t> worker_last_set_; //!< steal detection
     std::uint64_t next_set_id_ = 1;
     bool stop_ = false;

@@ -346,15 +346,16 @@ fallbackCounter(const char* stage)
 
 /**
  * Reject obviously poisoned inputs before they reach the solver or the
- * evaluator: non-positive layer dimensions and non-finite architecture
- * constants produce garbage schedules (or NaN objectives) rather than
- * clean failures, so they fail fast with a typed cause instead.
+ * evaluator: out-of-range layer dimensions and non-finite architecture
+ * constants produce garbage schedules (or NaN objectives, or a
+ * factorization that never ends) rather than clean failures, so they
+ * fail fast with a typed cause instead.
  */
 Status
 validateSolveInputs(const LayerSpec& layer, const ArchSpec& arch)
 {
-    if (Status positive = layer.checkPositive(); !positive.ok())
-        return positive;
+    if (Status bounds = layer.checkBounds(); !bounds.ok())
+        return bounds;
     auto finite = [](double v) { return std::isfinite(v); };
     for (const MemLevelSpec& level : arch.levels) {
         if (!finite(level.energy_pj_per_byte) ||
@@ -593,11 +594,7 @@ SchedulerService::SchedulerService(ServiceConfig config)
     if (config_.max_inflight_jobs == 0)
         config_.max_inflight_jobs = 1; // a service that can run nothing
                                        // would queue jobs forever
-    if (config_.aging_sec < 0.0)
-        config_.aging_sec = 0.0;
-    executor_ = std::make_unique<Executor>(config_.num_threads,
-                                           kNumJobPriorities);
-    executor_->setAgingSec(config_.aging_sec);
+    executor_ = std::make_unique<Executor>(config_.num_threads);
     // Live-state gauges refresh at render time, not on every mutation.
     // The gauge cells are process-global: with several services alive,
     // the most recently collected one wins (documented behavior).
@@ -777,7 +774,7 @@ SchedulerService::startLocked(const std::shared_ptr<JobRecord>& record)
     // holds mutex_ — the executor has its own lock and never calls back
     // into the service synchronously.)
     Executor::TaskSetOptions options;
-    options.tier = static_cast<int>(record->request.priority);
+    options.tier = record->request.priority;
     options.weight = record->request.weight;
     executor_->submit(
         1, [this, record](std::size_t) { jobPrologue(record); }, options);
@@ -786,42 +783,14 @@ SchedulerService::startLocked(const std::shared_ptr<JobRecord>& record)
 std::shared_ptr<SchedulerService::JobRecord>
 SchedulerService::popNextQueuedLocked()
 {
-    // Strict mode (aging off): FIFO within the best nonempty tier.
-    if (config_.aging_sec <= 0.0) {
-        for (auto& queue : queued_) {
-            if (!queue.empty()) {
-                std::shared_ptr<JobRecord> next = queue.front();
-                queue.pop_front();
-                return next;
-            }
-        }
-        return nullptr;
-    }
-    // Aging mode: a queued job's effective tier improves by one per
-    // aging_sec waited, so Batch jobs behind a sustained Interactive
-    // flood are admitted within a bounded wait. Ties (same effective
-    // tier) go to the earlier submission.
-    const double now = wallTimeSec();
-    int best_tier = kNumJobPriorities;
-    std::size_t best_queue = 0;
-    std::shared_ptr<JobRecord> best;
-    for (std::size_t t = 0; t < queued_.size(); ++t) {
-        if (queued_[t].empty())
-            continue;
-        const std::shared_ptr<JobRecord>& head = queued_[t].front();
-        const int credit = static_cast<int>(
-            (now - head->submit_time) / config_.aging_sec);
-        const int eff = std::max(static_cast<int>(t) - credit, 0);
-        if (!best || eff < best_tier ||
-            (eff == best_tier && head->id < best->id)) {
-            best = head;
-            best_tier = eff;
-            best_queue = t;
+    for (auto& queue : queued_) {
+        if (!queue.empty()) {
+            std::shared_ptr<JobRecord> next = queue.front();
+            queue.pop_front();
+            return next;
         }
     }
-    if (best)
-        queued_[best_queue].pop_front();
-    return best;
+    return nullptr;
 }
 
 void
@@ -947,12 +916,8 @@ SchedulerService::stats() const
         }
     }
     stats.executor = executor_->stats();
-    for (int t = 0; t < kNumJobPriorities; ++t) {
-        const auto tier = static_cast<std::size_t>(t);
-        if (tier < stats.executor.queue_depth.size())
-            stats.tiers[tier].pending_tasks =
-                stats.executor.queue_depth[tier];
-    }
+    for (std::size_t tier = 0; tier < stats.tiers.size(); ++tier)
+        stats.tiers[tier].pending_tasks = stats.executor.queue_depth[tier];
     return stats;
 }
 
@@ -1110,7 +1075,7 @@ SchedulerService::jobPrologue(const std::shared_ptr<JobRecord>& record)
     // empty) batch has zero tasks and the continuation runs inline. ---
     phase->solve_trace_us = trace::Tracer::nowMicros();
     Executor::TaskSetOptions options;
-    options.tier = static_cast<int>(req.priority);
+    options.tier = req.priority;
     options.weight = req.weight;
     options.max_parallelism = req.max_parallelism;
     options.on_complete = [this, record] { jobEpilogue(record); };

@@ -29,11 +29,11 @@
  *  - deadlines: a job whose `deadline_sec` elapses (measured from
  *    submit, queue wait included) is auto-cancelled cooperatively —
  *    exactly like `ScheduleJob::cancel()`, the solved prefix keeps its
- *    results and the rest is flagged;
- *  - cross-tier aging (`ServiceConfig::aging_sec`): optional bounded-
- *    starvation mode where a starving Batch job/task ages into better
- *    tiers over time, so a sustained Interactive flood can no longer
- *    postpone Batch work indefinitely.
+ *    results and the rest is flagged.
+ *
+ * Tiers are strict for dispatch and admission alike: a sustained
+ * Interactive flood postpones Batch work until it drains. Dispatch
+ * order never reaches a result (see the determinism contract below).
  *
  * Execution model (threadless queued jobs): a job never owns a thread.
  * submit() enqueues a *prologue* task (canonicalize + memoize) on the
@@ -106,15 +106,6 @@ enum class SchedulerKind {
 
 /** Display name of a scheduler kind. */
 const char* schedulerKindName(SchedulerKind kind);
-
-/** Strict priority tier of a job; lower tiers always run first. */
-enum class JobPriority {
-    Interactive = 0, //!< latency-sensitive user queries
-    Normal = 1,      //!< default traffic
-    Batch = 2,       //!< arch sweeps, offline exploration
-};
-
-inline constexpr int kNumJobPriorities = 3;
 
 /** Display name ("interactive" / "normal" / "batch"). */
 const char* jobPriorityName(JobPriority priority);
@@ -267,17 +258,6 @@ struct ServiceConfig
     std::int64_t max_queued_jobs = -1;
     /** Jobs running concurrently; < 0 = unlimited. Excess queues. */
     std::int64_t max_inflight_jobs = -1;
-    /**
-     * Cross-tier aging (anti-starvation knob), in seconds; 0 = off
-     * (historical strict tiers). When > 0, a job or task set that has
-     * waited `aging_sec` without service competes one tier better, two
-     * tiers after twice that, and so on — so Batch work under a
-     * sustained Interactive flood is guaranteed a slot within
-     * ~`2 * aging_sec` instead of starving unboundedly. Applies both to
-     * executor task dispatch and to admission of queued jobs. Dispatch
-     * order only; results are unchanged by the determinism contract.
-     */
-    double aging_sec = 0.0;
 };
 
 /** One live (queued or running) job, as listJobs() reports it. */
@@ -391,8 +371,9 @@ class SchedulerService
      * The shared work-stealing executor. Exposed for background
      * maintenance work that should ride the service's worker crew as
      * threadless continuations (e.g. cachestore compaction) instead of
-     * owning a thread; submit such sets on the lowest-priority tier so
-     * they never delay a solve. Valid for the service's lifetime.
+     * owning a thread; submit such sets at `JobPriority::Batch` so
+     * they never delay a higher-tier solve. Valid for the service's
+     * lifetime.
      */
     Executor& executor() { return *executor_; }
 
@@ -431,9 +412,9 @@ class SchedulerService
      *  progress events. */
     void completeProblem(const std::shared_ptr<JobRecord>& record,
                          std::size_t u);
-    /** Pop the queued job to start next (aging-aware when
-     *  `aging_sec` > 0, else FIFO within the best nonempty tier).
-     *  Caller holds mutex_; null when every queue is empty. */
+    /** Pop the queued job to start next: FIFO within the best
+     *  nonempty tier. Caller holds mutex_; null when every queue is
+     *  empty. */
     std::shared_ptr<JobRecord> popNextQueuedLocked();
     /** Refresh this service's registry gauges (queue depths, in-flight
      *  jobs, executor counters); the registered collector callback. */

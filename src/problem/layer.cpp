@@ -88,23 +88,44 @@ LayerSpec::parseLabel(const std::string& label, std::int64_t batch)
     spec.k = parts[3];
     spec.stride = parts[4];
     spec.n = batch;
-    if (Status positive = spec.checkPositive(); !positive.ok())
-        return positive;
+    if (Status bounds = spec.checkBounds(); !bounds.ok())
+        return bounds;
     return spec;
 }
 
 Status
-LayerSpec::checkPositive() const
+LayerSpec::checkBounds() const
 {
+    const auto invalid = [&](const std::string& why) {
+        return Status{ErrorCode::kInvalidInput,
+                      "layer `" + name + "` " + why};
+    };
+    const std::string limit = std::to_string(kMaxBound);
     for (Dim d : kAllDims) {
         if (bound(d) < 1)
-            return {ErrorCode::kInvalidInput,
-                    "layer `" + name + "` has non-positive bound " +
-                        dimName(d)};
+            return invalid(std::string("has non-positive bound ") +
+                           dimName(d));
+        if (bound(d) > kMaxBound)
+            return invalid(std::string("has bound ") + dimName(d) +
+                           " above " + limit);
     }
     if (stride < 1)
-        return {ErrorCode::kInvalidInput,
-                "layer `" + name + "` has non-positive stride"};
+        return invalid("has non-positive stride");
+    if (stride > kMaxBound)
+        return invalid("has stride above " + limit);
+    // Every bound is now in [1, 2^31 - 1], so a product of bounds can
+    // still overflow but an input extent cannot. The MAC count bounds
+    // the weight and output tensors, whose factors are a subset of it.
+    std::int64_t product = 1;
+    for (Dim d : kAllDims) {
+        if (__builtin_mul_overflow(product, bound(d), &product))
+            return invalid("has a MAC count that overflows int64");
+    }
+    product = 1;
+    for (std::int64_t factor : {inputWidth(), inputHeight(), c, n}) {
+        if (__builtin_mul_overflow(product, factor, &product))
+            return invalid("has an input tensor size that overflows int64");
+    }
     return Status::Ok();
 }
 

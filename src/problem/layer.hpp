@@ -65,15 +65,22 @@ struct LayerSpec
      */
     std::string canonicalKey() const;
 
-    /** kInvalidInput naming the first loop bound or the stride below 1;
-     *  Ok otherwise. Every way a layer enters (label, wire object,
-     *  in-process solve) runs this one check. */
-    Status checkPositive() const;
+    /** Largest loop bound or stride a layer may have (2^31 - 1). */
+    static constexpr std::int64_t kMaxBound = 2147483647;
+
+    /**
+     * kInvalidInput naming the first loop bound or the stride outside
+     * [1, kMaxBound], or a macs() / tensorElements() product that
+     * overflows int64; Ok otherwise. Every way a layer enters (label,
+     * wire object, in-process solve) runs this one check, so the
+     * factorization and the solver only ever see bounded problems.
+     */
+    Status checkBounds() const;
 
     /**
      * Parse a paper-style label (e.g. "3_14_256_256_1"), expanding
      * S=R, Q=P, N=batch. kInvalidInput when the label does not have
-     * five integer fields or names a bound or stride below 1.
+     * five integer fields or fails checkBounds().
      */
     static StatusOr<LayerSpec> parseLabel(const std::string& label,
                                           std::int64_t batch = 1);

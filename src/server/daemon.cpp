@@ -102,19 +102,17 @@ Daemon::start()
         if (!opened.ok())
             return opened.status();
         cache_ = std::move(opened).value();
-        // Online compaction rides the engine's executor as a
-        // lowest-tier threadless continuation — no thread, no solve
-        // delayed.
+        // Online compaction rides the engine's executor as a Batch-tier
+        // threadless task — no thread of its own, and no Interactive or
+        // Normal solve delayed.
         SchedulerService* service = service_.get();
-        const int maintenance_tier = service->executor().numTiers() - 1;
-        cache_->setAsyncRunner(
-            [service, maintenance_tier](std::function<void()> work) {
-                Executor::TaskSetOptions options;
-                options.tier = maintenance_tier;
-                service->executor().submit(
-                    1, [work = std::move(work)](std::size_t) { work(); },
-                    std::move(options));
-            });
+        cache_->setAsyncRunner([service](std::function<void()> work) {
+            Executor::TaskSetOptions options;
+            options.tier = JobPriority::Batch;
+            service->executor().submit(
+                1, [work = std::move(work)](std::size_t) { work(); },
+                std::move(options));
+        });
     }
 
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);

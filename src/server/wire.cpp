@@ -65,8 +65,8 @@ workloadFromJson(const Value& v)
         layer.stride = item.getInt("stride", 1);
         if (layer.name.empty())
             layer.name = layer.label();
-        if (Status positive = layer.checkPositive(); !positive.ok())
-            return positive;
+        if (Status bounds = layer.checkBounds(); !bounds.ok())
+            return bounds;
         net.layers.push_back(std::move(layer));
     }
     return net;
@@ -391,25 +391,6 @@ provenanceToJson(const std::vector<NetworkResult>& results)
         arr.push(std::move(v));
     }
     return arr;
-}
-
-json::Value
-jobInfoToJson(const JobInfo& info)
-{
-    Value v = Value::object();
-    v.set("id", static_cast<std::int64_t>(info.id));
-    v.set("tag", info.tag);
-    v.set("tenant", info.tenant);
-    v.set("priority", jobPriorityName(info.priority));
-    v.set("weight", info.weight);
-    v.set("state", info.running ? "running" : "queued");
-    v.set("queued_sec", info.queued_sec);
-    v.set("running_sec", info.running_sec);
-    v.set("total_unique", info.total_unique);
-    v.set("completed_unique", info.completed_unique);
-    v.set("deadline_sec", info.deadline_sec);
-    v.set("cancel_requested", info.cancel_requested);
-    return v;
 }
 
 std::string

@@ -3,7 +3,7 @@
 /**
  * @file
  * The JSON wire mapping between cosad's HTTP bodies and the engine's
- * ScheduleRequest / NetworkResult / JobInfo types.
+ * ScheduleRequest / NetworkResult types.
  *
  * The load-bearing function is resultsToJson(): the canonical
  * serialization of a finished job's results. It deliberately omits
@@ -56,9 +56,6 @@ json::Value resultsToJson(const std::vector<NetworkResult>& results);
  *  everything that legitimately differs between a cold and a warm run
  *  and therefore must stay out of resultsToJson(). */
 json::Value provenanceToJson(const std::vector<NetworkResult>& results);
-
-/** One job's listing/status entry. */
-json::Value jobInfoToJson(const JobInfo& info);
 
 /** One progress event as a single-line JSON object (the event-stream
  *  chunk payload, newline included). */

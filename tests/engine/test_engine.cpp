@@ -16,6 +16,7 @@ namespace {
 using test::fastRandomRequest;
 using test::scheduleLayer;
 using test::scheduleNetwork;
+using test::SetLatch;
 
 TEST(Executor, RunsEveryTaskOfEverySetOnce)
 {
@@ -37,16 +38,15 @@ TEST(Executor, RunsEveryTaskOfEverySetOnce)
             // at(): a stray index throws instead of corrupting memory;
             // the executor contains it and tasks_executed counts it.
             std::vector<std::atomic<int>> hits_a(n), hits_b(n);
-            auto set_a =
-                executor.submit(n, [&](std::size_t i) { ++hits_a.at(i); });
+            SetLatch latch;
+            executor.submit(
+                n, [&](std::size_t i) { ++hits_a.at(i); }, latch.track());
             Executor::TaskSetOptions batch;
-            batch.tier = 2;
-            auto set_b = executor.submit(
-                n, [&](std::size_t i) { ++hits_b.at(i); }, batch);
-            set_a->wait();
-            set_b->wait();
-            EXPECT_TRUE(set_a->done());
-            EXPECT_TRUE(set_b->done());
+            batch.tier = JobPriority::Batch;
+            executor.submit(
+                n, [&](std::size_t i) { ++hits_b.at(i); },
+                latch.track(batch));
+            latch.wait();
             for (std::size_t i = 0; i < n; ++i) {
                 EXPECT_EQ(hits_a[i].load(), 1) << "task " << i << " of " << n;
                 EXPECT_EQ(hits_b[i].load(), 1) << "task " << i << " of " << n;
@@ -68,15 +68,15 @@ TEST(Executor, MaxParallelismOneRunsInIndexOrder)
     std::vector<std::size_t> order;
     Executor::TaskSetOptions options;
     options.max_parallelism = 1;
-    executor
-        .submit(
-            32,
-            [&](std::size_t i) {
-                std::lock_guard<std::mutex> lock(mutex);
-                order.push_back(i);
-            },
-            options)
-        ->wait();
+    SetLatch latch;
+    executor.submit(
+        32,
+        [&](std::size_t i) {
+            std::lock_guard<std::mutex> lock(mutex);
+            order.push_back(i);
+        },
+        latch.track(options));
+    latch.wait();
     ASSERT_EQ(order.size(), 32u);
     for (std::size_t i = 0; i < order.size(); ++i)
         EXPECT_EQ(order[i], i);
@@ -85,11 +85,12 @@ TEST(Executor, MaxParallelismOneRunsInIndexOrder)
 TEST(Executor, EmptySetCompletesImmediately)
 {
     Executor executor(2);
-    auto set = executor.submit(0, [](std::size_t) {
-        FAIL() << "no tasks to run";
-    });
-    EXPECT_TRUE(set->done());
-    set->wait(); // returns without blocking
+    bool completed = false;
+    Executor::TaskSetOptions options;
+    options.on_complete = [&] { completed = true; };
+    executor.submit(
+        0, [](std::size_t) { FAIL() << "no tasks to run"; }, options);
+    EXPECT_TRUE(completed) << "an empty set completes inside submit()";
 }
 
 TEST(Executor, DestructorDrainsPendingSets)
@@ -98,7 +99,7 @@ TEST(Executor, DestructorDrainsPendingSets)
     std::vector<std::atomic<int>> hits(n);
     {
         Executor executor(3);
-        executor.submit(n, [&](std::size_t i) { ++hits[i]; });
+        executor.submit(n, [&](std::size_t i) { ++hits[i]; }, {});
         // No wait: destruction must finish the submitted work.
     }
     for (std::size_t i = 0; i < n; ++i)

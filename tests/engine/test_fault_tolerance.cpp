@@ -11,8 +11,9 @@
 
 #include "cachestore/snapshot.hpp"
 #include "common/failpoint.hpp"
-#include "engine/scheduler_service.hpp"
 #include "engine/executor.hpp"
+#include "engine/scheduler_service.hpp"
+#include "service_test_util.hpp"
 #include "solver/model.hpp"
 
 namespace cosa {
@@ -102,14 +103,16 @@ TEST_F(FaultTolerance, ExecutorContainsThrowingTasks)
     // process): the set finishes and every non-throwing slot is written.
     Executor executor(2);
     std::vector<int> written(16, 0);
-    executor
-        .submit(written.size(),
-                [&](std::size_t i) {
-                    if (i % 2 == 1)
-                        throw std::runtime_error("task fault");
-                    written[i] = 1;
-                })
-        ->wait();
+    test::SetLatch latch;
+    executor.submit(
+        written.size(),
+        [&](std::size_t i) {
+            if (i % 2 == 1)
+                throw std::runtime_error("task fault");
+            written[i] = 1;
+        },
+        latch.track());
+    latch.wait();
     for (std::size_t i = 0; i < written.size(); ++i)
         EXPECT_EQ(written[i], i % 2 == 0 ? 1 : 0) << "slot " << i;
 }

@@ -9,8 +9,9 @@
 #include <thread>
 #include <vector>
 
-#include "engine/scheduler_service.hpp"
 #include "engine/executor.hpp"
+#include "engine/scheduler_service.hpp"
+#include "service_test_util.hpp"
 
 namespace cosa {
 namespace {
@@ -94,123 +95,95 @@ TEST(ThreadlessJobs, ThousandQueuedJobsHoldNoRunnerThreads)
     EXPECT_EQ(stats.inflight_now, 0);
 }
 
-// Executor-level bounded starvation: with aging on, a Batch-tier task
-// set under a sustained Interactive flood is dispatched within a few
-// aging periods; with aging off it waits for the whole flood.
-TEST(ThreadlessJobs, ExecutorAgingBoundsStarvation)
+// Executor-level strict tiers: a Batch-tier task set queued behind a
+// sustained Interactive flood waits for the whole flood.
+TEST(ThreadlessJobs, ExecutorStrictTiersServeFloodFirst)
 {
     constexpr int kFlood = 40;
-    for (const bool aging : {false, true}) {
-        Executor executor(1, 3);
-        if (aging)
-            executor.setAgingSec(0.05);
+    Executor executor(1);
+    test::SetLatch latch;
 
-        // Occupy the single worker so the victim cannot be picked
-        // before the flood is queued behind it.
-        auto blocker = executor.submit(1, [](std::size_t) {
+    // Occupy the single worker so the victim cannot be picked before
+    // the flood is queued behind it.
+    executor.submit(
+        1,
+        [](std::size_t) {
             std::this_thread::sleep_for(std::chrono::milliseconds(30));
-        });
+        },
+        latch.track());
 
-        std::atomic<int> flood_done{0};
-        std::atomic<int> flood_done_at_victim{-1};
-        Executor::TaskSetOptions batch_options;
-        batch_options.tier = 2;
-        auto victim = executor.submit(
+    std::atomic<int> flood_done{0};
+    std::atomic<int> flood_done_at_victim{-1};
+    Executor::TaskSetOptions batch_options;
+    batch_options.tier = JobPriority::Batch;
+    executor.submit(
+        1,
+        [&](std::size_t) { flood_done_at_victim.store(flood_done.load()); },
+        latch.track(batch_options));
+
+    Executor::TaskSetOptions interactive_options;
+    interactive_options.tier = JobPriority::Interactive;
+    for (int i = 0; i < kFlood; ++i) {
+        executor.submit(
             1,
             [&](std::size_t) {
-                flood_done_at_victim.store(flood_done.load());
+                std::this_thread::sleep_for(std::chrono::milliseconds(10));
+                flood_done.fetch_add(1);
             },
-            batch_options);
-
-        std::vector<std::shared_ptr<Executor::TaskSet>> flood;
-        Executor::TaskSetOptions interactive_options;
-        interactive_options.tier = 0;
-        for (int i = 0; i < kFlood; ++i) {
-            flood.push_back(executor.submit(
-                1,
-                [&](std::size_t) {
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(10));
-                    flood_done.fetch_add(1);
-                },
-                interactive_options));
-        }
-        blocker->wait();
-        victim->wait();
-        for (const auto& set : flood)
-            set->wait();
-
-        if (aging) {
-            EXPECT_LT(flood_done_at_victim.load(), kFlood - 5)
-                << "an aged Batch set must be dispatched while the "
-                   "Interactive flood is still draining";
-        } else {
-            EXPECT_EQ(flood_done_at_victim.load(), kFlood)
-                << "strict tiers serve the whole flood first";
-        }
+            latch.track(interactive_options));
     }
+    latch.wait();
+
+    EXPECT_EQ(flood_done_at_victim.load(), kFlood)
+        << "strict tiers serve the whole flood first";
 }
 
-// Service-level bounded starvation: the admission queue applies the
-// same aging knob, so a queued Batch job under an Interactive flood
-// starts within ~2*aging_sec instead of last.
-TEST(ThreadlessJobs, ServiceAgingAdmitsStarvedBatchJobs)
+// Service-level strict tiers: the admission queue admits a queued Batch
+// job only after every queued Interactive job, so it finishes last.
+TEST(ThreadlessJobs, ServiceAdmitsBatchJobLast)
 {
     constexpr int kFlood = 25;
-    for (const bool aging : {false, true}) {
-        ServiceConfig config;
-        config.num_threads = 1;
-        config.max_inflight_jobs = 1;
-        config.aging_sec = aging ? 0.02 : 0.0;
-        SchedulerService service{config};
+    ServiceConfig config;
+    config.num_threads = 1;
+    config.max_inflight_jobs = 1;
+    SchedulerService service{config};
 
-        std::mutex order_mutex;
-        std::vector<std::string> completion_order;
-        const auto track = [&](ScheduleJob& job, std::string label) {
-            job.onDone([&, label] {
-                std::lock_guard<std::mutex> lock(order_mutex);
-                completion_order.push_back(label);
-            });
-        };
+    std::mutex order_mutex;
+    std::vector<std::string> completion_order;
+    const auto track = [&](ScheduleJob& job, std::string label) {
+        job.onDone([&, label] {
+            std::lock_guard<std::mutex> lock(order_mutex);
+            completion_order.push_back(label);
+        });
+    };
 
-        // Sample counts sized so one flood job runs ~8 ms: the Batch
-        // job banks its full 2-tier aging credit (2 * 20 ms) while the
-        // flood is still deep.
-        std::vector<ScheduleJob> jobs;
-        // Blocker holds the single inflight slot while the queue fills.
-        jobs.push_back(service.submit(tinyRequest(200, 3000)).takeJob());
-        track(jobs.back(), "blocker");
+    std::vector<ScheduleJob> jobs;
+    // Blocker holds the single inflight slot while the queue fills.
+    jobs.push_back(service.submit(tinyRequest(200, 3000)).takeJob());
+    track(jobs.back(), "blocker");
+    jobs.push_back(
+        service.submit(tinyRequest(201, 1500, JobPriority::Batch))
+            .takeJob());
+    track(jobs.back(), "batch");
+    for (int i = 0; i < kFlood; ++i) {
         jobs.push_back(
-            service.submit(tinyRequest(201, 1500, JobPriority::Batch))
+            service
+                .submit(tinyRequest(210 + i, 1500, JobPriority::Interactive))
                 .takeJob());
-        track(jobs.back(), "batch");
-        for (int i = 0; i < kFlood; ++i) {
-            jobs.push_back(
-                service
-                    .submit(tinyRequest(210 + i, 1500,
-                                        JobPriority::Interactive))
-                    .takeJob());
-            track(jobs.back(), "interactive");
-        }
-        for (ScheduleJob& job : jobs)
-            job.wait();
-
-        ASSERT_EQ(completion_order.size(), jobs.size());
-        std::size_t batch_pos = completion_order.size();
-        for (std::size_t i = 0; i < completion_order.size(); ++i) {
-            if (completion_order[i] == "batch")
-                batch_pos = i;
-        }
-        ASSERT_LT(batch_pos, completion_order.size());
-        if (aging) {
-            EXPECT_LT(batch_pos, completion_order.size() - 5)
-                << "aging must pull the Batch job forward out of the "
-                   "Interactive flood";
-        } else {
-            EXPECT_EQ(batch_pos, completion_order.size() - 1)
-                << "strict tiers finish the Batch job last";
-        }
+        track(jobs.back(), "interactive");
     }
+    for (ScheduleJob& job : jobs)
+        job.wait();
+
+    ASSERT_EQ(completion_order.size(), jobs.size());
+    std::size_t batch_pos = completion_order.size();
+    for (std::size_t i = 0; i < completion_order.size(); ++i) {
+        if (completion_order[i] == "batch")
+            batch_pos = i;
+    }
+    ASSERT_LT(batch_pos, completion_order.size());
+    EXPECT_EQ(batch_pos, completion_order.size() - 1)
+        << "strict tiers finish the Batch job last";
 }
 
 } // namespace

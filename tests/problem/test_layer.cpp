@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "problem/layer.hpp"
 #include "problem/workloads.hpp"
 
@@ -61,6 +63,44 @@ TEST(LayerSpec, MacsAndTensorSizes)
     EXPECT_EQ(spec.tensorElements(Tensor::Weights), 3LL * 3 * 8 * 16);
     EXPECT_EQ(spec.tensorElements(Tensor::Outputs), 4LL * 4 * 16 * 2);
     EXPECT_EQ(spec.tensorElements(Tensor::Inputs), 6LL * 6 * 8 * 2);
+}
+
+TEST(LayerSpec, CheckBoundsRejectsHugeBoundsAndOverflow)
+{
+    // The largest bound passes; one more fails like a zero bound.
+    LayerSpec edge;
+    edge.c = LayerSpec::kMaxBound;
+    EXPECT_TRUE(edge.checkBounds().ok());
+    edge.c = LayerSpec::kMaxBound + 1;
+    EXPECT_EQ(edge.checkBounds().code(), ErrorCode::kInvalidInput);
+    LayerSpec stride;
+    stride.stride = LayerSpec::kMaxBound + 1;
+    EXPECT_EQ(stride.checkBounds().code(), ErrorCode::kInvalidInput);
+
+    // Labels run the same check, so a 2^61 - 1 bound never reaches
+    // factorize(), whose trial division would take seconds on it.
+    EXPECT_EQ(LayerSpec::parseLabel("3_7_2305843009213693951_8_1")
+                  .status()
+                  .code(),
+              ErrorCode::kInvalidInput);
+
+    // In-range bounds whose MAC count (2^64) overflows int64.
+    const StatusOr<LayerSpec> macs =
+        LayerSpec::parseLabel("65536_65536_1_1_1");
+    ASSERT_FALSE(macs.ok());
+    EXPECT_EQ(macs.status().code(), ErrorCode::kInvalidInput);
+    EXPECT_NE(macs.status().message().find("MAC count"), std::string::npos)
+        << macs.status().message();
+
+    // A MAC count that fits (2^32) next to an input halo that does not:
+    // each input extent is about 2^47 at a 2^31 - 1 stride.
+    LayerSpec halo;
+    halo.p = halo.q = 65536;
+    halo.stride = LayerSpec::kMaxBound;
+    const Status inputs = halo.checkBounds();
+    EXPECT_EQ(inputs.code(), ErrorCode::kInvalidInput);
+    EXPECT_NE(inputs.message().find("input tensor"), std::string::npos)
+        << inputs.message();
 }
 
 TEST(FactorPool, CoversAllBounds)

@@ -141,6 +141,12 @@ TEST(RequestFromJson, RejectsBadInputsWithInvalidInput)
                  "arch": "simba"})", // inline zero bound
              R"({"workloads": [{"name": "x", "layers": [{"stride": 0}]}],
                  "arch": "simba"})", // inline zero stride
+             R"({"workloads": [{"name": "x", "layers":
+                 [{"r": 3, "p": 7, "c": 9223372036854775783, "k": 8}]}],
+                 "arch": "simba"})", // inline bound above 2^31 - 1
+             R"({"workloads": [{"name": "x",
+                 "layers": ["65536_65536_1_1_1"]}],
+                 "arch": "simba"})", // MAC count overflows int64
              R"([1,2,3])",
          }) {
         StatusOr<ScheduleRequest> decoded =

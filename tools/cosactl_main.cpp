@@ -41,8 +41,8 @@
 
 #include "cachestore/snapshot.hpp"
 #include "cachestore/store.hpp"
+#include "common/flag_value.hpp"
 #include "common/logging.hpp"
-#include "flag_value.hpp"
 #include "server/client.hpp"
 #include "server/wire.hpp"
 
@@ -202,7 +202,7 @@ main(int argc, char** argv)
         if (want("--host"))
             host = argv[++a];
         else if (want("--port"))
-            port = tools::flagValue(argv, a, 1, 65535);
+            port = flagValue(argv, a, 1, 65535);
         else if (want("--key"))
             key = argv[++a];
         else

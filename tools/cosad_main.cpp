@@ -4,7 +4,7 @@
  *
  *   cosad [--host H] [--port P] [--threads N] [--handlers N]
  *         [--tenants FILE] [--max-queued N] [--max-inflight N]
- *         [--aging-sec S] [--cache-dir DIR] [--cache-capacity N]
+ *         [--cache-dir DIR] [--cache-capacity N]
  *
  * --port 0 (the default) binds an ephemeral port and prints it, which
  * is what the smoke tests use. --tenants points at the JSON tenant
@@ -13,8 +13,11 @@
  * configured the daemon runs open (single "default" tenant, no
  * quota). --cache-dir mounts the persistent schedule cache
  * (docs/cache-store.md) so solves survive restarts; --cache-capacity
- * bounds its LRU entry count exactly (0 = unbounded). SIGINT/SIGTERM
- * shut down cleanly.
+ * bounds its LRU entry count exactly (0 = unbounded). Jobs are
+ * admitted and dispatched in strict priority tiers (a request's
+ * "priority"): no Batch task starts while Interactive or Normal work
+ * can run. Numeric flags parse strictly; a bad value exits 1 naming
+ * the flag. SIGINT/SIGTERM shut down cleanly.
  */
 
 #include <csignal>
@@ -25,8 +28,8 @@
 #include <sstream>
 #include <string>
 
+#include "common/flag_value.hpp"
 #include "common/logging.hpp"
-#include "flag_value.hpp"
 #include "server/daemon.hpp"
 
 namespace {
@@ -56,26 +59,24 @@ main(int argc, char** argv)
         if (want("--host")) {
             config.host = argv[++a];
         } else if (want("--port")) {
-            config.port = tools::flagValue(argv, a, 0, 65535);
+            config.port = flagValue(argv, a, 0, 65535);
         } else if (want("--threads")) {
-            config.service.num_threads = tools::flagValue<int>(argv, a);
+            config.service.num_threads = flagValue<int>(argv, a);
         } else if (want("--handlers")) {
-            config.num_handler_threads = tools::flagValue<int>(argv, a);
+            config.num_handler_threads = flagValue<int>(argv, a);
         } else if (want("--tenants")) {
             tenants_file = argv[++a];
         } else if (want("--max-queued")) {
             config.service.max_queued_jobs =
-                tools::flagValue<std::int64_t>(argv, a);
+                flagValue<std::int64_t>(argv, a);
         } else if (want("--max-inflight")) {
             config.service.max_inflight_jobs =
-                tools::flagValue<std::int64_t>(argv, a);
-        } else if (want("--aging-sec")) {
-            config.service.aging_sec = tools::flagValue<double>(argv, a);
+                flagValue<std::int64_t>(argv, a);
         } else if (want("--cache-dir")) {
             config.cache_dir = argv[++a];
         } else if (want("--cache-capacity")) {
             config.cache_capacity =
-                tools::flagValue<std::int64_t>(argv, a);
+                flagValue<std::int64_t>(argv, a);
         } else {
             fatal("unknown or incomplete flag '", argv[a],
                   "' (see the file comment in tools/cosad_main.cpp)");
