@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 namespace cosa {
 namespace json {
@@ -134,6 +135,20 @@ Value::find(std::string_view key) const
             return &value;
     }
     return nullptr;
+}
+
+std::int64_t
+Value::asInt() const
+{
+    if (!isDouble())
+        return int_;
+    // 2^63 is exact as a double; the cast is only defined below it.
+    constexpr double kTwo63 = 9223372036854775808.0;
+    if (double_ >= kTwo63)
+        return std::numeric_limits<std::int64_t>::max();
+    if (double_ < -kTwo63)
+        return std::numeric_limits<std::int64_t>::min();
+    return double_ == double_ ? static_cast<std::int64_t>(double_) : 0;
 }
 
 bool

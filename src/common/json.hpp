@@ -22,8 +22,8 @@
  *
  * Integers and doubles are distinct kinds: `12` parses (and dumps) as
  * Int, `12.0` as Double. asDouble() widens an Int; asInt() on a
- * Double is only exact for integral values. NaN/Inf have no JSON form
- * and dump as `null` (the solver never ships them; see
+ * Double is only exact for integral values in range. NaN/Inf have no
+ * JSON form and dump as `null` (the solver never ships them; see
  * validateSolveInputs).
  */
 
@@ -78,10 +78,10 @@ class Value
     bool isObject() const { return kind_ == Kind::Object; }
 
     bool asBool() const { return bool_; }
-    std::int64_t asInt() const
-    {
-        return isDouble() ? static_cast<std::int64_t>(double_) : int_;
-    }
+    /** A Double truncates toward zero, saturating at the int64 range
+     *  (NaN reads 0). Decoders of untrusted bodies should reject such
+     *  values instead; the wire's request decoder does. */
+    std::int64_t asInt() const;
     double asDouble() const
     {
         return isInt() ? static_cast<double>(int_) : double_;

@@ -4,16 +4,14 @@ namespace cosa {
 
 ScheduleJob::~ScheduleJob()
 {
-    if (state_)
-        wait(); // never abandon the job's in-flight executor work
+    waitFinished(); // never abandon the job's in-flight executor work
 }
 
 ScheduleJob&
 ScheduleJob::operator=(ScheduleJob&& other)
 {
     if (this != &other) {
-        if (state_)
-            wait();
+        waitFinished();
         state_ = std::move(other.state_);
     }
     return *this;
@@ -24,6 +22,15 @@ ScheduleJob::wait()
 {
     if (!state_)
         return {};
+    waitFinished();
+    return state_->results;
+}
+
+void
+ScheduleJob::waitFinished() const
+{
+    if (!state_)
+        return;
     // No job — queued or running — owns a thread: completion is purely
     // the `finished` condition, set by the service's epilogue
     // continuation under the state mutex. Waiting therefore costs one
@@ -35,7 +42,6 @@ ScheduleJob::wait()
             return state_->finished.load(std::memory_order_acquire);
         });
     }
-    return state_->results;
 }
 
 void

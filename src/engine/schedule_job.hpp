@@ -166,6 +166,10 @@ class ScheduleJob
     {
     }
 
+    /** Block until the batch finishes; unlike wait(), copies nothing
+     *  (what the destructor and move-assignment need). */
+    void waitFinished() const;
+
     std::shared_ptr<State> state_;
 };
 

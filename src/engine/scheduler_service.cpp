@@ -349,13 +349,21 @@ fallbackCounter(const char* stage)
  * evaluator: out-of-range layer dimensions and non-finite architecture
  * constants produce garbage schedules (or NaN objectives, or a
  * factorization that never ends) rather than clean failures, so they
- * fail fast with a typed cause instead.
+ * fail fast with a typed cause instead. So does a Hybrid thread count
+ * outside [1, kMaxHybridThreads]: each search would start that many
+ * threads.
  */
 Status
-validateSolveInputs(const LayerSpec& layer, const ArchSpec& arch)
+validateSolveInputs(const ScheduleRequest& req, const LayerSpec& layer,
+                    const ArchSpec& arch)
 {
     if (Status bounds = layer.checkBounds(); !bounds.ok())
         return bounds;
+    if (req.scheduler == SchedulerKind::Hybrid ||
+        req.scheduler == SchedulerKind::Portfolio) {
+        if (Status threads = req.hybrid.checkBounds(); !threads.ok())
+            return threads;
+    }
     auto finite = [](double v) { return std::isfinite(v); };
     for (const MemLevelSpec& level : arch.levels) {
         if (!finite(level.energy_pj_per_byte) ||
@@ -423,7 +431,7 @@ solveWithFirewall(const ScheduleRequest& req, const LayerSpec& layer,
         return failed;
     };
 
-    if (Status guard = validateSolveInputs(layer, arch); !guard.ok()) {
+    if (Status guard = validateSolveInputs(req, layer, arch); !guard.ok()) {
         // The problem statement itself is poisoned: retrying or falling
         // back would only launder garbage into a "schedule".
         recordFault(guard, "input-validation");

@@ -3,12 +3,24 @@
 #include <atomic>
 #include <exception>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "common/rng.hpp"
 #include "mapper/random_mapper.hpp"
 
 namespace cosa {
+
+Status
+HybridMapperConfig::checkBounds() const
+{
+    if (num_threads < 1 || num_threads > kMaxHybridThreads)
+        return {ErrorCode::kInvalidInput,
+                "hybrid num_threads " + std::to_string(num_threads) +
+                    " is outside [1, " + std::to_string(kMaxHybridThreads) +
+                    "]"};
+    return Status::Ok();
+}
 
 HybridMapper::HybridMapper(HybridMapperConfig config)
     : config_(std::move(config))
@@ -109,8 +121,18 @@ HybridMapper::schedule(const LayerSpec& layer, const ArchSpec& arch,
 
     std::vector<std::thread> threads;
     threads.reserve(static_cast<std::size_t>(config_.num_threads));
-    for (int t = 0; t < config_.num_threads; ++t)
-        threads.emplace_back(worker, t);
+    try {
+        for (int t = 0; t < config_.num_threads; ++t)
+            threads.emplace_back(worker, t);
+    } catch (...) {
+        // A thread that failed to start must not unwind past joinable
+        // ones (std::terminate): stop and join those, then let the
+        // firewall see the fault.
+        stop.store(true, std::memory_order_relaxed);
+        for (auto& t : threads)
+            t.join();
+        throw;
+    }
     for (auto& t : threads)
         t.join();
     // Surface the lowest-index fault on the calling thread, where the

@@ -15,9 +15,13 @@
 
 namespace cosa {
 
+/** Most worker threads one Hybrid search may start (per layer). */
+inline constexpr int kMaxHybridThreads = 64;
+
 /** Tunables of the Timeloop-Hybrid mapper (paper defaults). */
 struct HybridMapperConfig
 {
+    /** Worker threads started per layer, in [1, kMaxHybridThreads]. */
     int num_threads = 8;
     /** Self-termination: consecutive valid yet suboptimal mappings. */
     int victory_condition = 500;
@@ -27,6 +31,12 @@ struct HybridMapperConfig
     std::int64_t max_samples_per_thread = 4'000'000;
     SearchObjective objective = SearchObjective::Latency;
     std::uint64_t seed = 0x71AE;
+
+    /** kInvalidInput when num_threads is outside [1, kMaxHybridThreads]:
+     *  every search starts that many std::threads. The wire decoder and
+     *  the service's input guard both run it, so no request reaches
+     *  schedule() with an unbounded thread count. */
+    Status checkBounds() const;
 };
 
 /** Threaded Timeloop-Hybrid search. */

@@ -76,13 +76,26 @@ jsonResponse(int status, std::string body, bool keep_alive)
 Daemon::Daemon(DaemonConfig config)
     : config_(std::move(config)),
       service_(std::make_unique<SchedulerService>(config_.service)),
-      registry_(config_.tenants)
+      registry_(config_.tenants),
+      finished_jobs_gauge_(metrics::MetricsRegistry::global().gauge(
+          "cosad_finished_jobs", "Finished jobs cosad retains")),
+      finished_bytes_gauge_(metrics::MetricsRegistry::global().gauge(
+          "cosad_finished_job_bytes",
+          "Bytes of the compact records of the retained finished jobs"))
 {
 }
 
 Daemon::~Daemon()
 {
     stop();
+    // A job's completion hooks can still be running on an executor
+    // worker after its handle returned from waiting; the service joins
+    // those workers before any member they touch goes away.
+    service_.reset();
+    for (int& fd : wake_pipe_) {
+        if (fd >= 0)
+            ::close(fd);
+    }
 }
 
 Status
@@ -150,13 +163,18 @@ Daemon::start()
     port_ = ntohs(addr.sin_port);
     setNonBlocking(listen_fd_);
 
-    if (::pipe(wake_pipe_) != 0) {
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        return {ErrorCode::kIoError, "pipe() failed"};
+    // The wake pipe lives until the destructor: job completion hooks
+    // wake the loop from executor workers, and one may still be running
+    // when stop() returns.
+    if (wake_pipe_[0] < 0) {
+        if (::pipe(wake_pipe_) != 0) {
+            ::close(listen_fd_);
+            listen_fd_ = -1;
+            return {ErrorCode::kIoError, "pipe() failed"};
+        }
+        setNonBlocking(wake_pipe_[0]);
+        setNonBlocking(wake_pipe_[1]);
     }
-    setNonBlocking(wake_pipe_[0]);
-    setNonBlocking(wake_pipe_[1]);
 
     running_.store(true, std::memory_order_release);
     loop_thread_ = std::thread(&Daemon::eventLoop, this);
@@ -191,12 +209,6 @@ Daemon::stop()
         ::close(listen_fd_);
         listen_fd_ = -1;
     }
-    for (int i = 0; i < 2; ++i) {
-        if (wake_pipe_[i] >= 0) {
-            ::close(wake_pipe_[i]);
-            wake_pipe_[i] = -1;
-        }
-    }
     {
         std::lock_guard<std::mutex> lock(connections_mutex_);
         for (const auto& connection : connections_) {
@@ -213,8 +225,12 @@ Daemon::stop()
         std::lock_guard<std::mutex> lock(jobs_mutex_);
         doomed.swap(jobs_);
         finished_order_.clear();
+        finished_bytes_ = 0;
+        finished_jobs_gauge_.set(0.0);
+        finished_bytes_gauge_.set(0.0);
     }
     doomed.clear();
+    dropRetiredJobs();
 }
 
 void
@@ -261,6 +277,7 @@ Daemon::eventLoop()
             char drain[256];
             while (::read(wake_pipe_[0], drain, sizeof(drain)) > 0) {
             }
+            dropRetiredJobs();
         }
         if (fds[1].revents & POLLIN)
             acceptReady();
@@ -663,7 +680,14 @@ Daemon::handleSubmit(const HandlerTask& task, const std::string& tenant)
     entry->tag = decoded.value().tag;
     entry->priority = decoded.value().priority;
 
-    SubmitResult submitted = service_->submit(std::move(decoded).value());
+    // The job's events, kept compact for its record. Installed before
+    // the job can start, so it sees every event; it runs under the job
+    // lock, as does the completion hook below that reads the log.
+    auto event_log = std::make_shared<std::string>();
+    SubmitResult submitted = service_->submit(
+        std::move(decoded).value(), [event_log](const JobProgress& event) {
+            appendEventRecord(*event_log, event);
+        });
     if (!submitted.accepted()) {
         registry_.release(tenant);
         const Rejected& rejected = submitted.rejection();
@@ -675,7 +699,8 @@ Daemon::handleSubmit(const HandlerTask& task, const std::string& tenant)
                       rejected.message),
             {{"Retry-After", "1"}});
     }
-    entry->job = submitted.takeJob();
+    const auto job = std::make_shared<ScheduleJob>(submitted.takeJob());
+    entry->job = job;
 
     std::uint64_t id = 0;
     {
@@ -684,13 +709,15 @@ Daemon::handleSubmit(const HandlerTask& task, const std::string& tenant)
         entry->id = id;
         jobs_.emplace(id, entry);
     }
-    // Quota release + retention bookkeeping on completion; runs on the
-    // engine worker finishing the job (or inline if already done).
-    entry->job.onDone([this, id, tenant] {
+    // Quota release, compaction and retention on completion: on the
+    // engine worker finishing the job, or inline here if it already
+    // has (then `job` keeps the handle alive through the call). The job
+    // state owns the hook, so it holds the entry weakly.
+    job->onDone([this, weak_entry = std::weak_ptr<JobEntry>(entry), tenant,
+                 event_log] {
         registry_.release(tenant);
-        std::lock_guard<std::mutex> lock(jobs_mutex_);
-        finished_order_.push_back(id);
-        evictFinishedLocked();
+        if (const std::shared_ptr<JobEntry> finished = weak_entry.lock())
+            compactFinished(*finished, *event_log);
     });
 
     json::Value response = json::Value::object();
@@ -713,12 +740,60 @@ Daemon::findJob(std::uint64_t id, const std::string& tenant)
     return it->second;
 }
 
+Daemon::JobSnapshot
+Daemon::snapshot(JobEntry& entry)
+{
+    std::lock_guard<std::mutex> lock(entry.mutex);
+    return {entry.job, entry.record, entry.cancel_requested};
+}
+
+void
+Daemon::compactFinished(JobEntry& entry, std::string_view event_log)
+{
+    std::shared_ptr<ScheduleJob> job = snapshot(entry).job;
+    // The job is finished, so wait() returns its results without taking
+    // the job lock this hook runs under.
+    auto record = std::make_shared<const std::string>(
+        encodeJobRecord(job->wait(), event_log));
+    const bool cancelled = job->cancelled();
+    {
+        std::lock_guard<std::mutex> lock(entry.mutex);
+        entry.record = record;
+        entry.cancel_requested = entry.cancel_requested || cancelled;
+        entry.job.reset();
+    }
+    // Hand this last reference to the event loop rather than dropping it
+    // here, inside the job's own callback.
+    {
+        std::lock_guard<std::mutex> lock(retired_mutex_);
+        retired_jobs_.push_back(std::move(job));
+    }
+    wake();
+    std::lock_guard<std::mutex> lock(jobs_mutex_);
+    finished_order_.emplace_back(entry.id, record->size());
+    finished_bytes_ += record->size();
+    evictFinishedLocked();
+}
+
 void
 Daemon::evictFinishedLocked()
 {
     while (finished_order_.size() > config_.max_finished_jobs) {
-        jobs_.erase(finished_order_.front());
+        jobs_.erase(finished_order_.front().first);
+        finished_bytes_ -= finished_order_.front().second;
         finished_order_.pop_front();
+    }
+    finished_jobs_gauge_.set(static_cast<double>(finished_order_.size()));
+    finished_bytes_gauge_.set(static_cast<double>(finished_bytes_));
+}
+
+void
+Daemon::dropRetiredJobs()
+{
+    std::vector<std::shared_ptr<ScheduleJob>> retired;
+    {
+        std::lock_guard<std::mutex> lock(retired_mutex_);
+        retired.swap(retired_jobs_);
     }
 }
 
@@ -737,31 +812,44 @@ Daemon::handleJobGet(const HandlerTask& task, const std::string& tenant,
                                    "no job " + std::to_string(id)),
                          keep_alive));
     }
+    const JobSnapshot job = snapshot(*entry);
     json::Value v = json::Value::object();
     v.set("id", static_cast<std::int64_t>(id));
     v.set("tenant", entry->tenant);
     v.set("tag", entry->tag);
     v.set("priority", jobPriorityName(entry->priority));
-    v.set("cancel_requested", entry->job.cancelled());
-    if (!entry->job.done()) {
+    v.set("cancel_requested", job.cancelRequested());
+    if (!job.done()) {
         v.set("state", "running");
         requestCounter(tenant, 200).inc();
         return finishResponse(task.connection, task.slot,
                               jsonResponse(200, v.dump(), keep_alive));
     }
     v.set("state", "done");
-    // Render the canonical result bytes from the job on every GET: the
-    // job is done, so wait() only copies its results, and rendering is
-    // deterministic, so every GET sends the same bytes. Provenance is
-    // rendered separately: it carries the cold-vs-warm accounting that
-    // must never leak into the canonical results.
-    const std::vector<NetworkResult> results = entry->job.wait();
+    // Render the canonical result bytes on every GET, from the record
+    // (or, until the completion hook has swapped it in, from the done
+    // job, whose wait() only copies): the record keeps every field the
+    // renderers read, and rendering is deterministic, so every GET sends
+    // the same bytes. Provenance is rendered separately: it carries the
+    // cold-vs-warm accounting that must never leak into the canonical
+    // results.
+    StatusOr<std::vector<NetworkResult>> results =
+        job.record ? decodeRecordResults(*job.record) : job.job->wait();
+    if (!results.ok()) {
+        requestCounter(tenant, 500).inc();
+        return finishResponse(
+            task.connection, task.slot,
+            jsonResponse(500,
+                         errorBody(results.status().code(),
+                                   results.status().message()),
+                         keep_alive));
+    }
     std::string body = v.dump();
     body.pop_back(); // '}'
     body += ",\"results\":";
-    body += resultsToJson(results).dump();
+    body += resultsToJson(results.value()).dump();
     body += ",\"provenance\":";
-    body += provenanceToJson(results).dump();
+    body += provenanceToJson(results.value()).dump();
     body += "}";
     requestCounter(tenant, 200).inc();
     finishResponse(task.connection, task.slot,
@@ -772,28 +860,28 @@ void
 Daemon::handleJobList(const HandlerTask& task, const std::string& tenant)
 {
     const bool keep_alive = task.request.keepAlive();
-    json::Value list = json::Value::array();
+    std::vector<std::pair<std::uint64_t, std::shared_ptr<JobEntry>>> sorted;
     {
         std::lock_guard<std::mutex> lock(jobs_mutex_);
-        // Ascending id order so the listing is stable.
-        std::vector<std::pair<std::uint64_t, std::shared_ptr<JobEntry>>>
-            sorted(jobs_.begin(), jobs_.end());
-        std::sort(sorted.begin(), sorted.end(),
-                  [](const auto& a, const auto& b) {
-                      return a.first < b.first;
-                  });
-        for (const auto& [id, entry] : sorted) {
-            if (!registry_.open() && entry->tenant != tenant)
-                continue;
-            json::Value v = json::Value::object();
-            v.set("id", static_cast<std::int64_t>(id));
-            v.set("tenant", entry->tenant);
-            v.set("tag", entry->tag);
-            v.set("priority", jobPriorityName(entry->priority));
-            v.set("state", entry->job.done() ? "done" : "running");
-            v.set("cancel_requested", entry->job.cancelled());
-            list.push(std::move(v));
+        for (const auto& [id, entry] : jobs_) {
+            if (registry_.open() || entry->tenant == tenant)
+                sorted.emplace_back(id, entry);
         }
+    }
+    // Ascending id order so the listing is stable.
+    std::sort(sorted.begin(), sorted.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    json::Value list = json::Value::array();
+    for (const auto& [id, entry] : sorted) {
+        const JobSnapshot job = snapshot(*entry);
+        json::Value v = json::Value::object();
+        v.set("id", static_cast<std::int64_t>(id));
+        v.set("tenant", entry->tenant);
+        v.set("tag", entry->tag);
+        v.set("priority", jobPriorityName(entry->priority));
+        v.set("state", job.done() ? "done" : "running");
+        v.set("cancel_requested", job.cancelRequested());
+        list.push(std::move(v));
     }
     json::Value v = json::Value::object();
     v.set("jobs", std::move(list));
@@ -863,7 +951,14 @@ Daemon::handleCancel(const HandlerTask& task, const std::string& tenant,
                                    "no job " + std::to_string(id)),
                          keep_alive));
     }
-    entry->job.cancel();
+    std::shared_ptr<ScheduleJob> job;
+    {
+        std::lock_guard<std::mutex> lock(entry->mutex);
+        entry->cancel_requested = true;
+        job = entry->job;
+    }
+    if (job)
+        job->cancel();
     json::Value v = json::Value::object();
     v.set("id", static_cast<std::int64_t>(id));
     v.set("cancel_requested", true);
@@ -886,6 +981,19 @@ Daemon::handleEvents(const HandlerTask& task, const std::string& tenant,
                                    "no job " + std::to_string(id)),
                          task.request.keepAlive()));
     }
+    const JobSnapshot job = snapshot(*entry);
+    StatusOr<std::vector<JobProgress>> recorded = std::vector<JobProgress>{};
+    if (job.record)
+        recorded = decodeRecordEvents(*job.record);
+    if (!recorded.ok()) {
+        requestCounter(tenant, 500).inc();
+        return finishResponse(
+            task.connection, task.slot,
+            jsonResponse(500,
+                         errorBody(recorded.status().code(),
+                                   recorded.status().message()),
+                         task.request.keepAlive()));
+    }
     // Open the chunked stream: headers go out now, each progress event
     // is one JSON-line chunk, completion appends the terminal summary
     // line and the chunked trailer. The slot keeps its outbox position
@@ -902,6 +1010,8 @@ Daemon::handleEvents(const HandlerTask& task, const std::string& tenant,
     }
     requestCounter(tenant, 200).inc();
     wake();
+    json::Value done_line = json::Value::object();
+    done_line.set("done", true);
 
     // Engine workers append chunks; weak_ptrs keep a dropped
     // connection from being written to (and from leaking).
@@ -926,14 +1036,18 @@ Daemon::handleEvents(const HandlerTask& task, const std::string& tenant,
         }
         wake();
     };
-    entry->job.onProgress([push](const JobProgress& event) {
+    if (job.record) {
+        // A finished job replays its recorded events, recorded wall
+        // times included, through the same line renderer.
+        for (const JobProgress& event : recorded.value())
+            push(progressEventLine(event), false);
+        return push(done_line.dump() + "\n", true);
+    }
+    job.job->onProgress([push](const JobProgress& event) {
         push(progressEventLine(event), false);
     });
-    const bool cancelled = entry->job.cancelled();
-    entry->job.onDone([push, cancelled] {
-        json::Value v = json::Value::object();
-        v.set("done", true);
-        push(v.dump() + "\n", true);
+    job.job->onDone([push, done = done_line.dump() + "\n"] {
+        push(done, true);
     });
 }
 

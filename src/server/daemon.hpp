@@ -47,6 +47,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -69,7 +70,8 @@ struct DaemonConfig
     int num_handler_threads = 4;
     int max_connections = 256;
     std::size_t max_body_bytes = 4 * 1024 * 1024;
-    /** Finished jobs retained for GET (oldest evicted beyond this). */
+    /** Finished jobs retained for GET and late events calls, each as
+     *  its compact record (oldest evicted beyond this). */
     std::size_t max_finished_jobs = 1024;
     /** Engine sizing/limits (executor width, admission). */
     ServiceConfig service;
@@ -142,14 +144,42 @@ class Daemon
         std::atomic<bool> dead{false};
     };
 
-    /** One submitted job as the wire sees it. */
+    /**
+     * One submitted job as the wire sees it. While it runs, the entry
+     * holds its ScheduleJob; when it finishes, compactFinished() swaps
+     * the handle for the job's compact record (encodeJobRecord()), and
+     * every later GET, events call, list and DELETE answers from that.
+     */
     struct JobEntry
     {
         std::uint64_t id = 0;
         std::string tenant;
         std::string tag;
         JobPriority priority = JobPriority::Normal;
-        ScheduleJob job; //!< holds the results; GETs render them
+
+        /** Guards the three members below. It is held only to copy
+         *  them, never while calling into the job, so a job callback
+         *  that takes it never waits behind the job's own lock. */
+        std::mutex mutex;
+        std::shared_ptr<ScheduleJob> job; //!< null once compacted
+        std::shared_ptr<const std::string> record; //!< null while running
+        /** A DELETE arrived, or (once compacted) the job had been
+         *  cancelled by then — its deadline's auto-cancel included. */
+        bool cancel_requested = false;
+    };
+
+    /** What a handler reads of an entry, copied under its lock. */
+    struct JobSnapshot
+    {
+        std::shared_ptr<ScheduleJob> job;
+        std::shared_ptr<const std::string> record;
+        bool cancel_requested = false;
+
+        bool done() const { return record || job->done(); }
+        bool cancelRequested() const
+        {
+            return cancel_requested || (job && job->cancelled());
+        }
     };
 
     struct HandlerTask
@@ -186,7 +216,14 @@ class Daemon
 
     std::shared_ptr<JobEntry> findJob(std::uint64_t id,
                                       const std::string& tenant);
+    static JobSnapshot snapshot(JobEntry& entry);
+    /** Completion hook of a submitted job: swap its handle for its
+     *  compact record, then apply retention. Runs under the job lock. */
+    void compactFinished(JobEntry& entry, std::string_view event_log);
     void evictFinishedLocked();
+    /** Drop the handles compactFinished() retired (outside any job
+     *  callback: a handle must not die inside its own callback). */
+    void dropRetiredJobs();
     metrics::Counter& requestCounter(const std::string& tenant,
                                      int status);
 
@@ -216,8 +253,16 @@ class Daemon
 
     std::mutex jobs_mutex_;
     std::unordered_map<std::uint64_t, std::shared_ptr<JobEntry>> jobs_;
-    std::deque<std::uint64_t> finished_order_; //!< eviction FIFO
+    /** Eviction FIFO of finished jobs: id and record size. */
+    std::deque<std::pair<std::uint64_t, std::size_t>> finished_order_;
+    std::size_t finished_bytes_ = 0; //!< sum of the retained records
     std::uint64_t next_job_id_ = 1;
+    metrics::Gauge& finished_jobs_gauge_;
+    metrics::Gauge& finished_bytes_gauge_;
+
+    /** Compacted jobs' handles, dropped by the event loop. */
+    std::mutex retired_mutex_;
+    std::vector<std::shared_ptr<ScheduleJob>> retired_jobs_;
 };
 
 } // namespace server

@@ -32,6 +32,8 @@
  */
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/json.hpp"
 #include "common/status.hpp"
@@ -60,6 +62,30 @@ json::Value provenanceToJson(const std::vector<NetworkResult>& results);
 /** One progress event as a single-line JSON object (the event-stream
  *  chunk payload, newline included). */
 std::string progressEventLine(const JobProgress& event);
+
+/**
+ * The compact record cosad keeps of a finished job: a binary encoding
+ * (layout in wire.cpp) of exactly the fields resultsToJson(),
+ * provenanceToJson() and progressEventLine() read — doubles bit-exact,
+ * integers as varints — so rendering what the decoders return gives the
+ * same bytes as rendering the job itself. @p event_log is the job's
+ * events, each appended with appendEventRecord() as it fired.
+ */
+std::string encodeJobRecord(const std::vector<NetworkResult>& results,
+                            std::string_view event_log);
+
+/** Append @p event to an event log for encodeJobRecord(). */
+void appendEventRecord(std::string& log, const JobProgress& event);
+
+/** A record's results: every field the two renderers read is set, and
+ *  nothing else. kInternal on a malformed record. */
+StatusOr<std::vector<NetworkResult>>
+decodeRecordResults(std::string_view record);
+
+/** A record's progress events, in the order they fired: every field
+ *  progressEventLine() reads is set. kInternal on a malformed record. */
+StatusOr<std::vector<JobProgress>>
+decodeRecordEvents(std::string_view record);
 
 /** Structured error body: {"error":{"code":...,"message":...}}. */
 std::string errorBody(ErrorCode code, const std::string& message);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "common/json.hpp"
@@ -135,6 +136,19 @@ TEST(JsonValue, HugeIntegerWidensToDouble)
 {
     const Value v = mustParse("123456789012345678901234567890");
     EXPECT_TRUE(v.isDouble());
+}
+
+TEST(JsonValue, AsIntTruncatesAndSaturates)
+{
+    EXPECT_EQ(mustParse("8.9").asInt(), 8);
+    EXPECT_EQ(mustParse("-8.9").asInt(), -8);
+    EXPECT_EQ(mustParse("1e300").asInt(),
+              std::numeric_limits<std::int64_t>::max());
+    EXPECT_EQ(mustParse("-1e300").asInt(),
+              std::numeric_limits<std::int64_t>::min());
+    EXPECT_EQ(mustParse("9223372036854775808").asInt(),
+              std::numeric_limits<std::int64_t>::max());
+    EXPECT_EQ(Value(std::numeric_limits<double>::quiet_NaN()).asInt(), 0);
 }
 
 } // namespace

@@ -96,6 +96,23 @@ TEST(HybridMapper, RespectsTerminationCondition)
     EXPECT_LT(result.stats.samples, 2 * config.max_samples_per_thread);
 }
 
+TEST(HybridMapper, ThreadCountIsBounded)
+{
+    // Only the check runs here: a search with an out-of-range count
+    // would start that many threads.
+    HybridMapperConfig config;
+    for (int threads : {1, 8, kMaxHybridThreads}) {
+        config.num_threads = threads;
+        EXPECT_TRUE(config.checkBounds().ok()) << threads;
+    }
+    for (int threads : {-1, 0, kMaxHybridThreads + 1, 1 << 30}) {
+        config.num_threads = threads;
+        const Status bounds = config.checkBounds();
+        EXPECT_EQ(bounds.code(), ErrorCode::kInvalidInput) << threads;
+        EXPECT_NE(bounds.message().find("num_threads"), std::string::npos);
+    }
+}
+
 TEST(ExhaustiveMapper, AgreesWithItselfAndValid)
 {
     // Tiny layer so the assignment space stays enumerable.

@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <cstring>
@@ -82,10 +83,11 @@ waitDone(Client& client, std::uint64_t id)
     return "";
 }
 
-/** The canonical bytes the same body produces in-process (the CI
- *  `cosactl local` reference, inlined). */
-std::string
-localReference(const std::string& body_text)
+/** The same body solved in-process (the CI `cosactl local` reference,
+ *  inlined); @p on_progress sees its events. */
+std::vector<NetworkResult>
+solveLocally(const std::string& body_text,
+             ScheduleJob::ProgressCallback on_progress = {})
 {
     StatusOr<json::Value> body = json::Value::parse(body_text);
     EXPECT_TRUE(body.ok());
@@ -93,9 +95,17 @@ localReference(const std::string& body_text)
         requestFromJson(body.value(), "");
     EXPECT_TRUE(decoded.ok()) << decoded.status().message();
     SchedulerService service{ServiceConfig{}};
-    SubmitResult submitted = service.submit(std::move(decoded).value());
+    SubmitResult submitted =
+        service.submit(std::move(decoded).value(), std::move(on_progress));
     EXPECT_TRUE(submitted.accepted());
-    return resultsToJson(submitted.takeJob().wait()).dump();
+    return submitted.takeJob().wait();
+}
+
+/** The canonical bytes the same body produces in-process. */
+std::string
+localReference(const std::string& body_text)
+{
+    return resultsToJson(solveLocally(body_text)).dump();
 }
 
 /** "results" member bytes of a done status body. */
@@ -107,6 +117,74 @@ resultBytes(const std::string& status_body)
     const json::Value* results = body.value().find("results");
     EXPECT_NE(results, nullptr);
     return results ? results->dump() : "";
+}
+
+/** Size of the record cosad keeps for @p body_text, from the same job
+ *  solved in-process: the two records differ only in the recorded wall
+ *  times, which take a fixed 8 bytes each. */
+std::size_t
+localRecordSize(const std::string& body_text)
+{
+    std::string log;
+    const std::vector<NetworkResult> results =
+        solveLocally(body_text, [&log](const JobProgress& event) {
+            appendEventRecord(log, event);
+        });
+    return encodeJobRecord(results, log).size();
+}
+
+/** Member @p key of a JSON body, re-dumped. */
+std::string
+memberBytes(const std::string& body_text, const std::string& key)
+{
+    StatusOr<json::Value> body = json::Value::parse(body_text);
+    EXPECT_TRUE(body.ok()) << body_text;
+    const json::Value* member = body.ok() ? body.value().find(key) : nullptr;
+    EXPECT_NE(member, nullptr) << key << " missing from " << body_text;
+    return member ? member->dump() : "";
+}
+
+/** GET /v1/jobs/{id} body. */
+std::string
+fetchJob(Client& client, std::uint64_t id)
+{
+    StatusOr<WireResponse> response = client.jobStatus(id);
+    EXPECT_TRUE(response.ok()) << response.status().message();
+    if (!response.ok())
+        return "";
+    EXPECT_EQ(response.value().status, 200) << response.value().body;
+    return response.value().body;
+}
+
+/** Every line of GET /v1/jobs/{id}/events, the done line included. */
+std::vector<std::string>
+eventLines(Client& client, std::uint64_t id)
+{
+    std::vector<std::string> lines;
+    StatusOr<int> status = client.streamEvents(
+        id, [&](const std::string& line) { lines.push_back(line); });
+    EXPECT_TRUE(status.ok()) << status.status().message();
+    EXPECT_EQ(status.ok() ? status.value() : 0, 200);
+    EXPECT_FALSE(lines.empty());
+    if (!lines.empty())
+        EXPECT_EQ(lines.back(), "{\"done\":true}");
+    return lines;
+}
+
+/** Value of the unlabeled metric @p name in /metrics; -1 if absent. */
+double
+metricValue(Client& client, const std::string& name)
+{
+    StatusOr<WireResponse> response = client.metrics();
+    EXPECT_TRUE(response.ok()) << response.status().message();
+    if (!response.ok())
+        return -1.0;
+    const std::string& text = response.value().body;
+    const std::string prefix = "\n" + name + " ";
+    const std::size_t at = text.find(prefix);
+    if (at == std::string::npos)
+        return -1.0;
+    return std::stod(text.substr(at + prefix.size()));
 }
 
 /** Raw one-shot exchange for wire-level tests the Client cannot
@@ -440,6 +518,156 @@ TEST(Daemon, EvictsOldestFinishedJobsBeyondRetention)
     EXPECT_EQ(evicted.value().status, 404)
         << "oldest finished job must be evicted";
     EXPECT_EQ(client.jobStatus(ids[2]).value().status, 200);
+}
+
+TEST(Daemon, FinishedJobAnswersFromItsRecord)
+{
+    Daemon daemon{smallConfig()};
+    ASSERT_TRUE(daemon.start().ok());
+    Client client("127.0.0.1", daemon.port());
+
+    // Heavy enough that the first stream subscribes while the job runs.
+    const std::string body = cheapBody("record", 3, 2000);
+    const std::uint64_t id = submittedId(client.submit(body));
+    const std::vector<std::string> live = eventLines(client, id);
+    ASSERT_EQ(live.size(), 4u) << "3 progress events + done";
+    // The stream's done line fires after the completion hook that swapped
+    // the job for its record, so everything below reads the record.
+    EXPECT_EQ(metricValue(client, "cosad_finished_jobs"), 1.0);
+
+    const std::string first = fetchJob(client, id);
+    EXPECT_EQ(fetchJob(client, id), first);
+    const std::vector<NetworkResult> local = solveLocally(body);
+    EXPECT_EQ(memberBytes(first, "results"), resultsToJson(local).dump());
+    EXPECT_EQ(memberBytes(first, "provenance"),
+              provenanceToJson(local).dump());
+    EXPECT_EQ(memberBytes(first, "cancel_requested"), "false");
+    // A late stream replays the recorded events, wall times included.
+    EXPECT_EQ(eventLines(client, id), live);
+
+    // A job cancelled while it runs keeps its flag, its partial results
+    // and its events the same way.
+    const std::uint64_t cancelled =
+        submittedId(client.submit(cheapBody("record-cancel", 4, 2000)));
+    StatusOr<WireResponse> cancel = client.cancel(cancelled);
+    ASSERT_TRUE(cancel.ok());
+    EXPECT_EQ(cancel.value().status, 200);
+    const std::vector<std::string> cancelled_live =
+        eventLines(client, cancelled);
+    const std::string cancelled_body = fetchJob(client, cancelled);
+    EXPECT_EQ(memberBytes(cancelled_body, "state"), "\"done\"");
+    EXPECT_EQ(memberBytes(cancelled_body, "cancel_requested"), "true");
+    EXPECT_EQ(fetchJob(client, cancelled), cancelled_body);
+    EXPECT_EQ(eventLines(client, cancelled), cancelled_live);
+    // A DELETE after completion answers from the record and changes no
+    // byte of an already cancelled job ...
+    cancel = client.cancel(cancelled);
+    ASSERT_TRUE(cancel.ok());
+    EXPECT_EQ(cancel.value().status, 200);
+    EXPECT_EQ(fetchJob(client, cancelled), cancelled_body);
+    // ... while on a finished one it sets cancel_requested and nothing
+    // else, as it did before jobs were compacted.
+    ASSERT_TRUE(client.cancel(id).ok());
+    std::string flagged = first;
+    flagged.replace(flagged.find("\"cancel_requested\":false"),
+                    std::string("\"cancel_requested\":false").size(),
+                    "\"cancel_requested\":true");
+    EXPECT_EQ(fetchJob(client, id), flagged);
+
+    StatusOr<WireResponse> listing = client.listJobs();
+    ASSERT_TRUE(listing.ok());
+    EXPECT_EQ(memberBytes(listing.value().body, "jobs"),
+              "[{\"id\":" + std::to_string(id) +
+                  ",\"tenant\":\"default\",\"tag\":\"record\",\"priority\":"
+                  "\"normal\",\"state\":\"done\",\"cancel_requested\":true},"
+                  "{\"id\":" +
+                  std::to_string(cancelled) +
+                  ",\"tenant\":\"default\",\"tag\":\"record-cancel\","
+                  "\"priority\":\"normal\",\"state\":\"done\","
+                  "\"cancel_requested\":true}]");
+}
+
+TEST(Daemon, FinishedJobSwapRacesReaders)
+{
+    // Readers poll GET and the list while each job finishes and its
+    // completion hook swaps the handle for the record (TSan's target).
+    Daemon daemon{smallConfig()};
+    ASSERT_TRUE(daemon.start().ok());
+    Client client("127.0.0.1", daemon.port());
+    std::vector<std::string> bodies;
+    std::vector<std::uint64_t> ids;
+    for (int i = 0; i < 4; ++i) {
+        bodies.push_back(cheapBody("race" + std::to_string(i), 2, 300));
+        ids.push_back(submittedId(client.submit(bodies.back())));
+    }
+    std::atomic<bool> done{false};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 2; ++r) {
+        readers.emplace_back([&] {
+            // Each request is one connection: a bounded number of rounds
+            // keeps repeated runs clear of the ephemeral port range.
+            Client reader("127.0.0.1", daemon.port());
+            for (int round = 0; round < 25 && !done.load(); ++round) {
+                for (const std::uint64_t id : ids)
+                    EXPECT_TRUE(reader.jobStatus(id).ok());
+                EXPECT_TRUE(reader.listJobs().ok());
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+        });
+    }
+    for (const std::uint64_t id : ids)
+        eventLines(client, id);
+    done.store(true);
+    for (std::thread& reader : readers)
+        reader.join();
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const std::string body = fetchJob(client, ids[i]);
+        EXPECT_EQ(fetchJob(client, ids[i]), body);
+        EXPECT_EQ(resultBytes(body), localReference(bodies[i]));
+    }
+}
+
+TEST(Daemon, FinishedJobBytesGaugeSumsTheRecords)
+{
+    DaemonConfig config = smallConfig();
+    config.max_finished_jobs = 2;
+    Daemon daemon{std::move(config)};
+    ASSERT_TRUE(daemon.start().ok());
+    Client client("127.0.0.1", daemon.port());
+
+    const std::string resnet50 =
+        R"({"workloads": ["resnet50"], "arch": "simba",
+            "scheduler": "random",
+            "random": {"max_samples": 100, "target_valid": 100,
+                       "seed": 5}})";
+    const std::vector<std::string> bodies = {resnet50, cheapBody("small", 1),
+                                             cheapBody("evicts", 4)};
+    std::vector<std::size_t> sizes;
+    std::vector<std::uint64_t> ids;
+    for (const std::string& body : bodies) {
+        ids.push_back(submittedId(client.submit(body)));
+        eventLines(client, ids.back()); // ends after the record exists
+        sizes.push_back(localRecordSize(body));
+        const std::size_t retained = std::min<std::size_t>(sizes.size(), 2);
+        std::size_t bytes = 0;
+        for (std::size_t i = sizes.size() - retained; i < sizes.size(); ++i)
+            bytes += sizes[i];
+        EXPECT_EQ(metricValue(client, "cosad_finished_jobs"),
+                  static_cast<double>(retained));
+        const double gauge =
+            metricValue(client, "cosad_finished_job_bytes");
+        EXPECT_EQ(gauge, static_cast<double>(bytes));
+        // A ResNet-50 job (23 layers, each with its schedule and its
+        // progress event) keeps under 4 KB.
+        if (sizes.size() == 1)
+            EXPECT_LT(gauge, 4096.0);
+    }
+    EXPECT_EQ(client.jobStatus(ids[0]).value().status, 404);
+
+    daemon.stop();
+    metrics::MetricsRegistry& registry = metrics::MetricsRegistry::global();
+    EXPECT_EQ(registry.gauge("cosad_finished_jobs").value(), 0.0);
+    EXPECT_EQ(registry.gauge("cosad_finished_job_bytes").value(), 0.0);
 }
 
 TEST(Daemon, StopWithJobsInFlightDrainsCleanly)

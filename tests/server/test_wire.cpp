@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 
 #include "engine/scheduler_service.hpp"
 #include "server/wire.hpp"
@@ -155,6 +158,90 @@ TEST(RequestFromJson, RejectsBadInputsWithInvalidInput)
         if (!decoded.ok())
             EXPECT_EQ(decoded.status().code(), ErrorCode::kInvalidInput);
     }
+
+    // A value never changes silently: a member of the wrong type, a
+    // non-integral or out-of-range integer, an unknown key and an
+    // unbounded Hybrid thread count each fail, naming the member.
+    const auto layer = [](const std::string& members) {
+        return R"({"workloads": [{"name": "x", "layers": [)" + members +
+               R"(]}], "arch": "simba"})";
+    };
+    const auto knob = [](const std::string& members) {
+        return R"({"workloads": ["alexnet"], "arch": "simba", )" + members +
+               "}";
+    };
+    const std::pair<std::string, std::string> named[] = {
+        {layer(R"({"r": 3, "p": 7, "c": "64", "k": 8})"),
+         "layer key \"c\""},
+        {layer(R"({"r": 3, "p": 7, "C": 64, "k": 8.9})"),
+         "unknown layer key \"C\""},
+        {layer(R"({"r": 3, "p": 7, "c": 64, "k": 8.9})"),
+         "layer key \"k\""},
+        {layer(R"({"r": 3, "p": 7, "c": 1e300, "k": 8})"),
+         "layer key \"c\""},
+        {layer(R"({"r": 3, "p": 7, "c": 2147483648, "k": 8})"),
+         "layer key \"c\""},
+        {layer(R"({"name": 5, "r": 3})"), "layer key \"name\""},
+        {R"({"workloads": [{"name": "x", "layers": ["1_7_8_8_1"],
+              "batch": 4}], "arch": "simba"})",
+         "unknown workload key \"batch\""},
+        {R"({"workloads": [{"name": 7, "layers": ["1_7_8_8_1"]}],
+              "arch": "simba"})",
+         "workload key \"name\""},
+        {knob(R"("random": {"target_valid": 10.7})"),
+         "random key \"target_valid\""},
+        {knob(R"("random": {"target_valid": 2147483648})"),
+         "random key \"target_valid\""},
+        {knob(R"("random": {"seed": -1})"), "random key \"seed\""},
+        {knob(R"("random": {"max_samples": 9223372036854775808})"),
+         "random key \"max_samples\""},
+        {knob(R"("exhaustive": {"max_perms": -2147483649})"),
+         "exhaustive key \"max_perms\""},
+        {knob(R"("max_parallelism": 2147483648)"),
+         "request key \"max_parallelism\""},
+        {knob(R"("max_solve_retries": 1.5)"),
+         "request key \"max_solve_retries\""},
+        {knob(R"("hybrid": {"victory_condition": "500"})"),
+         "hybrid key \"victory_condition\""},
+        {knob(R"("hybrid": {"num_threads": 0})"), "num_threads"},
+        {knob(R"("hybrid": {"num_threads": 65})"), "num_threads"},
+        {knob(R"("hybrid": {"num_threads": 1000000})"), "num_threads"},
+        {knob(R"("deduplicate": "false")"), "request key \"deduplicate\""},
+        {knob(R"("weight": "2")"), "request key \"weight\""},
+        {knob(R"("deadline_sec": true)"), "request key \"deadline_sec\""},
+        {knob(R"("tag": 5)"), "request key \"tag\""},
+        {knob(R"("scheduler": 5)"), "request key \"scheduler\""},
+    };
+    for (const auto& [bad, key] : named) {
+        StatusOr<ScheduleRequest> decoded =
+            requestFromJson(parseBody(bad), "");
+        ASSERT_FALSE(decoded.ok()) << "accepted: " << bad;
+        EXPECT_EQ(decoded.status().code(), ErrorCode::kInvalidInput) << bad;
+        EXPECT_NE(decoded.status().message().find(key), std::string::npos)
+            << decoded.status().message() << " does not name " << key;
+    }
+}
+
+TEST(RequestFromJson, AcceptsIntegralNumbersInRange)
+{
+    const ScheduleRequest request = mustDecode(R"({
+        "workloads": [{"name": "x", "layers":
+            [{"r": 3, "p": 7, "c": 64.0, "k": 2147483647, "stride": 1e0}]}],
+        "arch": "simba",
+        "max_parallelism": 2147483647,
+        "random": {"seed": 9223372036854775807, "target_valid": 5.0},
+        "hybrid": {"num_threads": 64}})");
+    ASSERT_EQ(request.workloads.size(), 1u);
+    const LayerSpec& layer = request.workloads[0].layers.at(0);
+    EXPECT_EQ(layer.c, 64);
+    EXPECT_EQ(layer.k, 2147483647);
+    EXPECT_EQ(layer.stride, 1);
+    EXPECT_EQ(layer.s, 3);
+    EXPECT_EQ(layer.q, 7);
+    EXPECT_EQ(request.max_parallelism, 2147483647);
+    EXPECT_EQ(request.random.seed, 9223372036854775807u);
+    EXPECT_EQ(request.random.target_valid, 5);
+    EXPECT_EQ(request.hybrid.num_threads, kMaxHybridThreads);
 }
 
 TEST(ResultsToJson, IsByteIdenticalAcrossRunsAndThreadCounts)
@@ -212,6 +299,201 @@ TEST(ResultsToJson, OmitsWallClockAndProvenance)
     StatusOr<json::Value> reparsed = json::Value::parse(bytes);
     ASSERT_TRUE(reparsed.ok());
     EXPECT_EQ(reparsed.value().dump(), bytes);
+}
+
+/** Raw bits, so NaN, the infinities and -0.0 compare exactly. */
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+/** Two networks with every field the renderers read set away from its
+ *  default: each outcome, a failed status with a message, a fallback
+ *  stage, cancellation and deadline flags, portfolio wins, a layer not
+ *  found (empty mapping) and NaN, infinite and negative-zero doubles. */
+std::vector<NetworkResult>
+syntheticResults()
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+
+    NetworkResult a;
+    a.network = "net-a";
+    a.arch = "simba \"x\"";
+    a.scheduler = "Portfolio";
+    a.all_found = false;
+    a.cancelled = true;
+    a.deadline_expired = true;
+    a.total_cycles = nan;
+    a.total_energy_pj = -0.0;
+    a.num_layers = 3;
+    a.num_unique = 2;
+    a.num_cancelled = 1;
+    a.num_degraded = 1;
+    a.num_failed = 1;
+    a.num_solved = 5;
+    a.num_cache_hits = 6;
+    a.num_warm_hints = 7;
+    a.num_warm_hits = 8;
+    a.search.samples = 9;
+    a.search.valid_evaluated = 10;
+    a.search.mip_nodes = 11;
+    a.search.lp_iterations = std::int64_t{1} << 40;
+    a.portfolio_wins = {12, 13, 14};
+
+    LayerScheduleResult degraded;
+    degraded.layer = {"conv-0", 3, 1, 14, 12, 64, 2147483647, 2, 2};
+    degraded.result.found = true;
+    degraded.result.scheduler = "Greedy[fallback]";
+    degraded.result.eval.cycles = inf;
+    degraded.result.eval.energy_pj = 4.9e-324;
+    degraded.result.eval.compute_cycles = 123456789.25;
+    degraded.result.eval.memory_cycles = -0.0;
+    degraded.result.eval.noc_bytes = nan;
+    degraded.result.eval.dram_bytes = -inf;
+    degraded.result.eval.spatial_utilization = 0.1;
+    degraded.result.mapping.levels = {
+        {{Dim::K, 16, true}, {Dim::C, 4, false}},
+        {},
+        {{Dim::P, 2147483647, false}, {Dim::N, 1, true},
+         {Dim::R, 3, false}}};
+    degraded.deduplicated = true;
+    degraded.from_cache = true;
+    degraded.unique_index = 1;
+    degraded.outcome = LayerOutcome::kDegradedFallback;
+    degraded.solve_retries = 2;
+    degraded.fallback_stage = "greedy";
+
+    LayerScheduleResult failed;
+    failed.layer = {"fc", 1, 1, 1, 1, 4096, 1000, 1, 1};
+    failed.result.scheduler = "never rendered";
+    failed.result.status = {ErrorCode::kNumericFailure,
+                            "lost \"feasibility\"\n"};
+    failed.unique_index = 0;
+    failed.outcome = LayerOutcome::kFailed;
+    failed.solve_retries = 3;
+
+    LayerScheduleResult cancelled;
+    cancelled.layer = {"skipped", 5, 5, 7, 7, 3, 3, 1, 1};
+    cancelled.cancelled = true;
+    cancelled.result.status = {ErrorCode::kCancelled, "cancelled"};
+    cancelled.unique_index = -1;
+    a.layers = {degraded, failed, cancelled};
+
+    NetworkResult b;
+    b.network = "";
+    b.arch = "simba";
+    b.scheduler = "CoSA";
+    b.total_cycles = 1e300;
+    b.total_energy_pj = 0.5;
+    b.num_layers = 1;
+    b.num_unique = 1;
+    LayerScheduleResult optimal;
+    optimal.layer = {"", 1, 1, 7, 7, 32, 16, 1, 1};
+    optimal.result.found = true;
+    optimal.result.scheduler = "CoSA";
+    optimal.result.eval.cycles = 1024.0;
+    optimal.result.eval.spatial_utilization = 1.0;
+    optimal.result.mapping.levels = {{{Dim::Q, 7, false}}};
+    b.layers = {optimal};
+    return {a, b};
+}
+
+TEST(JobRecord, RoundTripRendersTheSameBytes)
+{
+    const std::vector<NetworkResult> results = syntheticResults();
+    std::vector<JobProgress> events(3);
+    events[0] = {1, 3, 0, "fc", false, false, -0.0};
+    events[1] = {2, 3, 1, "conv-0 \"q\"", true, true, 1e-9};
+    events[2] = {3, 3, 2, "", false, true,
+                 std::numeric_limits<double>::infinity()};
+    std::string log;
+    for (const JobProgress& event : events)
+        appendEventRecord(log, event);
+    const std::string record = encodeJobRecord(results, log);
+
+    StatusOr<std::vector<NetworkResult>> decoded =
+        decodeRecordResults(record);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+    EXPECT_EQ(resultsToJson(decoded.value()).dump(),
+              resultsToJson(results).dump());
+    EXPECT_EQ(provenanceToJson(decoded.value()).dump(),
+              provenanceToJson(results).dump());
+    // JSON renders NaN and the infinities as null, so check the bits.
+    const NetworkResult& net = decoded.value().at(0);
+    EXPECT_EQ(bitsOf(net.total_cycles), bitsOf(results[0].total_cycles));
+    EXPECT_EQ(bitsOf(net.total_energy_pj), bitsOf(-0.0));
+    const Evaluation& eval = net.layers.at(0).result.eval;
+    const Evaluation& want = results[0].layers[0].result.eval;
+    EXPECT_EQ(bitsOf(eval.cycles), bitsOf(want.cycles));
+    EXPECT_EQ(bitsOf(eval.noc_bytes), bitsOf(want.noc_bytes));
+    EXPECT_EQ(bitsOf(eval.dram_bytes), bitsOf(want.dram_bytes));
+    EXPECT_EQ(bitsOf(eval.memory_cycles), bitsOf(-0.0));
+    EXPECT_TRUE(net.layers.at(1).result.mapping.levels.empty());
+
+    StatusOr<std::vector<JobProgress>> replayed = decodeRecordEvents(record);
+    ASSERT_TRUE(replayed.ok()) << replayed.status().message();
+    ASSERT_EQ(replayed.value().size(), events.size());
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        EXPECT_EQ(progressEventLine(replayed.value()[i]),
+                  progressEventLine(events[i]));
+        EXPECT_EQ(bitsOf(replayed.value()[i].wall_time_sec),
+                  bitsOf(events[i].wall_time_sec));
+    }
+}
+
+TEST(JobRecord, RoundTripOfACancelledJob)
+{
+    // A real job, cancelled deterministically after its first event.
+    SchedulerService service{ServiceConfig{}};
+    std::string log;
+    std::vector<std::string> lines;
+    SubmitResult submitted = service.submit(
+        mustDecode(R"({"workloads": [{"name": "w", "layers":
+            ["3_14_32_32_1", "1_7_32_48_1", "1_7_32_16_1"]}],
+            "arch": "simba", "scheduler": "random",
+            "random": {"max_samples": 40, "target_valid": 40, "seed": 3}})"),
+        [&](const JobProgress& event) {
+            appendEventRecord(log, event);
+            lines.push_back(progressEventLine(event));
+            event.requestCancel();
+        });
+    ASSERT_TRUE(submitted.accepted());
+    const std::vector<NetworkResult> results = submitted.takeJob().wait();
+    ASSERT_TRUE(results.at(0).cancelled);
+    const std::string record = encodeJobRecord(results, log);
+
+    StatusOr<std::vector<NetworkResult>> decoded =
+        decodeRecordResults(record);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+    EXPECT_EQ(resultsToJson(decoded.value()).dump(),
+              resultsToJson(results).dump());
+    EXPECT_EQ(provenanceToJson(decoded.value()).dump(),
+              provenanceToJson(results).dump());
+    StatusOr<std::vector<JobProgress>> events = decodeRecordEvents(record);
+    ASSERT_TRUE(events.ok());
+    std::vector<std::string> replayed;
+    for (const JobProgress& event : events.value())
+        replayed.push_back(progressEventLine(event));
+    EXPECT_EQ(replayed, lines);
+}
+
+TEST(JobRecord, MalformedRecordsFailCleanly)
+{
+    std::string log;
+    appendEventRecord(log, JobProgress{1, 1, 0, "fc", true, true, 0.5});
+    const std::string record = encodeJobRecord(syntheticResults(), log);
+    for (std::size_t n = 0; n < record.size(); ++n) {
+        StatusOr<std::vector<NetworkResult>> decoded =
+            decodeRecordResults(std::string_view(record).substr(0, n));
+        ASSERT_FALSE(decoded.ok()) << "decoded a " << n << "-byte prefix";
+        EXPECT_EQ(decoded.status().code(), ErrorCode::kInternal);
+    }
+    EXPECT_FALSE(decodeRecordResults(record + "x").ok());
+    EXPECT_FALSE(decodeRecordEvents(record.substr(0, log.size())).ok());
 }
 
 TEST(ErrorBody, CarriesTheTypedTaxonomy)
