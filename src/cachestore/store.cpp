@@ -25,13 +25,10 @@ shardFileName(int index)
     return name;
 }
 
-metrics::Counter&
-eventCounter(const char* event)
-{
-    return metrics::MetricsRegistry::global().counter(
-        "cosa_cachestore_events_total",
-        "Persistent schedule-cache events by kind", {{"event", event}});
-}
+/** The store's counter family for cache events (hit, miss, insert,
+ *  evict). */
+constexpr const char* kEventFamily = "cosa_cachestore_events_total";
+constexpr const char* kEventHelp = "Persistent schedule-cache events by kind";
 
 /** Crash-safe manifest write (temp + rename, like a compaction swap). */
 Status
@@ -74,13 +71,30 @@ PersistentScheduleCache::open(StoreConfig config)
     if (config.dir.empty())
         return Status{ErrorCode::kInvalidInput,
                       "cachestore: empty store directory"};
+    if (config.capacity < 0)
+        return Status{ErrorCode::kInvalidInput,
+                      "cachestore: capacity must be >= 0 (0 = unbounded), "
+                      "got " + std::to_string(config.capacity)};
     std::shared_ptr<PersistentScheduleCache> store(
-        new PersistentScheduleCache());
-    store->config_ = std::move(config);
+        new PersistentScheduleCache(std::move(config)));
     Status opened = store->openLocked();
     if (!opened.ok())
         return opened;
     return store;
+}
+
+PersistentScheduleCache::PersistentScheduleCache(StoreConfig config)
+    : ScheduleCache(kEventFamily, kEventHelp, config.capacity),
+      config_(std::move(config)),
+      evict_counter_(metrics::MetricsRegistry::global().counter(
+          kEventFamily, kEventHelp, {{"event", "evict"}})),
+      eviction_total_(metrics::MetricsRegistry::global().counter(
+          "cosa_cache_evictions_total", "Schedule-cache LRU evictions")),
+      compaction_counter_(metrics::MetricsRegistry::global().counter(
+          "cosa_cachestore_compactions_total", "Store log generation folds")),
+      log_bytes_gauge_(metrics::MetricsRegistry::global().gauge(
+          "cosa_cachestore_log_bytes", "Current store log file size"))
+{
 }
 
 Status
@@ -93,18 +107,6 @@ PersistentScheduleCache::openLocked()
         return Status{ErrorCode::kIoError,
                       "cachestore: cannot create " + config_.dir + ": " +
                           ec.message()};
-
-    metrics::MetricsRegistry& registry = metrics::MetricsRegistry::global();
-    hit_counter_ = &eventCounter("hit");
-    miss_counter_ = &eventCounter("miss");
-    insert_counter_ = &eventCounter("insert");
-    evict_counter_ = &eventCounter("evict");
-    eviction_total_ = &registry.counter("cosa_cache_evictions_total",
-                                        "Schedule-cache LRU evictions");
-    compaction_counter_ = &registry.counter(
-        "cosa_cachestore_compactions_total", "Store log generation folds");
-    log_bytes_gauge_ = &registry.gauge("cosa_cachestore_log_bytes",
-                                       "Current store log file size");
 
     // The manifest counts the directory's logs: 1 for every directory
     // this code writes, K for one the older sharded layout wrote, which
@@ -132,12 +134,13 @@ PersistentScheduleCache::openLocked()
             return written;
     }
 
-    // Replay every log the manifest lists, streaming records straight
-    // out of the frame scan. Each key's history lives in exactly one
-    // file, so the files replay one after another; the fold then
-    // restores the global seq order across them.
+    // Replay every log the manifest lists, streaming one log's records
+    // straight out of the frame scan. The records of K logs are kept
+    // until all are read: the fold replays them in global seq order.
     path_ = (fs::path(config_.dir) / shardFileName(0)).string();
     std::uint64_t valid_bytes = 0;
+    std::uintmax_t on_disk = 0;
+    std::vector<std::pair<LogRecord, std::uint32_t>> legacy;
     for (int i = 0; i < num_shards; ++i) {
         const std::string path =
             (fs::path(config_.dir) / shardFileName(i)).string();
@@ -148,15 +151,15 @@ PersistentScheduleCache::openLocked()
         // Sizing hint so a big replay doesn't rehash/regrow its way up
         // (entries run a few hundred bytes; overshooting a bit is just
         // slack buckets).
-        const std::uintmax_t on_disk = fs::file_size(path, ec);
-        if (!ec) {
-            const std::size_t hint = entries_.size() + on_disk / 256 + 1;
-            entries_.reserve(hint);
-            index_.reserve(hint);
-        }
-        const LogReadResult read =
-            readLog(path, [this](LogRecord&& record, std::uint32_t bytes) {
-                replayRecord(std::move(record), bytes);
+        const std::uintmax_t file_bytes = fs::file_size(path, ec);
+        if (!ec)
+            reserveLocked((on_disk += file_bytes) / 256 + 1);
+        const LogReadResult read = readLog(
+            path, [&](LogRecord&& record, std::uint32_t bytes) {
+                if (num_shards > 1)
+                    legacy.emplace_back(std::move(record), bytes);
+                else
+                    replayRecord(std::move(record), bytes);
                 return true;
             });
         if (!read.ok)
@@ -185,23 +188,26 @@ PersistentScheduleCache::openLocked()
     }
     if (num_shards > 1) {
         StatusOr<std::uint64_t> folded =
-            foldShardsLocked(num_shards, manifest_path);
+            foldShardsLocked(num_shards, manifest_path, std::move(legacy));
         if (!folded.ok())
             return folded.status();
         valid_bytes = folded.value();
     }
+    forEachLocked([this](const Entry& entry) {
+        counters_.live_bytes += entry.record_bytes;
+    });
 
     Status opened = writer_.open(path_, 0, 1, valid_bytes,
                                  config_.fsync_each_append);
     if (!opened.ok())
         return opened;
     if (counters_.records_skipped > 0)
-        registry
+        metrics::MetricsRegistry::global()
             .counter("cosa_cachestore_recovered_skips_total",
                      "Bad tail records dropped at open")
             .inc(counters_.records_skipped);
     publishLogBytes();
-    enforceCapacityLocked();
+    trimLocked();
     maybeCompactLocked();
     return Status::Ok();
 }
@@ -211,53 +217,36 @@ PersistentScheduleCache::replayRecord(LogRecord&& record,
                                       std::uint32_t record_bytes)
 {
     ++counters_.records_recovered;
-    next_seq_ = std::max(next_seq_, record.seq + 1);
-    std::string flat = record.key.flat();
     // Inserts overwrite in place keeping the *first* record's seq (the
     // base cache keeps an overwritten entry's insertion-order slot);
     // evicts erase. A re-insert after an evict is a fresh entry under
     // its fresh seq.
     if (record.kind == LogRecord::Kind::kEvict) {
-        const auto it = entries_.find(flat);
-        if (it != entries_.end())
-            eraseLocked(it);
+        restoreEvictLocked(record.key);
         return;
     }
-    const auto [it, inserted] = entries_.try_emplace(std::move(flat));
-    StoreEntry& entry = it->second;
-    if (inserted) {
-        entry.key = std::move(record.key);
-        entry.seq = record.seq;
-        entry.lru_it = lru_.insert(lru_.end(), &it->first);
-        entry.index_slot = index_.size();
-        index_.push_back(&entry);
-    } else {
-        counters_.live_bytes -= entry.record_bytes;
-        lru_.splice(lru_.end(), lru_, entry.lru_it);
-    }
-    entry.result = std::move(record.result);
-    entry.layer = std::move(record.layer);
-    entry.record_bytes = record_bytes;
-    counters_.live_bytes += record_bytes;
+    restoreLocked(std::move(record.key), std::move(record.result),
+                  std::move(record.layer), record.seq)
+        .record_bytes = record_bytes;
 }
 
 StatusOr<std::uint64_t>
-PersistentScheduleCache::foldShardsLocked(int num_shards,
-                                          const std::string& manifest)
+PersistentScheduleCache::foldShardsLocked(
+    int num_shards, const std::string& manifest,
+    std::vector<std::pair<LogRecord, std::uint32_t>> records)
 {
     namespace fs = std::filesystem;
-    // Each shard file ran in ascending seq, but the files interleave:
-    // restore the global first-insertion order, and let recency follow
-    // it, as a replay of the folded log will.
-    compactIndexLocked();
-    std::sort(index_.begin(), index_.end(),
-              [](const StoreEntry* a, const StoreEntry* b) {
-                  return a->seq < b->seq;
-              });
-    for (std::size_t slot = 0; slot < index_.size(); ++slot) {
-        index_[slot]->index_slot = slot;
-        lru_.splice(lru_.end(), lru_, index_[slot]->lru_it);
-    }
+    // Each shard file ran in ascending seq, but the files interleave.
+    // A key's records share one seq per incarnation, so a stable sort
+    // keeps each key's history in order, and the replay restores the
+    // global first-insertion order, with recency following it, as a
+    // replay of the folded log will.
+    std::stable_sort(records.begin(), records.end(),
+                     [](const auto& a, const auto& b) {
+                         return a.first.seq < b.first.seq;
+                     });
+    for (auto& [record, bytes] : records)
+        replayRecord(std::move(record), bytes);
 
     StatusOr<std::uint64_t> bytes =
         compactLogFile(path_, livePayloadsLocked());
@@ -279,187 +268,56 @@ PersistentScheduleCache::foldShardsLocked(int num_shards,
     if (!written.ok())
         return written;
     inform("cachestore: folded ", num_shards, " shard logs of ",
-           config_.dir, " into one (", entries_.size(), " entries)");
+           config_.dir, " into one (", statsLocked().entries, " entries)");
     return bytes;
 }
 
-std::optional<SearchResult>
-PersistentScheduleCache::lookup(const ScheduleCacheKey& key)
-{
-    const std::string flat = key.flat();
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(flat);
-    if (it == entries_.end()) {
-        ++counters_.misses;
-        miss_counter_->inc();
-        return std::nullopt;
-    }
-    ++counters_.hits;
-    hit_counter_->inc();
-    lru_.splice(lru_.end(), lru_, it->second.lru_it);
-    return it->second.result;
-}
-
 void
-PersistentScheduleCache::insert(const ScheduleCacheKey& key,
-                                const SearchResult& result,
-                                const LayerSpec& layer)
+PersistentScheduleCache::onInsertLocked(Entry& entry)
 {
-    std::string flat = key.flat();
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto [it, inserted] = entries_.try_emplace(std::move(flat));
-    StoreEntry& entry = it->second;
-    if (inserted) {
-        // Seq assignment under the lock keeps the log's records in
-        // ascending seq order (replay order = scan order).
-        entry.seq = next_seq_++;
-        entry.key = key;
-        entry.lru_it = lru_.insert(lru_.end(), &it->first);
-        entry.index_slot = index_.size();
-        index_.push_back(&entry);
-        ++counters_.inserts;
-        insert_counter_->inc();
-    } else {
-        counters_.live_bytes -= entry.record_bytes;
-        lru_.splice(lru_.end(), lru_, entry.lru_it);
-    }
-    entry.result = result;
-    entry.layer = layer;
-
-    const std::string payload = encodeInsert(entry.seq, key, layer, result);
+    const std::string payload =
+        encodeInsert(entry.seq, entry.key, entry.layer, entry.result);
+    counters_.live_bytes -= entry.record_bytes;
     entry.record_bytes = framedBytes(payload);
     counters_.live_bytes += entry.record_bytes;
-    // write -> fsync -> publish: the in-memory entry above is only
-    // reachable by other threads once the lock drops, which is after
-    // the durable append. An IO failure degrades to memory-only service
-    // for this entry (warned, not fatal: the cache must keep absorbing
+    // write -> fsync -> publish: the in-memory entry is only reachable
+    // by other threads once the cache lock drops, which is after the
+    // durable append. An IO failure degrades to memory-only service for
+    // this entry (warned, not fatal: the cache must keep absorbing
     // solves even on a full disk).
     Status appended = writer_.append(payload);
     if (!appended.ok())
         warn("cachestore: ", path_, ": ", appended.message(),
              " (entry stays in memory only)");
     publishLogBytes();
-    enforceCapacityLocked();
     maybeCompactLocked();
 }
 
 void
-PersistentScheduleCache::eraseLocked(EntryMap::iterator it)
+PersistentScheduleCache::onEvictLocked(const Entry& entry)
 {
-    StoreEntry& entry = it->second;
-    counters_.live_bytes -= entry.record_bytes;
-    index_[entry.index_slot] = nullptr;
-    ++index_tombstones_;
-    lru_.erase(entry.lru_it);
-    entries_.erase(it);
-}
-
-void
-PersistentScheduleCache::evictOneLocked()
-{
-    const auto it = entries_.find(*lru_.front());
     LogRecord record;
     record.kind = LogRecord::Kind::kEvict;
-    record.seq = it->second.seq;
-    record.key = it->second.key;
+    record.seq = entry.seq;
+    record.key = entry.key;
     Status appended = writer_.append(encodeRecord(record));
     if (!appended.ok())
         warn("cachestore: ", path_, ": ", appended.message());
-
-    eraseLocked(it);
-    ++counters_.evictions;
-    evict_counter_->inc();
-    eviction_total_->inc();
-    if (index_tombstones_ > entries_.size() + 16)
-        compactIndexLocked();
+    counters_.live_bytes -= entry.record_bytes;
+    evict_counter_.inc();
+    eviction_total_.inc();
     publishLogBytes();
-}
-
-void
-PersistentScheduleCache::enforceCapacityLocked()
-{
-    while (config_.capacity > 0 &&
-           static_cast<std::int64_t>(entries_.size()) > config_.capacity)
-        evictOneLocked();
-}
-
-void
-PersistentScheduleCache::compactIndexLocked()
-{
-    std::erase(index_, nullptr);
-    for (std::size_t slot = 0; slot < index_.size(); ++slot)
-        index_[slot]->index_slot = slot;
-    index_tombstones_ = 0;
 }
 
 std::vector<std::string>
 PersistentScheduleCache::livePayloadsLocked() const
 {
     std::vector<std::string> payloads;
-    payloads.reserve(entries_.size());
-    for (const StoreEntry* entry : index_)
-        if (entry)
-            payloads.push_back(encodeInsert(entry->seq, entry->key,
-                                            entry->layer, entry->result));
+    forEachLocked([&payloads](const Entry& entry) {
+        payloads.push_back(encodeInsert(entry.seq, entry.key, entry.layer,
+                                        entry.result));
+    });
     return payloads;
-}
-
-std::optional<SearchResult>
-PersistentScheduleCache::nearestNeighbor(const std::string& arch_key,
-                                         const std::string& scheduler_key,
-                                         const std::string& evaluator_key,
-                                         const LayerSpec& target)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    // The index visits candidates in exactly the global first-insertion
-    // order the base cache scans, and the scan keeps the earliest entry
-    // on ties, so visit order is part of the bit-for-bit contract.
-    NeighborScan scan(arch_key, scheduler_key, evaluator_key, target);
-    for (const StoreEntry* entry : index_)
-        if (entry)
-            scan.offer(entry->key, entry->result, entry->layer);
-    if (!scan.best())
-        return std::nullopt;
-    ++neighbor_hits_;
-    metrics::MetricsRegistry::global()
-        .counter("cosa_cache_events_total",
-                 "Schedule-cache events by kind",
-                 {{"event", "neighbor_hit"}})
-        .inc();
-    return *scan.best();
-}
-
-bool
-PersistentScheduleCache::contains(const ScheduleCacheKey& key) const
-{
-    const std::string flat = key.flat();
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.find(flat) != entries_.end();
-}
-
-std::size_t
-PersistentScheduleCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
-}
-
-ScheduleCacheStats
-PersistentScheduleCache::stats() const
-{
-    return storeStats().cache;
-}
-
-std::vector<ScheduleCache::ExportedEntry>
-PersistentScheduleCache::exportEntries() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<ExportedEntry> out;
-    out.reserve(entries_.size());
-    for (const StoreEntry* entry : index_)
-        if (entry)
-            out.push_back({entry->key, entry->result, entry->layer});
-    return out;
 }
 
 void
@@ -526,10 +384,7 @@ PersistentScheduleCache::compactLocked()
     }
     if (folded.ok()) {
         ++counters_.compactions;
-        compaction_counter_->inc();
-        // Index tombstones are all folded away on disk; fold the
-        // in-memory index too so scans stay compact.
-        compactIndexLocked();
+        compaction_counter_.inc();
     }
     publishLogBytes();
 }
@@ -548,14 +403,14 @@ PersistentScheduleCache::storeStats() const
     out.dir = config_.dir;
     out.capacity = config_.capacity;
     std::lock_guard<std::mutex> lock(mutex_);
+    out.cache = statsLocked();
     ShardStats log = counters_;
-    log.entries = static_cast<std::int64_t>(entries_.size());
+    log.entries = out.cache.entries;
+    log.hits = out.cache.hits;
+    log.misses = out.cache.misses;
+    log.inserts = out.cache.inserts;
+    log.evictions = out.cache.evictions;
     log.log_bytes = writer_.bytes();
-    out.cache.hits = log.hits;
-    out.cache.misses = log.misses;
-    out.cache.entries = log.entries;
-    out.cache.evictions = log.evictions;
-    out.cache.neighbor_hits = neighbor_hits_;
     out.shards.push_back(log);
     return out;
 }
@@ -563,7 +418,7 @@ PersistentScheduleCache::storeStats() const
 void
 PersistentScheduleCache::publishLogBytes()
 {
-    log_bytes_gauge_->set(static_cast<double>(writer_.bytes()));
+    log_bytes_gauge_.set(static_cast<double>(writer_.bytes()));
 }
 
 } // namespace cachestore

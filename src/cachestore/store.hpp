@@ -2,13 +2,14 @@
 
 /**
  * @file
- * PersistentScheduleCache — the schedule cache as an on-disk tier
- * behind the ScheduleCache interface.
+ * PersistentScheduleCache — the schedule cache as an on-disk tier.
  *
- * The store is one append-only record log (see log.hpp) behind one
- * mutex, with one entry map, one LRU list and one seq-ordered scan
- * index. Every mutation is durable before it is published, so a crash
- * loses at most the torn tail of the log.
+ * The store is the in-memory ScheduleCache plus one append-only record
+ * log (see log.hpp): its entry map, seq-ordered index and LRU list are
+ * the base class's, and the store appends one record per insert and
+ * per eviction from the base's hooks, under the cache lock. Every
+ * mutation is durable before it is published, so a crash loses at most
+ * the torn tail of the log.
  *
  * Determinism contract (asserted bit-for-bit by the tests): a fixed
  * ScheduleRequest returns byte-identical results whether it runs on
@@ -16,11 +17,10 @@
  * before or after torn-tail recovery, and after folding a directory
  * written in the older sharded layout. The load-bearing piece: every
  * entry carries a store-global monotonic sequence number (persisted in
- * its log record; an overwrite keeps the original), and the scan index
- * visits live entries in ascending seq — the exact first-insertion
- * order the base cache scans — so nearestNeighbor() through the base
- * cache's NeighborScan sees the same candidates, makes the same
- * distance calls and breaks ties the same way.
+ * its log record; an overwrite keeps the original), and replay restores
+ * the entries in ascending seq — the exact first-insertion order the
+ * base cache's index holds — so nearestNeighbor(), which exists only
+ * in the base, sees the same candidates in the same order.
  *
  * This is the one persistent tier: cosad --cache-dir and the examples'
  * --cache-dir mount it, and its StoreConfig::capacity is the one cache
@@ -29,10 +29,9 @@
  */
 
 #include <functional>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "cachestore/compact.hpp"
 #include "cachestore/log.hpp"
@@ -94,27 +93,14 @@ class PersistentScheduleCache final
      * Mount @p config.dir: create it (with a manifest) when missing,
      * otherwise replay the log — recovering a torn tail per log.hpp —
      * and resume appending. A directory in the older sharded layout is
-     * folded into one log first (docs/cache-store.md). Fails only on
-     * real IO errors or foreign files; crash damage recovers.
+     * folded into one log first (docs/cache-store.md). Fails with
+     * kInvalidInput on an empty directory name or a negative capacity,
+     * and otherwise only on real IO errors or foreign files; crash
+     * damage recovers.
      */
     static StatusOr<std::shared_ptr<PersistentScheduleCache>> open(
         StoreConfig config);
 
-    // --- ScheduleCache interface ------------------------------------
-    std::optional<SearchResult> lookup(const ScheduleCacheKey& key)
-        override;
-    void insert(const ScheduleCacheKey& key, const SearchResult& result,
-                const LayerSpec& layer) override;
-    std::optional<SearchResult> nearestNeighbor(
-        const std::string& arch_key, const std::string& scheduler_key,
-        const std::string& evaluator_key, const LayerSpec& target)
-        override;
-    bool contains(const ScheduleCacheKey& key) const override;
-    std::size_t size() const override;
-    ScheduleCacheStats stats() const override;
-    std::vector<ExportedEntry> exportEntries() const override;
-
-    // --- store-specific ---------------------------------------------
     /**
      * Mount an async task runner (e.g. a lowest-tier submit on the
      * engine's shared Executor): compaction then runs as a threadless
@@ -131,35 +117,21 @@ class PersistentScheduleCache final
     const StoreConfig& config() const { return config_; }
 
   private:
-    struct StoreEntry
-    {
-        SearchResult result;
-        LayerSpec layer;
-        ScheduleCacheKey key;
-        std::uint64_t seq = 0;
-        /** Framed size of this entry's latest insert record. */
-        std::uint64_t record_bytes = 0;
-        std::list<const std::string*>::iterator lru_it;
-        std::size_t index_slot = 0;
-    };
+    explicit PersistentScheduleCache(StoreConfig config);
 
-    using EntryMap = std::unordered_map<std::string, StoreEntry>;
-
-    PersistentScheduleCache() = default;
+    /** Append @p entry's insert record (write -> fsync -> publish). */
+    void onInsertLocked(Entry& entry) override;
+    /** Append @p entry's evict record. */
+    void onEvictLocked(const Entry& entry) override;
 
     Status openLocked(); //!< open()-time body (no concurrency yet)
-    /** Apply one replayed record to the maps. */
+    /** Apply one replayed record to the cache. */
     void replayRecord(LogRecord&& record, std::uint32_t record_bytes);
-    /** Rewrite the replayed K-shard directory as one log; returns the
-     *  log's size. */
-    StatusOr<std::uint64_t> foldShardsLocked(int num_shards,
-                                             const std::string& manifest);
-    /** Unlink @p it from the map, the LRU list and the index. */
-    void eraseLocked(EntryMap::iterator it);
-    void evictOneLocked();
-    void enforceCapacityLocked();
-    /** Drop the index's tombstones (slots of evicted entries). */
-    void compactIndexLocked();
+    /** Replay the records of a K-shard directory in global seq order
+     *  and rewrite them as one log; returns the log's size. */
+    StatusOr<std::uint64_t> foldShardsLocked(
+        int num_shards, const std::string& manifest,
+        std::vector<std::pair<LogRecord, std::uint32_t>> records);
     /** The live entries' insert records, ascending seq. */
     std::vector<std::string> livePayloadsLocked() const;
     /** Policy check + inline fold or async dispatch. */
@@ -167,34 +139,19 @@ class PersistentScheduleCache final
     void compactLocked();
     void publishLogBytes();
 
-    StoreConfig config_;
+    const StoreConfig config_;
     std::string path_; //!< the log file
 
-    mutable std::mutex mutex_;
-    EntryMap entries_;
-    /** Entries by ascending seq — the global first-insertion order.
-     *  Entry pointers stay valid across unrelated map mutations
-     *  (node-based map); an evicted entry tombstones its slot (null). */
-    std::vector<StoreEntry*> index_;
-    std::size_t index_tombstones_ = 0;
-    /** Flat keys by recency, least recent first. Points at the entries
-     *  map's keys (node-based, so stable until erase). */
-    std::list<const std::string*> lru_;
     LogWriter writer_;
-    std::uint64_t next_seq_ = 1;
     bool compaction_pending_ = false;
-    /** Counters; entries and log_bytes are filled in by storeStats(). */
+    /** The log's counters; storeStats() adds the cache's. */
     ShardStats counters_;
-    std::int64_t neighbor_hits_ = 0;
     std::function<void(std::function<void()>)> runner_;
 
-    metrics::Counter* hit_counter_ = nullptr;
-    metrics::Counter* miss_counter_ = nullptr;
-    metrics::Counter* insert_counter_ = nullptr;
-    metrics::Counter* evict_counter_ = nullptr;
-    metrics::Counter* eviction_total_ = nullptr;
-    metrics::Counter* compaction_counter_ = nullptr;
-    metrics::Gauge* log_bytes_gauge_ = nullptr;
+    metrics::Counter& evict_counter_;
+    metrics::Counter& eviction_total_;
+    metrics::Counter& compaction_counter_;
+    metrics::Gauge& log_bytes_gauge_;
 };
 
 } // namespace cachestore

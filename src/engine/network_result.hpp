@@ -111,17 +111,6 @@ struct NetworkResult
     /** The cancellation came from the request's deadline elapsing
      *  (SchedulerService auto-cancel), not an explicit cancel(). */
     bool deadline_expired = false;
-
-    /** Portfolio accounting: which member produced the kept schedule,
-     *  over the problems this query solved (ROADMAP win-rate item).
-     *  All zero for non-portfolio schedulers and pure cache hits. */
-    struct PortfolioWins
-    {
-        std::int64_t cosa = 0;
-        std::int64_t random = 0;
-        std::int64_t hybrid = 0;
-    };
-    PortfolioWins portfolio_wins;
 };
 
 } // namespace cosa

@@ -22,10 +22,13 @@
  * branch-and-bound on its relatives — the cross-layer analogue of the
  * per-node dual warm starts inside one solve.
  *
- * The in-memory tier lives as long as its process and is unbounded.
- * Solves outlive the process in cachestore::PersistentScheduleCache,
- * the on-disk tier behind this same interface, which also
- * carries the one LRU bound (docs/cache-store.md).
+ * This class is the one cache implementation: an entry map, an index
+ * in first-insertion order and an LRU list behind one mutex. The
+ * process-local tier is a plain ScheduleCache, unbounded. Solves
+ * outlive the process in cachestore::PersistentScheduleCache, which
+ * derives from it: it adds a log, a record appended per insert and per
+ * eviction through the two protected hooks, and the one LRU bound
+ * (docs/cache-store.md).
  *
  * Thread-safe: a single mutex guards the map and the counters, which is
  * ample because entries are whole-layer solve results (lookups are
@@ -33,12 +36,14 @@
  */
 
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "mapper/mapper.hpp"
 
 namespace cosa {
@@ -71,8 +76,10 @@ struct ScheduleCacheStats
     std::int64_t entries = 0;
     /** Nearest-neighbor lookups that returned a candidate schedule. */
     std::int64_t neighbor_hits = 0;
-    /** Entries dropped by an LRU bound (lifetime total; only the
-     *  bounded cachestore tier evicts). */
+    /** Fresh keys inserted (overwrites are not counted). */
+    std::int64_t inserts = 0;
+    /** Entries dropped by the LRU bound (only a bounded cache, the
+     *  cachestore tier, evicts). */
     std::int64_t evictions = 0;
 
     double
@@ -91,64 +98,39 @@ struct ScheduleCacheStats
 double canonicalLayerDistance(const LayerSpec& a, const LayerSpec& b);
 
 /**
- * The nearest-neighbor rule, shared by every cache tier so their picks
- * agree bit for bit. Offer each entry in global first-insertion order;
- * best() is then the neighbor ScheduleCache::nearestNeighbor() returns.
- * The scan keeps references to its arguments and to the best entry, so
- * it lives inside one locked scan.
- */
-class NeighborScan
-{
-  public:
-    NeighborScan(const std::string& arch_key,
-                 const std::string& scheduler_key,
-                 const std::string& evaluator_key, const LayerSpec& target);
-
-    /** Consider one entry; it replaces the best only on a strict
-     *  improvement, so ties keep the earliest. */
-    void offer(const ScheduleCacheKey& key, const SearchResult& result,
-               const LayerSpec& layer);
-
-    /** The winning entry's result; null when none qualified. */
-    const SearchResult* best() const { return best_; }
-
-  private:
-    const std::string& arch_key_;
-    const std::string& scheduler_key_;
-    const std::string& evaluator_key_;
-    const LayerSpec& target_;
-    const std::string target_key_;
-    const SearchResult* best_ = nullptr;
-    double best_dist_ = 0.0;
-    bool best_arch_match_ = false;
-};
-
-/**
  * Thread-safe (layer, arch, scheduler) -> SearchResult memo table.
  *
- * The class is the polymorphic cache interface of the service: every
- * method a job touches is virtual, so a request can mount a different
- * tier (cachestore::PersistentScheduleCache, the on-disk
- * store) behind the same `std::shared_ptr<ScheduleCache>` without the
- * service knowing. The base class is the process-local in-memory
- * implementation.
+ * Every entry carries a sequence number, assigned at its first insert
+ * and kept across overwrites. The index holds the entries in ascending
+ * seq, which is first-insertion order; nearestNeighbor() and
+ * exportEntries() walk it. A subclass that persists the cache replays
+ * its log through the protected restore path and learns of every insert
+ * and eviction through the two hooks, which run under the cache lock.
  */
 class ScheduleCache
 {
   public:
+    /** An unbounded cache whose events count in
+     *  cosa_cache_events_total. */
+    ScheduleCache();
     virtual ~ScheduleCache() = default;
+    ScheduleCache(const ScheduleCache&) = delete;
+    ScheduleCache& operator=(const ScheduleCache&) = delete;
 
     /**
-     * Look up @p key; counts a hit or a miss. The returned result's
-     * search_time_sec is the original solve's time (callers decide how
-     * to account cached time).
+     * Look up @p key; counts a hit or a miss, and a hit makes the entry
+     * the most recently used. The returned result's search_time_sec is
+     * the original solve's time (callers decide how to account cached
+     * time).
      */
-    virtual std::optional<SearchResult> lookup(const ScheduleCacheKey& key);
+    std::optional<SearchResult> lookup(const ScheduleCacheKey& key);
 
     /** Insert (or overwrite) the result for @p key. @p layer describes
-     *  the problem's shape for nearest-neighbor queries. */
-    virtual void insert(const ScheduleCacheKey& key,
-                       const SearchResult& result, const LayerSpec& layer);
+     *  the problem's shape for nearest-neighbor queries. A fresh key in
+     *  a full bounded cache first evicts the least recently used
+     *  entries. */
+    void insert(const ScheduleCacheKey& key, const SearchResult& result,
+                const LayerSpec& layer);
 
     /**
      * The cached schedule nearest to (@p target, @p arch_key) under the
@@ -164,18 +146,18 @@ class ScheduleCache
      * with a found schedule qualify. Counts a neighbor_hit when a
      * candidate is returned; exact hit/miss counters are untouched.
      */
-    virtual std::optional<SearchResult> nearestNeighbor(
+    std::optional<SearchResult> nearestNeighbor(
         const std::string& arch_key, const std::string& scheduler_key,
         const std::string& evaluator_key, const LayerSpec& target);
 
     /** True when @p key is present, without touching the counters. */
-    virtual bool contains(const ScheduleCacheKey& key) const;
+    bool contains(const ScheduleCacheKey& key) const;
 
     /** Live entry count (same number stats().entries reports). */
-    virtual std::size_t size() const;
+    std::size_t size() const;
 
     /** Snapshot of the counters. */
-    virtual ScheduleCacheStats stats() const;
+    ScheduleCacheStats stats() const;
 
     /** One entry as exportEntries() hands it out. */
     struct ExportedEntry
@@ -191,18 +173,87 @@ class ScheduleCache
      * the lock — format converters (cachestore::exportSnapshot) iterate
      * it without holding the cache up.
      */
-    virtual std::vector<ExportedEntry> exportEntries() const;
+    std::vector<ExportedEntry> exportEntries() const;
+
+  protected:
+    /** One live entry and its places in the index and the LRU list. */
+    struct Entry : ExportedEntry
+    {
+        /** First-insertion sequence number; an overwrite keeps it. */
+        std::uint64_t seq = 0;
+        /** Framed size of the entry's latest log record (set by a
+         *  persisting subclass; 0 in memory). */
+        std::uint64_t record_bytes = 0;
+        std::list<const std::string*>::iterator lru_it;
+        std::size_t index_slot = 0;
+    };
+
+    /** A cache whose hit, miss and insert events count in the counter
+     *  family @p event_family, bounded to @p capacity entries by LRU
+     *  eviction (0 = unbounded). */
+    ScheduleCache(const char* event_family, const char* help,
+                  std::int64_t capacity);
+
+    /** insert() stored @p entry (fresh or overwritten); the lock is
+     *  held, so the entry is not yet visible to other threads. */
+    virtual void onInsertLocked(Entry& /*entry*/) {}
+    /** @p entry is about to be evicted; the lock is held. */
+    virtual void onEvictLocked(const Entry& /*entry*/) {}
+
+    /** Replay one logged insert under its logged @p seq: overwrite in
+     *  place, or link a fresh entry. Fires no hook and counts nothing. */
+    Entry& restoreLocked(ScheduleCacheKey&& key, SearchResult&& result,
+                         LayerSpec&& layer, std::uint64_t seq);
+    /** Replay one logged eviction: erase @p key if present. Fires no
+     *  hook and counts nothing. */
+    void restoreEvictLocked(const ScheduleCacheKey& key);
+    /** Size the map and the index for @p entries (replay). */
+    void reserveLocked(std::size_t entries);
+    /** Evict least recently used entries down to the capacity. */
+    void trimLocked();
+    ScheduleCacheStats statsLocked() const;
+
+    /** Call @p visit on every live entry in ascending seq. */
+    template <class Visit>
+    void
+    forEachLocked(Visit&& visit) const
+    {
+        for (const Entry* entry : index_)
+            if (entry)
+                visit(*entry);
+    }
+
+    /** Guards everything below, and a subclass's state the hooks
+     *  touch. */
+    mutable std::mutex mutex_;
 
   private:
-    mutable std::mutex mutex_;
+    using EntryMap = std::unordered_map<std::string, Entry>;
+
+    /** Give the freshly emplaced @p it its key, seq and places. */
+    void linkLocked(EntryMap::iterator it, ScheduleCacheKey key,
+                    std::uint64_t seq);
+    void evictLocked(EntryMap::iterator it);
+    /** Unlink @p it from the map, the LRU list and the index. */
+    void eraseLocked(EntryMap::iterator it);
+
+    const std::int64_t capacity_;
+    metrics::Counter& hit_counter_;
+    metrics::Counter& miss_counter_;
+    metrics::Counter& insert_counter_;
+
     /** Flat key -> entry (node-based: entry addresses are stable). */
-    std::unordered_map<std::string, ExportedEntry> entries_;
-    /** The entries in first-insertion order; an overwrite keeps its
-     *  slot. */
-    std::vector<const ExportedEntry*> insertion_order_;
-    std::int64_t hits_ = 0;
-    std::int64_t misses_ = 0;
-    std::int64_t neighbor_hits_ = 0;
+    EntryMap entries_;
+    /** The entries by ascending seq; an evicted entry leaves a null
+     *  tombstone until the next index compaction. */
+    std::vector<Entry*> index_;
+    std::size_t index_tombstones_ = 0;
+    /** Flat keys by recency, least recent first. Points at the entry
+     *  map's keys (node-based, so stable until erase). */
+    std::list<const std::string*> lru_;
+    std::uint64_t next_seq_ = 1;
+    /** Counters; entries is filled in by statsLocked(). */
+    ScheduleCacheStats stats_;
 };
 
 } // namespace cosa

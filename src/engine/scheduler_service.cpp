@@ -25,7 +25,6 @@ schedulerKindName(SchedulerKind kind)
       case SchedulerKind::Random: return "Random";
       case SchedulerKind::Hybrid: return "TimeloopHybrid";
       case SchedulerKind::Exhaustive: return "Exhaustive";
-      case SchedulerKind::Portfolio: return "Portfolio";
     }
     panic("invalid scheduler kind");
 }
@@ -141,11 +140,6 @@ schedulerConfigKey(const ScheduleRequest& request)
       case SchedulerKind::Exhaustive:
         appendExhaustiveKey(oss, request.exhaustive);
         break;
-      case SchedulerKind::Portfolio:
-        appendCosaKey(oss, request.cosa);
-        appendRandomKey(oss, request.random);
-        appendHybridKey(oss, request.hybrid);
-        break;
     }
     return oss.str();
 }
@@ -238,86 +232,6 @@ solveOne(const ScheduleRequest& req, const LayerSpec& layer,
       case SchedulerKind::Exhaustive:
         return ExhaustiveMapper(req.exhaustive)
             .schedule(layer, arch, evaluator);
-      case SchedulerKind::Portfolio: {
-        // Race the members concurrently inside this one task slot: the
-        // slot's wall time is the slowest member, not their sum. Each
-        // member writes its own slot, so the aggregation below is
-        // order-deterministic regardless of finish order. Hybrid runs
-        // on the calling thread (it spawns its own racing threads).
-        // A member that throws must not escape its raw thread (that
-        // would be std::terminate): each captures its exception and
-        // drops out of the race; only an all-members fault surfaces.
-        SearchResult members[3];
-        std::exception_ptr faults[3];
-        std::thread cosa_thread([&] {
-            try {
-                members[0] =
-                    CosaScheduler(req.cosa, req.objective)
-                        .schedule(layer, arch, warm_hints, evaluator);
-            } catch (...) {
-                faults[0] = std::current_exception();
-            }
-        });
-        std::thread random_thread([&] {
-            try {
-                members[1] = RandomMapper(req.random).schedule(layer, arch,
-                                                               evaluator);
-            } catch (...) {
-                faults[1] = std::current_exception();
-            }
-        });
-        try {
-            members[2] =
-                HybridMapper(req.hybrid).schedule(layer, arch, evaluator);
-        } catch (...) {
-            faults[2] = std::current_exception();
-        }
-        cosa_thread.join();
-        random_thread.join();
-        if (faults[0] && faults[1] && faults[2])
-            std::rethrow_exception(faults[0]); // firewall handles it
-        static const char* const kMemberNames[3] = {"CoSA", "Random",
-                                                    "TimeloopHybrid"};
-        for (int m = 0; m < 3; ++m) {
-            if (!faults[m])
-                continue;
-            members[m] = SearchResult{};
-            try {
-                std::rethrow_exception(faults[m]);
-            } catch (const std::exception& e) {
-                warn("portfolio: member ", kMemberNames[m],
-                     " faulted for layer ", layer.name, " (", e.what(),
-                     "); racing on without it");
-            } catch (...) {
-                warn("portfolio: member ", kMemberNames[m],
-                     " faulted for layer ", layer.name,
-                     " (non-std exception); racing on without it");
-            }
-        }
-        SearchResult best;
-        best.scheduler = "Portfolio";
-        for (const SearchResult& member : members) {
-            best.stats.add(member.stats);
-            if (!member.found) {
-                // Keep the first typed member fault around so an
-                // all-empty race still reports a cause to the firewall.
-                if (!member.status.ok() && best.status.ok())
-                    best.status = member.status;
-                continue;
-            }
-            if (!best.found ||
-                objectiveValue(member.eval, req.objective) <
-                    objectiveValue(best.eval, req.objective)) {
-                best.found = true;
-                best.mapping = member.mapping;
-                best.eval = member.eval;
-                best.scheduler = "Portfolio[" + member.scheduler + "]";
-            }
-        }
-        if (best.found)
-            best.status = Status::Ok();
-        return best;
-      }
     }
     panic("invalid scheduler kind");
 }
@@ -359,8 +273,7 @@ validateSolveInputs(const ScheduleRequest& req, const LayerSpec& layer,
 {
     if (Status bounds = layer.checkBounds(); !bounds.ok())
         return bounds;
-    if (req.scheduler == SchedulerKind::Hybrid ||
-        req.scheduler == SchedulerKind::Portfolio) {
+    if (req.scheduler == SchedulerKind::Hybrid) {
         if (Status threads = req.hybrid.checkBounds(); !threads.ok())
             return threads;
     }
@@ -643,8 +556,8 @@ SchedulerService::normalize(ScheduleRequest& request) const
 {
     if (!request.evaluator)
         request.evaluator = std::make_shared<AnalyticalEvaluator>();
-    // The request-level objective is authoritative for the baselines
-    // and the portfolio comparison, so one knob drives every scheduler.
+    // The request-level objective is authoritative for the baselines,
+    // so one knob drives every scheduler.
     request.random.objective = request.objective;
     request.hybrid.objective = request.objective;
     request.exhaustive.objective = request.objective;
@@ -666,18 +579,13 @@ SchedulerService::normalize(ScheduleRequest& request) const
     }
     if (request.tenant.empty())
         request.tenant = "default";
-    // Hybrid solves spawn their own racing threads (and a portfolio
-    // slot races CoSA and Random next to Hybrid); cap the job's task
+    // Hybrid solves spawn their own racing threads; cap the job's task
     // concurrency so one job cannot oversubscribe the shared crew ~8x.
     if (request.max_parallelism == 0 &&
-        (request.scheduler == SchedulerKind::Hybrid ||
-         request.scheduler == SchedulerKind::Portfolio)) {
-        const int inner =
-            request.scheduler == SchedulerKind::Hybrid
-                ? std::max(request.hybrid.num_threads, 1)
-                : std::max(request.hybrid.num_threads + 2, 1);
-        request.max_parallelism =
-            std::max(executor_->numThreads() / inner, 1);
+        request.scheduler == SchedulerKind::Hybrid) {
+        request.max_parallelism = std::max(
+            executor_->numThreads() / std::max(request.hybrid.num_threads, 1),
+            1);
     }
 }
 
@@ -1042,10 +950,8 @@ SchedulerService::jobPrologue(const std::shared_ptr<JobRecord>& record)
     phase->arch_key = req.arch.fingerprint();
     phase->sched_key = schedulerConfigKey(req);
     phase->eval_key = req.evaluator->fingerprint();
-    const bool want_hints =
-        req.use_cache && req.warm_start_hints &&
-        (req.scheduler == SchedulerKind::Cosa ||
-         req.scheduler == SchedulerKind::Portfolio);
+    const bool want_hints = req.use_cache && req.warm_start_hints &&
+                            req.scheduler == SchedulerKind::Cosa;
     phase->solved.resize(num_unique);
     phase->from_cache.assign(num_unique, 0);
     phase->firewall.resize(num_unique);
@@ -1252,15 +1158,6 @@ SchedulerService::jobEpilogue(const std::shared_ptr<JobRecord>& record)
                 ++net.num_warm_hints;
             if (phase.solved[u].stats.warm_start_hits > 0)
                 ++net.num_warm_hits;
-            if (req.scheduler == SchedulerKind::Portfolio) {
-                const std::string& who = phase.solved[u].scheduler;
-                if (who == "Portfolio[CoSA]")
-                    ++net.portfolio_wins.cosa;
-                else if (who == "Portfolio[Random]")
-                    ++net.portfolio_wins.random;
-                else if (who == "Portfolio[TimeloopHybrid]")
-                    ++net.portfolio_wins.hybrid;
-            }
         }
     }
 

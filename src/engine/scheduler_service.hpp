@@ -101,7 +101,6 @@ enum class SchedulerKind {
     Random,     //!< random-search baseline
     Hybrid,     //!< Timeloop-Hybrid baseline
     Exhaustive, //!< brute-force oracle (tiny layers only)
-    Portfolio,  //!< race CoSA, Random and Hybrid; keep the best
 };
 
 /** Display name of a scheduler kind. */
@@ -134,8 +133,8 @@ struct ScheduleRequest
     ArchSpec arch;
 
     SchedulerKind scheduler = SchedulerKind::Cosa;
-    /** Objective for the search baselines, the portfolio comparison
-     *  and CoSA's final candidate pick. */
+    /** Objective for the search baselines and CoSA's final candidate
+     *  pick. */
     SearchObjective objective = SearchObjective::Latency;
     /** Evaluation backend scoring every schedule; null selects the
      *  shared analytical model. */
@@ -174,7 +173,10 @@ struct ScheduleRequest
      */
     double deadline_sec = 0.0;
     /** Max concurrently running tasks of this job on the shared
-     *  executor; 0 = unlimited. 1 solves in unique-problem order. */
+     *  executor; 0 = unlimited, except for Hybrid, whose solves each
+     *  start hybrid.num_threads search threads: 0 then caps the job at
+     *  the executor width / hybrid.num_threads. 1 solves in
+     *  unique-problem order. */
     int max_parallelism = 0;
     /**
      * Retries the failure firewall grants a layer solve that fails

@@ -45,7 +45,7 @@ struct SearchStats
     std::int64_t lu_unstable_updates = 0;
     std::int64_t lu_fill_refactor_requests = 0;
 
-    /** Field-wise accumulation (portfolio members, network roll-ups). */
+    /** Field-wise accumulation (network roll-ups). */
     void
     add(const SearchStats& other)
     {

@@ -106,6 +106,10 @@ Daemon::start()
 
     // Mount the persistent cache tier before the first connection: a
     // bad store directory must fail startup, not the first job.
+    if (config_.cache_capacity != 0 && config_.cache_dir.empty())
+        return {ErrorCode::kInvalidInput,
+                "cache_capacity (--cache-capacity) bounds the store and "
+                "needs cache_dir (--cache-dir)"};
     if (!config_.cache_dir.empty() && !cache_) {
         cachestore::StoreConfig store_config;
         store_config.dir = config_.cache_dir;

@@ -85,7 +85,9 @@ struct DaemonConfig
      * (the pre-cachestore behavior).
      */
     std::string cache_dir;
-    /** Exact cache LRU entry bound (0 = unbounded). */
+    /** Exact LRU entry bound of the cache_dir store (0 = unbounded);
+     *  start() fails kInvalidInput on a negative value, or a nonzero
+     *  one without cache_dir. */
     std::int64_t cache_capacity = 0;
 };
 

@@ -15,9 +15,6 @@ namespace {
 
 using json::Value;
 
-/** The scheduler name that carries portfolio win counts. */
-constexpr const char* kPortfolio = "Portfolio";
-
 // --- strict member reads --------------------------------------------------
 
 /**
@@ -316,8 +313,6 @@ requestFromJson(const Value& body, const std::string& tenant)
         request.scheduler = SchedulerKind::Hybrid;
     else if (scheduler == "exhaustive")
         request.scheduler = SchedulerKind::Exhaustive;
-    else if (scheduler == "portfolio")
-        request.scheduler = SchedulerKind::Portfolio;
     else
         return Status{ErrorCode::kInvalidInput,
                       "unknown scheduler \"" + scheduler + "\""};
@@ -470,10 +465,9 @@ resultsToJson(const std::vector<NetworkResult>& results)
         v.set("num_cancelled", net.num_cancelled);
         v.set("num_degraded", net.num_degraded);
         v.set("num_failed", net.num_failed);
-        // Cache/warm-start provenance, search-effort counters and
-        // portfolio win tallies live in provenanceToJson(): they all
-        // flip between a cold solve and a warm cache hit, and these
-        // bytes must not.
+        // Cache/warm-start provenance and search-effort counters live in
+        // provenanceToJson(): they flip between a cold solve and a warm
+        // cache hit, and these bytes must not.
         Value layers = Value::array();
         for (const LayerScheduleResult& lr : net.layers)
             layers.push(layerResultToJson(lr));
@@ -502,13 +496,6 @@ provenanceToJson(const std::vector<NetworkResult>& results)
         search.set("mip_nodes", net.search.mip_nodes);
         search.set("lp_iterations", net.search.lp_iterations);
         v.set("search", std::move(search));
-        if (net.scheduler == kPortfolio) {
-            Value wins = Value::object();
-            wins.set("cosa", net.portfolio_wins.cosa);
-            wins.set("random", net.portfolio_wins.random);
-            wins.set("hybrid", net.portfolio_wins.hybrid);
-            v.set("portfolio_wins", std::move(wins));
-        }
         Value cached = Value::array();
         for (std::size_t l = 0; l < net.layers.size(); ++l) {
             if (net.layers[l].from_cache)
@@ -540,10 +527,10 @@ progressEventLine(const JobProgress& event)
 // prefixed), then per network exactly the fields resultsToJson() and
 // provenanceToJson() read, in the codec of common/byte_codec.hpp. A
 // layer's scheduler, eval and mapping are kept only when it was found,
-// and portfolio wins only for Portfolio, because only then are they
-// rendered. The record lives only in memory, so it carries no version:
-// a change to a renderer changes the record in the same commit, and the
-// round-trip tests in test_wire.cpp pin the two together.
+// because only then are they rendered. The record lives only in memory,
+// so it carries no version: a change to a renderer changes the record
+// in the same commit, and the round-trip tests in test_wire.cpp pin the
+// two together.
 
 namespace {
 
@@ -700,11 +687,6 @@ encodeJobRecord(const std::vector<NetworkResult>& results,
               net.search.samples, net.search.valid_evaluated,
               net.search.mip_nodes, net.search.lp_iterations})
             codec::putI64(out, v);
-        if (net.scheduler == kPortfolio) {
-            codec::putI64(out, net.portfolio_wins.cosa);
-            codec::putI64(out, net.portfolio_wins.random);
-            codec::putI64(out, net.portfolio_wins.hybrid);
-        }
         codec::putVarint(out, net.layers.size());
         for (const LayerScheduleResult& lr : net.layers)
             encodeLayer(out, lr);
@@ -739,11 +721,6 @@ decodeRecordResults(std::string_view record)
               &net.search.samples, &net.search.valid_evaluated,
               &net.search.mip_nodes, &net.search.lp_iterations})
             *v = in.i64();
-        if (net.scheduler == kPortfolio) {
-            net.portfolio_wins.cosa = in.i64();
-            net.portfolio_wins.random = in.i64();
-            net.portfolio_wins.hybrid = in.i64();
-        }
         const std::uint64_t num_layers = in.varint();
         if (!in.ok || num_layers > in.size - in.pos)
             return malformedRecord();

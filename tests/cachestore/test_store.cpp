@@ -399,6 +399,114 @@ TEST(CachestoreStore, EvictionKeepsNearestNeighborConsistent)
     EXPECT_EQ(nn->eval.cycles, 2.0);
 }
 
+TEST(CachestoreStore, EvictionChurnKeepsScanOrderAcrossIndexCompactions)
+{
+    // 60 distinct keys through a capacity-8 store: the 52 evictions
+    // pass the index's compaction threshold (16 tombstones beyond the
+    // live count) twice. Lookups of older keys reorder recency, so the
+    // survivors are not simply the last eight inserts.
+    TempDir dir("evict_churn");
+    StoreConfig config = fastConfig(dir.path());
+    config.capacity = 8;
+    auto store = openOrDie(config);
+    ASSERT_NE(store, nullptr);
+    for (int i = 0; i < 60; ++i) {
+        const auto e = makeEntry(i);
+        store->insert(e.key, e.result, e.layer);
+        if (i % 3 == 2)
+            store->lookup(makeEntry(i - 2).key);
+        if (i % 7 == 6)
+            store->lookup(makeEntry(i / 2).key);
+    }
+    EXPECT_EQ(store->size(), 8u);
+    EXPECT_EQ(store->stats().evictions, 52);
+    ASSERT_TRUE(store->syncAll().ok());
+
+    // The log replays to the same entries in the same scan order.
+    auto reopened = openOrDie(config);
+    ASSERT_NE(reopened, nullptr);
+    expectSameStore(*store, *reopened);
+
+    // An unbounded in-memory cache fed the survivors in scan order
+    // makes the same neighbor picks.
+    ScheduleCache base;
+    for (const auto& e : store->exportEntries())
+        base.insert(e.key, e.result, e.layer);
+    expectSameStore(*store, base);
+}
+
+TEST(CachestoreStore, NegativeCapacityIsInvalidInput)
+{
+    TempDir dir("negative_capacity");
+    StoreConfig config = fastConfig(dir.path());
+    config.capacity = -1;
+    const auto opened = PersistentScheduleCache::open(config);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), ErrorCode::kInvalidInput);
+    EXPECT_FALSE(std::filesystem::exists(dir.path()));
+}
+
+/** The hit, miss and insert counts of one tier's event family. */
+std::vector<std::int64_t>
+tierEvents(const char* family)
+{
+    std::vector<std::int64_t> counts;
+    for (const char* event : {"hit", "miss", "insert"})
+        counts.push_back(metrics::MetricsRegistry::global()
+                             .counter(family, "", {{"event", event}})
+                             .value());
+    return counts;
+}
+
+std::int64_t
+neighborHits()
+{
+    return metrics::MetricsRegistry::global()
+        .counter("cosa_cache_events_total", "",
+                 {{"event", "neighbor_hit"}})
+        .value();
+}
+
+TEST(CachestoreStore, EachTierCountsInItsOwnEventFamily)
+{
+    constexpr const char* kMemory = "cosa_cache_events_total";
+    constexpr const char* kStore = "cosa_cachestore_events_total";
+    TempDir dir("families");
+    auto store = openOrDie(fastConfig(dir.path()));
+    ASSERT_NE(store, nullptr);
+    ScheduleCache memory;
+    const auto a = makeEntry(0);
+    const auto b = makeEntry(1);
+    const LayerSpec probe = LayerSpec::fromLabel("5_56_64_256_1");
+
+    for (ScheduleCache* tier : {static_cast<ScheduleCache*>(store.get()),
+                                &memory}) {
+        const bool is_store = tier == store.get();
+        const char* own = is_store ? kStore : kMemory;
+        const char* other = is_store ? kMemory : kStore;
+        const auto own_before = tierEvents(own);
+        const auto other_before = tierEvents(other);
+        tier->insert(a.key, a.result, a.layer); // insert
+        ASSERT_TRUE(tier->lookup(a.key));       // hit
+        ASSERT_FALSE(tier->lookup(b.key));      // miss
+        EXPECT_EQ(tierEvents(own),
+                  (std::vector<std::int64_t>{own_before[0] + 1,
+                                             own_before[1] + 1,
+                                             own_before[2] + 1}))
+            << own;
+        EXPECT_EQ(tierEvents(other), other_before) << own;
+
+        // A neighbor hit counts in the in-memory family from either
+        // tier, and moves no hit, miss or insert count.
+        const std::int64_t neighbors_before = neighborHits();
+        ASSERT_TRUE(tier->nearestNeighbor(a.key.arch_key, a.key.scheduler_key,
+                                          a.key.evaluator_key, probe));
+        EXPECT_EQ(neighborHits(), neighbors_before + 1) << own;
+        EXPECT_EQ(tierEvents(own)[0], own_before[0] + 1) << own;
+        EXPECT_EQ(tierEvents(other), other_before) << own;
+    }
+}
+
 TEST(CachestoreStore, TextSnapshotRoundTripsBothWays)
 {
     TempDir dir("text");

@@ -406,45 +406,6 @@ TEST(NetworkScheduling, OneLayerQueryFindsValidSchedule)
     EXPECT_TRUE(valid.valid) << valid.reason;
 }
 
-/** A cheap Portfolio request: CoSA, Random and Hybrid race per layer. */
-ScheduleRequest
-portfolioRequest()
-{
-    ScheduleRequest request = fastRandomRequest(1);
-    request.scheduler = SchedulerKind::Portfolio;
-    request.cosa.mip.work_limit = 2000;
-    request.hybrid.num_threads = 2;
-    request.hybrid.victory_condition = 50;
-    return request;
-}
-
-TEST(NetworkScheduling, PortfolioKeepsBestMemberAndMergesStats)
-{
-    const SearchResult result =
-        scheduleLayer(portfolioRequest(), workloads::listing1Layer(),
-                      ArchSpec::simbaBaseline());
-    ASSERT_TRUE(result.found);
-    EXPECT_TRUE(result.scheduler.rfind("Portfolio[", 0) == 0)
-        << result.scheduler;
-    // Samples of all three members accumulate.
-    EXPECT_GT(result.stats.samples, 1);
-}
-
-TEST(NetworkScheduling, PortfolioRecordsPerMemberWinCounts)
-{
-    Workload net;
-    net.name = "portfolio-wins";
-    net.layers.push_back(workloads::listing1Layer());
-    net.layers.push_back(LayerSpec::fromLabel("1_7_32_16_1"));
-    const NetworkResult result =
-        scheduleNetwork(portfolioRequest(), net, ArchSpec::simbaBaseline());
-    // Every solved problem has exactly one winning member.
-    EXPECT_EQ(result.portfolio_wins.cosa + result.portfolio_wins.random +
-                  result.portfolio_wins.hybrid,
-              result.num_solved);
-    EXPECT_EQ(result.num_solved, 2);
-}
-
 TEST(ScheduleCache, NearestNeighborRanksByShapeThenArch)
 {
     ScheduleCache cache;

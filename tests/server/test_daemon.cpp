@@ -706,6 +706,26 @@ TEST(Daemon, CacheStatsIs404WithoutAMountedStore)
     EXPECT_EQ(response.value().status, 404) << response.value().body;
 }
 
+TEST(Daemon, CacheCapacityNeedsAStoreAndANonNegativeBound)
+{
+    // A capacity without a store has nothing to bound.
+    DaemonConfig no_store = smallConfig();
+    no_store.cache_capacity = 5;
+    Daemon storeless{no_store};
+    const Status started = storeless.start();
+    ASSERT_FALSE(started.ok());
+    EXPECT_EQ(started.code(), ErrorCode::kInvalidInput);
+
+    const std::string dir = "cosa_daemon_negative_capacity_dir";
+    std::filesystem::remove_all(dir);
+    DaemonConfig negative = smallConfig();
+    negative.cache_dir = dir;
+    negative.cache_capacity = -1;
+    Daemon daemon{negative};
+    EXPECT_EQ(daemon.start().code(), ErrorCode::kInvalidInput);
+    EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
 TEST(Daemon, PersistentCacheSurvivesRestartByteForByte)
 {
     // The CI cache-persistence leg, in-process: warm a --cache-dir

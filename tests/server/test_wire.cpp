@@ -118,6 +118,8 @@ TEST(RequestFromJson, RejectsBadInputsWithInvalidInput)
              R"({"workloads": ["alexnet"], "arch": "simba",
                  "scheduler": "magic"})",
              R"({"workloads": ["alexnet"], "arch": "simba",
+                 "scheduler": "portfolio"})",
+             R"({"workloads": ["alexnet"], "arch": "simba",
                  "objective": "carbon"})",
              R"({"workloads": ["alexnet"], "arch": "simba",
                  "priority": "urgent"})",
@@ -312,8 +314,8 @@ bitsOf(double v)
 
 /** Two networks with every field the renderers read set away from its
  *  default: each outcome, a failed status with a message, a fallback
- *  stage, cancellation and deadline flags, portfolio wins, a layer not
- *  found (empty mapping) and NaN, infinite and negative-zero doubles. */
+ *  stage, cancellation and deadline flags, a layer not found (empty
+ *  mapping) and NaN, infinite and negative-zero doubles. */
 std::vector<NetworkResult>
 syntheticResults()
 {
@@ -323,7 +325,7 @@ syntheticResults()
     NetworkResult a;
     a.network = "net-a";
     a.arch = "simba \"x\"";
-    a.scheduler = "Portfolio";
+    a.scheduler = "TimeloopHybrid";
     a.all_found = false;
     a.cancelled = true;
     a.deadline_expired = true;
@@ -342,7 +344,6 @@ syntheticResults()
     a.search.valid_evaluated = 10;
     a.search.mip_nodes = 11;
     a.search.lp_iterations = std::int64_t{1} << 40;
-    a.portfolio_wins = {12, 13, 14};
 
     LayerScheduleResult degraded;
     degraded.layer = {"conv-0", 3, 1, 14, 12, 64, 2147483647, 2, 2};

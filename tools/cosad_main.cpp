@@ -13,7 +13,8 @@
  * configured the daemon runs open (single "default" tenant, no
  * quota). --cache-dir mounts the persistent schedule cache
  * (docs/cache-store.md) so solves survive restarts; --cache-capacity
- * bounds its LRU entry count exactly (0 = unbounded). Jobs are
+ * N >= 0 bounds its LRU entry count exactly (0 = unbounded) and needs
+ * --cache-dir. Jobs are
  * admitted and dispatched in strict priority tiers (a request's
  * "priority"): no Batch task starts while Interactive or Normal work
  * can run. Numeric flags parse strictly; a bad value exits 1 naming
@@ -76,7 +77,7 @@ main(int argc, char** argv)
             config.cache_dir = argv[++a];
         } else if (want("--cache-capacity")) {
             config.cache_capacity =
-                flagValue<std::int64_t>(argv, a);
+                flagValue<std::int64_t>(argv, a, 0);
         } else {
             fatal("unknown or incomplete flag '", argv[a],
                   "' (see the file comment in tools/cosad_main.cpp)");
