@@ -2,14 +2,15 @@
 
 /**
  * @file
- * Shared helpers for the per-figure benchmark harnesses: requests with
- * paper-default scheduler configurations, submission to the process-wide
- * SchedulerService, speedup tables and geometric means. Each bench
+ * Shared helpers for the per-figure benchmark harnesses: the settings a
+ * bench runs at, requests with paper-default scheduler configurations
+ * and submission to the process-wide SchedulerService (the benches that
+ * compare Random, TLH and CoSA share comparison_sweep.hpp). Each bench
  * binary regenerates the rows/series of one paper exhibit; absolute
  * numbers differ from the paper (different energy tables / DRAM timing)
  * but the comparative shape is the target.
  *
- * Environment knobs:
+ * Environment knobs, read by the bench mains only:
  *   COSA_BENCH_QUICK=1   subsample layers for a fast smoke run
  *   COSA_TIME_LIMIT=<s>  per-layer CoSA solver budget (default 5s)
  */
@@ -25,8 +26,6 @@
 #include "common/table.hpp"
 #include "cosa/scheduler.hpp"
 #include "engine/scheduler_service.hpp"
-#include "mapper/hybrid_mapper.hpp"
-#include "mapper/random_mapper.hpp"
 #include "problem/workloads.hpp"
 
 namespace cosa::bench {
@@ -45,56 +44,44 @@ timeLimit()
                     CosaConfig::kMaxBudgetSeconds);
 }
 
+/**
+ * The effort a bench runs at. The defaults are full mode at the paper-
+ * default budget; a bench main reads its own from the environment
+ * (fromEnv()), while a test passes fixed settings.
+ */
+struct BenchSettings
+{
+    /** Every third layer, and Hybrid's shorter victory condition. */
+    bool quick = false;
+    /** Per-layer CoSA budget in dense-core-equivalent seconds. */
+    double time_limit = 5.0;
+
+    /** COSA_BENCH_QUICK and COSA_TIME_LIMIT. */
+    static BenchSettings fromEnv() { return {quickMode(), timeLimit()}; }
+};
+
 inline CosaConfig
-defaultCosaConfig()
+defaultCosaConfig(double time_limit = timeLimit())
 {
     CosaConfig config;
-    // COSA_TIME_LIMIT expresses dense-core-equivalent seconds, mapped
+    // The time limit expresses dense-core-equivalent seconds, mapped
     // onto the deterministic work budget so bench results are machine-
     // and load-independent; the wall clock stays as a safety net.
-    config.mip.work_limit = CosaConfig::workLimitFromSeconds(timeLimit());
+    config.mip.work_limit = CosaConfig::workLimitFromSeconds(time_limit);
     config.mip.time_limit_sec =
-        CosaConfig::timeSafetyNetFromSeconds(timeLimit());
-    return config;
-}
-
-inline RandomMapperConfig
-defaultRandomConfig(SearchObjective objective = SearchObjective::Latency)
-{
-    RandomMapperConfig config;
-    config.objective = objective;
-    return config;
-}
-
-inline HybridMapperConfig
-defaultHybridConfig(SearchObjective objective = SearchObjective::Latency)
-{
-    HybridMapperConfig config;
-    config.objective = objective;
-    if (quickMode())
-        config.victory_condition = 100;
+        CosaConfig::timeSafetyNetFromSeconds(time_limit);
     return config;
 }
 
 /** Subsample a workload's layers in quick mode (every third layer). */
 inline std::vector<LayerSpec>
-layersOf(const Workload& workload)
+layersOf(const Workload& workload, bool quick = quickMode())
 {
-    if (!quickMode())
+    if (!quick)
         return workload.layers;
     std::vector<LayerSpec> subset;
     for (std::size_t i = 0; i < workload.layers.size(); i += 3)
         subset.push_back(workload.layers[i]);
-    return subset;
-}
-
-/** The quick-mode subset of a workload, as a schedulable Workload. */
-inline Workload
-subsetOf(const Workload& workload)
-{
-    Workload subset;
-    subset.name = workload.name;
-    subset.layers = layersOf(workload);
     return subset;
 }
 
@@ -115,40 +102,24 @@ schedule(ScheduleRequest request,
 }
 
 /**
- * Schedule @p workloads on @p arch with @p request's scheduler, stream
- * per-problem progress lines to stderr under @p tag (long bench runs
- * would otherwise sit silent for minutes), and block for the results.
- */
-inline std::vector<NetworkResult>
-runWithProgress(const std::string& tag, ScheduleRequest request,
-                const std::vector<Workload>& workloads, const ArchSpec& arch)
-{
-    request.workloads = workloads;
-    request.arch = arch;
-    return schedule(std::move(request), [tag](const JobProgress& p) {
-        std::cerr << "[" << tag << "] " << p.completed << "/" << p.total
-                  << " " << p.layer << (p.from_cache ? " (cached)" : "")
-                  << "\n";
-    });
-}
-
-/**
  * A request with the paper-default tunables of @p kind (no workloads or
- * arch yet). Caching/dedup stay on: the figure benches compare schedule
- * *quality*, which memoization cannot change. Benches that measure
- * per-layer time-to-solution (Table VI) must disable both so every
- * instance pays its real solve cost.
+ * arch yet); the service applies @p objective to every scheduler.
+ * Caching/dedup stay on: the figure benches compare schedule *quality*,
+ * which memoization cannot change. Benches that measure per-layer
+ * time-to-solution (Table VI) must disable both so every instance pays
+ * its real solve cost.
  */
 inline ScheduleRequest
 defaultRequest(SchedulerKind kind,
-               SearchObjective objective = SearchObjective::Latency)
+               SearchObjective objective = SearchObjective::Latency,
+               const BenchSettings& settings = BenchSettings::fromEnv())
 {
     ScheduleRequest request;
     request.scheduler = kind;
     request.objective = objective;
-    request.cosa = defaultCosaConfig();
-    request.random = defaultRandomConfig(objective);
-    request.hybrid = defaultHybridConfig(objective);
+    request.cosa = defaultCosaConfig(settings.time_limit);
+    if (settings.quick)
+        request.hybrid.victory_condition = 100;
     return request;
 }
 

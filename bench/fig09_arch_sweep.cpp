@@ -5,46 +5,24 @@
  * bandwidth and (b) doubled local buffers with an 8x global buffer —
  * demonstrating that CoSA's advantage generalizes across hardware
  * (paper: 4.4x/1.1x over Random/TLH on 8x8; 5.7x/1.4x on big buffers).
+ * Each scheduler is one request per arch batching all four suites.
  */
 
-#include "bench_util.hpp"
+#include "comparison_sweep.hpp"
 
 int
 main()
 {
     using namespace cosa;
+    const bench::BenchSettings settings = bench::BenchSettings::fromEnv();
     for (const ArchSpec& arch :
          {ArchSpec::simba8x8(), ArchSpec::simbaBigBuffers()}) {
-        TextTable table("Fig. 9 [" + arch.name +
-                        "]: geomean speedup over Random");
-        table.setHeader({"network", "tlh_x", "cosa_x"});
-        std::vector<double> tlh_all, cosa_all;
-        for (const Workload& suite : workloads::allSuites()) {
-            std::vector<double> tlh_net, cosa_net;
-            for (const LayerSpec& layer : bench::layersOf(suite)) {
-                RandomMapper random(bench::defaultRandomConfig());
-                HybridMapper hybrid(bench::defaultHybridConfig());
-                CosaScheduler cosa_sched(bench::defaultCosaConfig());
-                const SearchResult r_rnd = random.schedule(layer, arch);
-                const SearchResult r_tlh = hybrid.schedule(layer, arch);
-                const SearchResult r_cosa =
-                    cosa_sched.schedule(layer, arch);
-                if (!r_rnd.found || !r_tlh.found || !r_cosa.found)
-                    continue;
-                tlh_net.push_back(r_rnd.eval.cycles / r_tlh.eval.cycles);
-                cosa_net.push_back(r_rnd.eval.cycles /
-                                   r_cosa.eval.cycles);
-            }
-            table.addRow({suite.name,
-                          TextTable::fmt(geomean(tlh_net), 2),
-                          TextTable::fmt(geomean(cosa_net), 2)});
-            tlh_all.insert(tlh_all.end(), tlh_net.begin(), tlh_net.end());
-            cosa_all.insert(cosa_all.end(), cosa_net.begin(),
-                            cosa_net.end());
-        }
-        table.addRow({"GEOMEAN", TextTable::fmt(geomean(tlh_all), 2),
-                      TextTable::fmt(geomean(cosa_all), 2)});
-        table.print(std::cout);
+        const bench::Comparison comparison = bench::compareSchedulers(
+            workloads::allSuites(), arch,
+            {.settings = settings, .tag = "fig09/" + arch.name + "/"});
+        bench::printNetworkTable(comparison,
+                                 "Fig. 9 [" + arch.name +
+                                     "]: geomean speedup over Random");
         std::cout << "\n";
     }
     std::cout << "(paper: 8x8 -> Random 4.4x CoSA, big buffers -> 5.7x)\n";

@@ -8,8 +8,10 @@
  *
  * Per size the bench reports: text snapshot save/load seconds, binary
  * bulk-import and open-replay (the restart path) seconds, the restart
- * speedup text_load/binary_open (the ISSUE acceptance bar is >= 10x
- * at 10^5), and store lookup p50/p99 in microseconds. A churn phase
+ * speedup text_load/binary_open (CI asserts >= 10x at 10^5), and store
+ * lookup p50/p99 in microseconds. The text load and the binary open
+ * are each timed kSamples times and reported as medians, so the
+ * speedup is a ratio of medians, not of two single samples. A churn phase
  * then overwrites a bounded store 5x its capacity and reports the
  * high-water log size against the live size, demonstrating compaction
  * bounds the on-disk footprint under sustained churn.
@@ -42,6 +44,9 @@ namespace {
 using namespace cosa;
 using cachestore::PersistentScheduleCache;
 using cachestore::StoreConfig;
+
+/** Timed runs of the text load and of the binary open, per size. */
+constexpr int kSamples = 5;
 
 double
 percentile(std::vector<double> values, double q)
@@ -192,23 +197,13 @@ main(int argc, char** argv)
             baseline.insert(key, result, layer);
         }
 
-        // Text snapshot: save + load through the v3 format.
+        // Text snapshot save, then the binary bulk import (batched
+        // durability) from it.
         double t0 = wallTimeSec();
         const auto saved = cachestore::exportSnapshot(baseline, text_path);
         row.text_save_sec = wallTimeSec() - t0;
         if (!saved.ok || saved.entries != entries)
             fatal("text save failed: ", saved.error);
-        {
-            ScheduleCache revived;
-            t0 = wallTimeSec();
-            const auto loaded = cachestore::importSnapshot(text_path, revived);
-            row.text_load_sec = wallTimeSec() - t0;
-            if (!loaded.ok || loaded.entries != entries)
-                fatal("text load failed: ", loaded.error);
-        }
-
-        // Binary: bulk import (batched durability) then the restart
-        // path — open() replaying the log.
         std::filesystem::remove_all(dir);
         StoreConfig config;
         config.dir = dir;
@@ -225,14 +220,32 @@ main(int argc, char** argv)
                 fatal("sync failed: ", synced.message());
             row.binary_import_sec = wallTimeSec() - t0;
         }
-        std::vector<double> lookups;
-        {
+
+        // The two restart paths, alternated so that both see the same
+        // host load: a v3 text load into a fresh in-memory cache, and
+        // open() replaying the log.
+        std::vector<double> text_loads, opens;
+        for (int s = 0; s < kSamples; ++s) {
+            {
+                ScheduleCache revived;
+                t0 = wallTimeSec();
+                const auto loaded =
+                    cachestore::importSnapshot(text_path, revived);
+                text_loads.push_back(wallTimeSec() - t0);
+                if (!loaded.ok || loaded.entries != entries)
+                    fatal("text load failed: ", loaded.error);
+            }
             t0 = wallTimeSec();
             auto store = mustOpen(config);
-            row.binary_open_sec = wallTimeSec() - t0;
+            opens.push_back(wallTimeSec() - t0);
             if (store->size() != static_cast<std::size_t>(entries))
                 fatal("open replayed ", store->size(), " of ", entries);
-
+        }
+        row.text_load_sec = percentile(text_loads, 0.5);
+        row.binary_open_sec = percentile(opens, 0.5);
+        std::vector<double> lookups;
+        {
+            auto store = mustOpen(config);
             // Lookup latency over a deterministic sample.
             const std::int64_t probes = std::min<std::int64_t>(
                 entries, 20000);
@@ -263,6 +276,8 @@ main(int argc, char** argv)
                       TextTable::fmt(row.lookup_p99_us, 2)});
     }
     table.print(std::cout);
+    std::cout << "(text_load_s and bin_open_s are medians of " << kSamples
+              << " runs; speedup is their ratio)\n";
 
     // Churn: overwrite a bounded store well past its capacity; with
     // compaction the log's high-water mark stays a small multiple of
@@ -312,6 +327,7 @@ main(int argc, char** argv)
         for (const Row& row : rows) {
             json::Value entry = json::Value::object();
             entry.set("entries", row.entries);
+            entry.set("samples", kSamples);
             entry.set("text_save_sec", row.text_save_sec);
             entry.set("text_load_sec", row.text_load_sec);
             entry.set("binary_import_sec", row.binary_import_sec);

@@ -24,7 +24,6 @@ schedulerKindName(SchedulerKind kind)
       case SchedulerKind::Cosa: return "CoSA";
       case SchedulerKind::Random: return "Random";
       case SchedulerKind::Hybrid: return "TimeloopHybrid";
-      case SchedulerKind::Exhaustive: return "Exhaustive";
     }
     panic("invalid scheduler kind");
 }
@@ -106,13 +105,6 @@ appendHybridKey(std::ostringstream& oss, const HybridMapperConfig& c)
         << c.max_samples_per_thread << "," << c.seed << ")";
 }
 
-void
-appendExhaustiveKey(std::ostringstream& oss, const ExhaustiveMapperConfig& c)
-{
-    oss << "exh(" << c.max_points << "," << c.permute_noc_level << ","
-        << c.max_perms << ")";
-}
-
 } // namespace
 
 std::string
@@ -136,9 +128,6 @@ schedulerConfigKey(const ScheduleRequest& request)
         break;
       case SchedulerKind::Hybrid:
         appendHybridKey(oss, request.hybrid);
-        break;
-      case SchedulerKind::Exhaustive:
-        appendExhaustiveKey(oss, request.exhaustive);
         break;
     }
     return oss.str();
@@ -229,9 +218,6 @@ solveOne(const ScheduleRequest& req, const LayerSpec& layer,
         return RandomMapper(req.random).schedule(layer, arch, evaluator);
       case SchedulerKind::Hybrid:
         return HybridMapper(req.hybrid).schedule(layer, arch, evaluator);
-      case SchedulerKind::Exhaustive:
-        return ExhaustiveMapper(req.exhaustive)
-            .schedule(layer, arch, evaluator);
     }
     panic("invalid scheduler kind");
 }
@@ -379,12 +365,6 @@ solveWithFirewall(const ScheduleRequest& req, const LayerSpec& layer,
             break;
     }
     observeRetries(std::min(attempt, max_attempts - 1));
-    if (last.code() == ErrorCode::kInvalidInput) {
-        // The scheduler refused the problem (an exhaustive search too
-        // large to enumerate): like the input guard, a fallback would
-        // pass another scheduler's schedule off as its answer.
-        return fail(std::move(last));
-    }
 
     // Degradation ladder, rung 1: the greedy schedule is constructible
     // for every well-formed problem; score it on the full evaluator.
@@ -560,7 +540,6 @@ SchedulerService::normalize(ScheduleRequest& request) const
     // so one knob drives every scheduler.
     request.random.objective = request.objective;
     request.hybrid.objective = request.objective;
-    request.exhaustive.objective = request.objective;
     // Deterministic default: a private cache (see the header contract).
     if (!request.cache)
         request.cache = std::make_shared<ScheduleCache>();

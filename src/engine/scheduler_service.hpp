@@ -88,7 +88,6 @@
 #include "engine/schedule_cache.hpp"
 #include "engine/schedule_job.hpp"
 #include "engine/executor.hpp"
-#include "mapper/exhaustive_mapper.hpp"
 #include "mapper/hybrid_mapper.hpp"
 #include "mapper/random_mapper.hpp"
 #include "problem/workloads.hpp"
@@ -97,10 +96,9 @@ namespace cosa {
 
 /** Which scheduler a request drives. */
 enum class SchedulerKind {
-    Cosa,       //!< one-shot MIP (the paper's contribution)
-    Random,     //!< random-search baseline
-    Hybrid,     //!< Timeloop-Hybrid baseline
-    Exhaustive, //!< brute-force oracle (tiny layers only)
+    Cosa,   //!< one-shot MIP (the paper's contribution)
+    Random, //!< random-search baseline
+    Hybrid, //!< Timeloop-Hybrid baseline
 };
 
 /** Display name of a scheduler kind. */
@@ -144,7 +142,6 @@ struct ScheduleRequest
     CosaConfig cosa;
     RandomMapperConfig random;
     HybridMapperConfig hybrid;
-    ExhaustiveMapperConfig exhaustive;
 
     /** Collapse identical layer shapes within this query. */
     bool deduplicate = true;

@@ -5,7 +5,8 @@
  * Brute-force enumeration over factor assignments for *tiny* layers.
  * Not a paper baseline — it is the test oracle that lets the test suite
  * check CoSA and the search mappers against a known global optimum
- * (over the canonical-permutation subspace it enumerates).
+ * (over the canonical-permutation subspace it enumerates). Tests call
+ * it directly; the scheduler service and the wire do not offer it.
  */
 
 #include "mapper/mapper.hpp"

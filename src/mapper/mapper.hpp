@@ -75,12 +75,12 @@ struct SearchResult
     SearchStats stats;
     std::string scheduler;
     /** Typed cause when the run produced nothing because of a *fault*
-     *  (solver numeric trouble, a poisoned model) or because the problem
-     *  is beyond this scheduler's reach (kInvalidInput), rather than a
-     *  genuinely empty search. Ok — including for found == false — on
-     *  any fault-free run, so results stay bit-identical to the
-     *  pre-firewall stack. The service firewall routes faults into
-     *  retries and the degradation ladder, and fails kInvalidInput. */
+     *  (solver numeric trouble, a poisoned model) rather than a
+     *  genuinely empty search, or kInvalidInput when the exhaustive
+     *  oracle refuses a layer too large to enumerate. Ok — including
+     *  for found == false — on any fault-free run, so results stay
+     *  bit-identical to the pre-firewall stack. The service firewall
+     *  routes faults into retries and the degradation ladder. */
     Status status;
 };
 

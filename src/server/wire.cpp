@@ -247,7 +247,7 @@ knownRequestKeys()
         "deadline_sec", "max_parallelism", "max_solve_retries",
         "deduplicate", "use_cache",   "warm_start_hints",
         "tag",        "tenant",       "random",
-        "hybrid",     "exhaustive",
+        "hybrid",
     };
     return keys;
 }
@@ -311,8 +311,6 @@ requestFromJson(const Value& body, const std::string& tenant)
         request.scheduler = SchedulerKind::Random;
     else if (scheduler == "hybrid")
         request.scheduler = SchedulerKind::Hybrid;
-    else if (scheduler == "exhaustive")
-        request.scheduler = SchedulerKind::Exhaustive;
     else
         return Status{ErrorCode::kInvalidInput,
                       "unknown scheduler \"" + scheduler + "\""};
@@ -359,14 +357,6 @@ requestFromJson(const Value& body, const std::string& tenant)
             return tunables.status();
         if (Status threads = request.hybrid.checkBounds(); !threads.ok())
             return threads;
-    }
-    if (const Value* exhaustive = body.find("exhaustive")) {
-        MemberReader tunables(*exhaustive, "exhaustive",
-                              {"max_points", "max_perms"});
-        tunables.read("max_points", &request.exhaustive.max_points);
-        tunables.read("max_perms", &request.exhaustive.max_perms);
-        if (!tunables.status().ok())
-            return tunables.status();
     }
     return request;
 }

@@ -369,34 +369,6 @@ TEST_F(FaultTolerance, NanArchitectureFailsTypedWithoutLaundering)
     EXPECT_EQ(service.stats().failed, 1);
 }
 
-TEST_F(FaultTolerance, OversizedExhaustiveFailsTypedWithoutLaundering)
-{
-    // An exhaustive search over a full-size layer is refused with a
-    // typed cause — neither retried nor passed off as a greedy schedule.
-    Workload net;
-    net.name = "oversized";
-    net.layers.push_back(LayerSpec::fromLabel("7_112_3_64_2"));
-    ScheduleRequest request;
-    request.workloads.push_back(std::move(net));
-    request.arch = ArchSpec::simbaBaseline();
-    request.scheduler = SchedulerKind::Exhaustive;
-
-    SchedulerService service(ServiceConfig{1});
-    const NetworkResult result = runOne(service, std::move(request));
-    ASSERT_EQ(result.layers.size(), 1u);
-    const LayerScheduleResult& layer = result.layers[0];
-    EXPECT_EQ(layer.outcome, LayerOutcome::kFailed);
-    EXPECT_FALSE(layer.result.found);
-    EXPECT_EQ(layer.result.status.code(), ErrorCode::kInvalidInput);
-    EXPECT_NE(layer.result.status.message().find("max_points"),
-              std::string::npos);
-    EXPECT_EQ(layer.solve_retries, 0);
-    EXPECT_TRUE(layer.fallback_stage.empty());
-    EXPECT_EQ(result.num_failed, 1);
-    EXPECT_EQ(result.num_degraded, 0);
-    EXPECT_EQ(service.stats().failed, 1);
-}
-
 TEST_F(FaultTolerance, ModelRejectsNonFiniteCoefficients)
 {
     solver::Model model;

@@ -129,6 +129,30 @@ TEST(ExhaustiveMapper, AgreesWithItselfAndValid)
     EXPECT_GT(result.stats.valid_evaluated, 0);
 }
 
+TEST(ExhaustiveMapper, RefusesSpacesPastMaxPointsTyped)
+{
+    // A full-size layer is refused with a typed cause, not enumerated
+    // for hours; so is a tiny one past a lowered max_points.
+    const ArchSpec arch = ArchSpec::simbaBaseline();
+    LayerSpec tiny;
+    tiny.name = "tiny";
+    tiny.c = 4;
+    tiny.k = 2;
+    tiny.p = tiny.q = 2;
+    ExhaustiveMapperConfig one_point;
+    one_point.max_points = 1;
+    for (const SearchResult& refused :
+         {ExhaustiveMapper().schedule(LayerSpec::fromLabel("7_112_3_64_2"),
+                                      arch),
+          ExhaustiveMapper(one_point).schedule(tiny, arch)}) {
+        EXPECT_FALSE(refused.found);
+        EXPECT_EQ(refused.stats.samples, 0);
+        EXPECT_EQ(refused.status.code(), ErrorCode::kInvalidInput);
+        EXPECT_NE(refused.status.message().find("max_points"),
+                  std::string::npos);
+    }
+}
+
 TEST(ExhaustiveMapper, OracleBoundsOtherSchedulers)
 {
     // On a tiny layer no scheduler may beat the exhaustive optimum.

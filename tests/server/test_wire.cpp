@@ -132,7 +132,7 @@ TEST(RequestFromJson, RejectsBadInputsWithInvalidInput)
              R"({"workloads": ["alexnet"], "arch": "simba",
                  "hybrid": {"num_thread": 2}})",
              R"({"workloads": ["alexnet"], "arch": "simba",
-                 "exhaustive": {"max_point": 10}})",
+                 "hybrid": {"max_sample_per_thread": 10}})",
              R"({"workloads": [{"name": "x", "layers": ["3_14_abc_32_1"]}],
                  "arch": "simba"})", // non-numeric field
              R"({"workloads": [{"name": "x", "layers": ["3_14_32"]}],
@@ -197,8 +197,8 @@ TEST(RequestFromJson, RejectsBadInputsWithInvalidInput)
         {knob(R"("random": {"seed": -1})"), "random key \"seed\""},
         {knob(R"("random": {"max_samples": 9223372036854775808})"),
          "random key \"max_samples\""},
-        {knob(R"("exhaustive": {"max_perms": -2147483649})"),
-         "exhaustive key \"max_perms\""},
+        {knob(R"("hybrid": {"victory_condition": -2147483649})"),
+         "hybrid key \"victory_condition\""},
         {knob(R"("max_parallelism": 2147483648)"),
          "request key \"max_parallelism\""},
         {knob(R"("max_solve_retries": 1.5)"),
@@ -213,6 +213,8 @@ TEST(RequestFromJson, RejectsBadInputsWithInvalidInput)
         {knob(R"("deadline_sec": true)"), "request key \"deadline_sec\""},
         {knob(R"("tag": 5)"), "request key \"tag\""},
         {knob(R"("scheduler": 5)"), "request key \"scheduler\""},
+        {knob(R"("scheduler": "exhaustive")"),
+         "unknown scheduler \"exhaustive\""},
     };
     for (const auto& [bad, key] : named) {
         StatusOr<ScheduleRequest> decoded =
