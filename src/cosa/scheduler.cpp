@@ -96,14 +96,22 @@ CosaScheduler::schedule(const LayerSpec& layer, const ArchSpec& arch,
     // MIP may reject it as a start when it straddles the per-tensor
     // capacity split, and very tight time limits can leave the solver
     // without an incumbent, so score the greedy schedule directly).
-    consider(greedyMapping(layer, arch));
+    const Mapping greedy = greedyMapping(layer, arch);
+    consider(greedy);
     // Valid neighbor hints compete directly too: on arch sweeps the
     // refit of a neighboring layer's schedule is occasionally better
     // under the full model than anything the budgeted MIP reached.
     for (const Mapping& hint : hint_schedules)
         consider(hint);
 
-    if (auto winner = select.finalize()) {
+    auto winner = select.finalize();
+    if (!winner) {
+        // A re-scoring backend may reject every kept candidate (a failed
+        // simulation); the greedy floor serves if the full platform can.
+        if (Evaluation ev = bound->evaluate(greedy); ev.valid)
+            winner = CandidateSelector::Winner{greedy, std::move(ev)};
+    }
+    if (winner) {
         result.found = true;
         result.mapping = std::move(winner->mapping);
         result.eval = std::move(winner->eval);

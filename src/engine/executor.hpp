@@ -129,7 +129,6 @@ class Executor
                 TaskSetOptions options);
 
     ExecutorStats stats() const;
-    int numThreads() const { return num_threads_; }
 
   private:
     struct TaskSet;

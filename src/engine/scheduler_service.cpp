@@ -204,10 +204,12 @@ recordSolveMetrics(const ScheduleRequest& req, const SearchResult& solved)
         .inc(s.warm_start_hits);
 }
 
-/** One attempt of the requested scheduler. */
+/** One attempt of the requested scheduler. Hybrid's helper walks queue
+ *  on @p executor at the job's tier and weight. */
 SearchResult
 solveOne(const ScheduleRequest& req, const LayerSpec& layer,
-         const ArchSpec& arch, const std::vector<Mapping>& warm_hints)
+         const ArchSpec& arch, const std::vector<Mapping>& warm_hints,
+         Executor& executor)
 {
     const Evaluator& evaluator = *req.evaluator;
     switch (req.scheduler) {
@@ -217,7 +219,14 @@ solveOne(const ScheduleRequest& req, const LayerSpec& layer,
       case SchedulerKind::Random:
         return RandomMapper(req.random).schedule(layer, arch, evaluator);
       case SchedulerKind::Hybrid:
-        return HybridMapper(req.hybrid).schedule(layer, arch, evaluator);
+        return HybridMapper(req.hybrid).schedule(
+            layer, arch, evaluator,
+            [&](int count, std::function<void()> help) {
+                executor.submit(static_cast<std::size_t>(count),
+                                [help](std::size_t) { help(); },
+                                {.tier = req.priority, .weight = req.weight,
+                                 .on_complete = {}});
+            });
     }
     panic("invalid scheduler kind");
 }
@@ -249,9 +258,9 @@ fallbackCounter(const char* stage)
  * evaluator: out-of-range layer dimensions and non-finite architecture
  * constants produce garbage schedules (or NaN objectives, or a
  * factorization that never ends) rather than clean failures, so they
- * fail fast with a typed cause instead. So does a Hybrid thread count
- * outside [1, kMaxHybridThreads]: each search would start that many
- * threads.
+ * fail fast with a typed cause instead. So does a Hybrid walk count
+ * outside [1, kMaxHybridThreads]: each walk holds a candidate funnel
+ * and queues a helper task.
  */
 Status
 validateSolveInputs(const ScheduleRequest& req, const LayerSpec& layer,
@@ -300,7 +309,7 @@ SearchResult
 solveWithFirewall(const ScheduleRequest& req, const LayerSpec& layer,
                   const ArchSpec& arch,
                   const std::vector<Mapping>& warm_hints,
-                  FirewallReport* report)
+                  Executor& executor, FirewallReport* report)
 {
     auto recordFault = [&](const Status& fault, const char* where) {
         errorCounter(fault.code()).inc();
@@ -345,7 +354,7 @@ solveWithFirewall(const ScheduleRequest& req, const LayerSpec& layer,
         SearchResult result;
         Status fault;
         try {
-            result = solveOne(req, layer, arch, warm_hints);
+            result = solveOne(req, layer, arch, warm_hints, executor);
             fault = result.status;
         } catch (const CosaError& e) {
             fault = e.status();
@@ -558,14 +567,6 @@ SchedulerService::normalize(ScheduleRequest& request) const
     }
     if (request.tenant.empty())
         request.tenant = "default";
-    // Hybrid solves spawn their own racing threads; cap the job's task
-    // concurrency so one job cannot oversubscribe the shared crew ~8x.
-    if (request.max_parallelism == 0 &&
-        request.scheduler == SchedulerKind::Hybrid) {
-        request.max_parallelism = std::max(
-            executor_->numThreads() / std::max(request.hybrid.num_threads, 1),
-            1);
-    }
 }
 
 SubmitResult
@@ -1005,7 +1006,8 @@ SchedulerService::jobSolveTask(const std::shared_ptr<JobRecord>& record,
         span.arg(phase.unique_layers[u]->name);
         phase.solved[u] =
             solveWithFirewall(req, *phase.unique_layers[u], req.arch,
-                              phase.hints[u], &phase.firewall[u]);
+                              phase.hints[u], *executor_,
+                              &phase.firewall[u]);
     }
     recordSolveMetrics(req, phase.solved[u]);
     metrics::MetricsRegistry::global()

@@ -169,11 +169,9 @@ struct ScheduleRequest
      * cancelled and `NetworkResult::deadline_expired` is set.
      */
     double deadline_sec = 0.0;
-    /** Max concurrently running tasks of this job on the shared
-     *  executor; 0 = unlimited, except for Hybrid, whose solves each
-     *  start hybrid.num_threads search threads: 0 then caps the job at
-     *  the executor width / hybrid.num_threads. 1 solves in
-     *  unique-problem order. */
+    /** Max concurrently running layer solves of this job on the shared
+     *  executor (a Hybrid solve's helper walks queue beside them at the
+     *  job's tier); 0 = unlimited. 1 solves in unique-problem order. */
     int max_parallelism = 0;
     /**
      * Retries the failure firewall grants a layer solve that fails

@@ -2,9 +2,9 @@
 
 #include <atomic>
 #include <exception>
-#include <mutex>
+#include <latch>
+#include <memory>
 #include <string>
-#include <thread>
 
 #include "common/rng.hpp"
 #include "mapper/random_mapper.hpp"
@@ -35,7 +35,7 @@ HybridMapper::schedule(const LayerSpec& layer, const ArchSpec& arch) const
 
 SearchResult
 HybridMapper::schedule(const LayerSpec& layer, const ArchSpec& arch,
-                       const Evaluator& evaluator) const
+                       const Evaluator& evaluator, const Spawn& spawn) const
 {
     const double start = wallTimeSec();
     SearchResult result;
@@ -44,30 +44,22 @@ HybridMapper::schedule(const LayerSpec& layer, const ArchSpec& arch,
     const auto bound = evaluator.bind(layer, arch);
     FactorPool pool(layer);
 
-    // Per-thread candidate funnels, merged in thread-id order after the
-    // join so the kept top-k (and thus the winner on tie) is
-    // deterministic regardless of completion order.
+    // Per-walk candidate funnels, counters and faults, merged in walk
+    // order once every walk is done, so the kept top-k (and thus the
+    // winner on tie) is deterministic whichever thread ran which walk.
+    const auto num_walks = static_cast<std::size_t>(config_.num_threads);
     std::vector<CandidateSelector> locals(
-        static_cast<std::size_t>(config_.num_threads),
-        CandidateSelector(evaluator, *bound, config_.objective));
-    std::mutex merge_mutex;
+        num_walks, CandidateSelector(evaluator, *bound, config_.objective));
+    std::vector<SearchStats> walk_stats(num_walks);
+    std::vector<std::exception_ptr> faults(num_walks);
 
-    // A fault must not escape a raw thread (std::terminate, past the
-    // service firewall): each worker captures its own, and `stop` ends
-    // the other workers' sample loops early.
-    std::vector<std::exception_ptr> faults(
-        static_cast<std::size_t>(config_.num_threads));
-    std::atomic<bool> stop{false};
-
-    auto search = [&](int thread_id) {
-        Rng rng(config_.seed + 0x9e37 * static_cast<std::uint64_t>(thread_id));
-        SearchStats stats;
-        CandidateSelector& select =
-            locals[static_cast<std::size_t>(thread_id)];
+    auto search = [&](std::size_t walk) {
+        Rng rng(config_.seed + 0x9e37 * static_cast<std::uint64_t>(walk));
+        SearchStats& stats = walk_stats[walk];
+        CandidateSelector& select = locals[walk];
         int consecutive_suboptimal = 0;
 
-        while (!stop.load(std::memory_order_relaxed) &&
-               consecutive_suboptimal < config_.victory_condition &&
+        while (consecutive_suboptimal < config_.victory_condition &&
                stats.samples < config_.max_samples_per_thread) {
             // (1) random tiling factorization + spatial choice
             const FactorAssignment assignment =
@@ -104,37 +96,35 @@ HybridMapper::schedule(const LayerSpec& layer, const ArchSpec& arch,
                 }
             }
         }
-
-        std::lock_guard<std::mutex> lock(merge_mutex);
-        result.stats.samples += stats.samples;
-        result.stats.valid_evaluated += stats.valid_evaluated;
     };
-    auto worker = [&](int thread_id) {
-        try {
-            search(thread_id);
-        } catch (...) {
-            faults[static_cast<std::size_t>(thread_id)] =
-                std::current_exception();
-            stop.store(true, std::memory_order_relaxed);
+
+    // Walks are claimed in index order, by this thread and by the
+    // helpers spawn() queues. A helper touches this stack only through
+    // a claimed walk, which this thread waits for; one that starts after
+    // the last claim sees only the claim state it co-owns. A fault must
+    // not escape a helper (the executor would only log it): each walk
+    // captures its own.
+    struct Claims
+    {
+        explicit Claims(std::ptrdiff_t n) : unfinished(n) {}
+        std::atomic<std::size_t> next{0};
+        std::latch unfinished;
+    };
+    auto claims = std::make_shared<Claims>(config_.num_threads);
+    auto help = [claims, num_walks, run = &search, faults = faults.data()] {
+        for (std::size_t w; (w = claims->next.fetch_add(1)) < num_walks;) {
+            try {
+                (*run)(w);
+            } catch (...) {
+                faults[w] = std::current_exception();
+            }
+            claims->unfinished.count_down();
         }
     };
-
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(config_.num_threads));
-    try {
-        for (int t = 0; t < config_.num_threads; ++t)
-            threads.emplace_back(worker, t);
-    } catch (...) {
-        // A thread that failed to start must not unwind past joinable
-        // ones (std::terminate): stop and join those, then let the
-        // firewall see the fault.
-        stop.store(true, std::memory_order_relaxed);
-        for (auto& t : threads)
-            t.join();
-        throw;
-    }
-    for (auto& t : threads)
-        t.join();
+    if (spawn)
+        spawn(config_.num_threads - 1, help);
+    help();
+    claims->unfinished.wait();
     // Surface the lowest-index fault on the calling thread, where the
     // firewall retries and degrades it like any scheduler's.
     for (const std::exception_ptr& fault : faults) {
@@ -142,11 +132,13 @@ HybridMapper::schedule(const LayerSpec& layer, const ArchSpec& arch,
             std::rethrow_exception(fault);
     }
 
-    // Deterministic merge: every thread's kept candidates, in thread
-    // order, flow into one funnel which then re-scores the top-k.
+    // Deterministic merge: every walk's kept candidates and counters,
+    // in walk order, flow into one funnel which then re-scores the top-k.
     CandidateSelector merged(evaluator, *bound, config_.objective);
-    for (const CandidateSelector& local : locals)
-        local.drainInto(merged);
+    for (std::size_t w = 0; w < num_walks; ++w) {
+        locals[w].drainInto(merged);
+        result.stats.add(walk_stats[w]);
+    }
     if (auto winner = merged.finalize()) {
         result.found = true;
         result.mapping = std::move(winner->mapping);

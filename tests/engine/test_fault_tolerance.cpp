@@ -255,8 +255,8 @@ TEST_F(FaultTolerance, FaultyTenantDoesNotPerturbCoTenant)
     }
 
     // Same job next to a tenant whose evaluator throws on every call.
-    // Hybrid searches on raw threads of its own, which must hand the
-    // fault back to the firewall instead of terminating the process.
+    // Hybrid's walks also run on helper tasks of the shared executor;
+    // a walk's fault must reach the firewall on the calling worker.
     for (const SchedulerKind kind :
          {SchedulerKind::Random, SchedulerKind::Hybrid}) {
         SCOPED_TRACE(schedulerKindName(kind));

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "engine/scheduler_service.hpp"
+#include "problem/workloads.hpp"
 
 namespace cosa {
 namespace {
@@ -128,6 +129,50 @@ TEST(SchedulerService, DeterministicUnderRandomCoTenantInterleavings)
         expectIdenticalResults(reference, run);
         for (ScheduleJob& tenant : tenants)
             tenant.wait();
+    }
+}
+
+// A Hybrid solve runs its walks on the calling worker and on helper
+// tasks it queues on the shared executor. Whoever runs which walk, every
+// layer's result equals a direct HybridMapper call, which runs all walks
+// itself. At width 1 no helper can start before the caller is done.
+TEST(SchedulerService, HybridWalksMatchDirectSearchAtAnyWidth)
+{
+    Workload net = workloads::resNet50();
+    net.layers.resize(4);
+    const ArchSpec arch = ArchSpec::simbaBaseline();
+    HybridMapperConfig hybrid;
+    hybrid.victory_condition = 100;
+    std::vector<SearchResult> direct;
+    for (const LayerSpec& layer : net.layers)
+        direct.push_back(HybridMapper(hybrid).schedule(layer, arch));
+
+    for (int width : {1, 2, 4}) {
+        SCOPED_TRACE(width);
+        ServiceConfig config;
+        config.num_threads = width;
+        SchedulerService service(config);
+        ScheduleRequest request;
+        request.workloads = {net};
+        request.arch = arch;
+        request.scheduler = SchedulerKind::Hybrid;
+        request.hybrid = hybrid;
+        request.deduplicate = false;
+        SubmitResult submitted = service.submit(std::move(request));
+        ASSERT_TRUE(submitted.accepted());
+        const NetworkResult result = submitted.takeJob().wait().front();
+        ASSERT_EQ(result.layers.size(), direct.size());
+        for (std::size_t l = 0; l < direct.size(); ++l) {
+            const SearchResult& got = result.layers[l].result;
+            ASSERT_TRUE(got.found) << l;
+            EXPECT_EQ(got.mapping, direct[l].mapping) << l;
+            EXPECT_EQ(got.eval.cycles, direct[l].eval.cycles) << l;
+            EXPECT_EQ(got.eval.energy_pj, direct[l].eval.energy_pj) << l;
+            EXPECT_EQ(got.stats.samples, direct[l].stats.samples) << l;
+            EXPECT_EQ(got.stats.valid_evaluated,
+                      direct[l].stats.valid_evaluated)
+                << l;
+        }
     }
 }
 

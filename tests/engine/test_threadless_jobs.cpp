@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <fstream>
@@ -11,6 +12,7 @@
 
 #include "engine/executor.hpp"
 #include "engine/scheduler_service.hpp"
+#include "problem/workloads.hpp"
 #include "service_test_util.hpp"
 
 namespace cosa {
@@ -93,6 +95,46 @@ TEST(ThreadlessJobs, ThousandQueuedJobsHoldNoRunnerThreads)
     EXPECT_EQ(stats.completed, 1003);
     EXPECT_EQ(stats.queued_now, 0);
     EXPECT_EQ(stats.inflight_now, 0);
+}
+
+// A Hybrid solve's walks run on the executor's workers: a job with
+// eight walks per layer adds no thread to the census, which therefore
+// holds for every scheduler.
+TEST(ThreadlessJobs, HybridJobStartsNoThreads)
+{
+    ServiceConfig config;
+    config.num_threads = 2;
+    SchedulerService service{config};
+    service.submit(tinyRequest(16, 2)).takeJob().wait();
+
+    std::atomic<bool> done{false};
+    std::atomic<int> peak{0};
+    std::thread sampler([&] {
+        while (!done.load()) {
+            peak.store(std::max(peak.load(), threadCount()));
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+    });
+    const int baseline = threadCount(); // the sampler included
+    ASSERT_GT(baseline, 0);
+
+    ScheduleRequest request;
+    Workload net = workloads::resNet50();
+    net.layers.resize(4);
+    request.workloads.push_back(std::move(net));
+    request.arch = ArchSpec::simbaBaseline();
+    request.scheduler = SchedulerKind::Hybrid;
+    request.hybrid.num_threads = 8;
+    request.hybrid.victory_condition = 100;
+    request.use_cache = false;
+    const NetworkResult result =
+        service.submit(std::move(request)).takeJob().wait().front();
+    done.store(true);
+    sampler.join();
+
+    EXPECT_TRUE(result.all_found);
+    EXPECT_LE(peak.load(), baseline)
+        << "a Hybrid solve must not start threads of its own";
 }
 
 // Executor-level strict tiers: a Batch-tier task set queued behind a

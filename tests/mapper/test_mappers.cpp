@@ -99,7 +99,7 @@ TEST(HybridMapper, RespectsTerminationCondition)
 TEST(HybridMapper, ThreadCountIsBounded)
 {
     // Only the check runs here: a search with an out-of-range count
-    // would start that many threads.
+    // would hold that many funnels and queue that many helper tasks.
     HybridMapperConfig config;
     for (int threads : {1, 8, kMaxHybridThreads}) {
         config.num_threads = threads;

@@ -71,6 +71,30 @@ TEST(Integration, FcLayerSchedulesClusterOnNocSim)
 }
 
 /**
+ * Under NocSimEvaluator the funnel keeps only the best analytical
+ * candidate. On these two ResNet-50 layers the simulator rejects it at
+ * a 5,000-unit budget; CoSA must then still serve the greedy schedule,
+ * which simulates, instead of reporting an empty search.
+ */
+TEST(Integration, CosaServesGreedyWhenSimulatorRejectsItsPick)
+{
+    const ArchSpec arch = ArchSpec::simbaBaseline();
+    CosaConfig config;
+    config.mip.work_limit = 5000;
+    const NocSimEvaluator evaluator;
+    for (const char* label : {"1_28_512_128_1", "1_28_512_512_1"}) {
+        SCOPED_TRACE(label);
+        const LayerSpec layer = LayerSpec::fromLabel(label);
+        const SearchResult result =
+            CosaScheduler(config).schedule(layer, arch, {}, evaluator);
+        ASSERT_TRUE(result.status.ok()) << result.status.toString();
+        ASSERT_TRUE(result.found);
+        EXPECT_TRUE(result.eval.valid);
+        EXPECT_TRUE(validateMapping(result.mapping, layer, arch).valid);
+    }
+}
+
+/**
  * Architecture scaling: the 8x8 variant must never be slower than the
  * 4x4 baseline for the same CoSA-scheduled layer (more PEs + more
  * bandwidth).
