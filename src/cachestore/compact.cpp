@@ -25,7 +25,7 @@ compactLogFile(const std::string& log_path,
     // valid_bytes 0 truncates whatever a crashed fold left. Batch mode:
     // one fsync for the whole generation (below), not one per record —
     // the generation only becomes real at the rename.
-    Status opened = writer.open(tmp_path, 0, 1, /*valid_bytes=*/0,
+    Status opened = writer.open(tmp_path, /*valid_bytes=*/0,
                                 /*fsync_each_append=*/false);
     if (!opened.ok())
         return opened;

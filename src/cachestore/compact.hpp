@@ -9,11 +9,11 @@
  * someone folds them away. Compaction rewrites the log as a fresh
  * generation holding exactly the live entries (one insert record each,
  * ascending sequence number, no evicts), then swaps it in with the
- * crash-safe temp-file + atomic-rename pattern the text snapshot and
- * the trace sink already use: a crash before the rename leaves the old
- * generation untouched (the stale `.tmp` is ignored and removed on the
- * next open); a crash after it leaves the new one — there is no state
- * in between.
+ * crash-safe temp-file + atomic-rename pattern (the MANIFEST write
+ * uses it too): a crash before the rename leaves the old generation
+ * untouched (the stale `.tmp` is ignored and removed on the next
+ * open); a crash after it leaves the new one — there is no state in
+ * between.
  *
  * Policy: a log is worth compacting when its log has grown past
  * `min_bytes` AND dead bytes outweigh live ones (folding tiny or

@@ -20,7 +20,7 @@ namespace {
 
 constexpr char kMagic[8] = {'c', 'o', 's', 'a', 'c', 'l', 'o', 'g'};
 constexpr std::uint32_t kVersion = 1;
-// magic + version + shard_index + num_shards
+// magic + version + shard_index + num_shards (always 0 and 1)
 constexpr std::uint64_t kHeaderBytes = 8 + 4 + 4 + 4;
 // payload_len + checksum
 constexpr std::uint64_t kFrameBytes = 4 + 8;
@@ -44,12 +44,12 @@ using codec::putU64;
 using codec::putVarint;
 
 std::string
-headerBytesFor(std::uint32_t shard_index, std::uint32_t num_shards)
+headerBytes()
 {
     std::string header(kMagic, sizeof(kMagic));
     putU32(header, kVersion);
-    putU32(header, shard_index);
-    putU32(header, num_shards);
+    putU32(header, 0); // shard_index
+    putU32(header, 1); // num_shards
     return header;
 }
 
@@ -123,9 +123,8 @@ encodeRecord(const LogRecord& record)
     out.push_back(r.found ? 1 : 0);
     putString(out, r.scheduler);
 
-    // The full SearchStats, unlike the 7-field text snapshot: the
-    // binary tier has no legacy readers to stay line-compatible with,
-    // so phase timings and LU counters survive a round trip too.
+    // The full SearchStats: phase timings and LU counters survive a
+    // round trip too.
     const SearchStats& s = r.stats;
     putI64(out, s.samples);
     putI64(out, s.valid_evaluated);
@@ -374,8 +373,14 @@ readLog(const std::string& path,
                     std::to_string(version);
         return out;
     }
-    out.shard_index = header.u32();
-    out.num_shards = header.u32();
+    const std::uint32_t shard_index = header.u32();
+    const std::uint32_t num_shards = header.u32();
+    if (shard_index != 0 || num_shards != 1) {
+        out.error = path + ": header names shard " +
+                    std::to_string(shard_index) + " of " +
+                    std::to_string(num_shards) + ", not a one-log store";
+        return out;
+    }
 
     // Frame scan: stop at the first torn or corrupt frame. Everything
     // before it is intact (each frame carries its own checksum);
@@ -443,8 +448,7 @@ readLog(const std::string& path,
 }
 
 Status
-LogWriter::open(const std::string& path, std::uint32_t shard_index,
-                std::uint32_t num_shards, std::uint64_t valid_bytes,
+LogWriter::open(const std::string& path, std::uint64_t valid_bytes,
                 bool fsync_each_append)
 {
     close();
@@ -457,7 +461,7 @@ LogWriter::open(const std::string& path, std::uint32_t shard_index,
                       "cachestore: cannot open " + path + ": " +
                           std::strerror(errno)};
     if (fresh || valid_bytes < kHeaderBytes) {
-        const std::string header = headerBytesFor(shard_index, num_shards);
+        const std::string header = headerBytes();
         if (::ftruncate(fd_, 0) != 0 ||
             ::write(fd_, header.data(), header.size()) !=
                 static_cast<ssize_t>(header.size()) ||

@@ -2,29 +2,27 @@
 
 /**
  * @file
- * Binary append-only record log of the schedule-cache store.
+ * Binary append-only record log of the schedule-cache store: the one
+ * on-disk form of a cache entry.
  *
  * A log file is a fixed header followed by framed records:
  *
  *   header   "cosaclog" + u32 version + u32 shard_index + u32 num_shards
  *   record   u32 payload_len + u64 fnv1a64(payload) + payload
  *
- * The store writes one log, whose header reads shard 0 of 1; the two
- * header fields remain so directories of the older sharded layout
- * (shard i of K) stay readable.
+ * The two header fields after the version always read 0 and 1 (the
+ * store's one log); readLog() refuses any other value, as it refuses
+ * any other version.
  *
  * Header and frame integers are fixed-width little-endian; integers
  * *inside* a payload are LEB128 varints (zigzag for signed), since
  * counters, bounds and lengths are almost always small. Doubles travel
- * as their raw IEEE-754 bits, so a round trip is bit-exact (the same
- * contract the v3 text snapshot keeps with max_digits10). Two record
- * kinds exist: an insert
- * carries the full (key, layer, SearchResult) of one cache entry plus
- * its global sequence number; an evict carries just the key. Replaying
- * the records front to back reproduces the store's live map, and the
- * sequence numbers give the *global* first-insertion order (the order
- * nearestNeighbor scans and ties break on) even across the files of a
- * sharded directory.
+ * as their raw IEEE-754 bits, so a round trip is bit-exact. Two record
+ * kinds exist: an insert carries the full (key, layer, SearchResult)
+ * of one cache entry plus its store-global sequence number; an evict
+ * carries just the key. Replaying the records front to back reproduces
+ * the store's live map, and the sequence numbers give its first-
+ * insertion order (the order nearestNeighbor scans and ties break on).
  *
  * Durability follows write -> fsync -> publish: LogWriter::append
  * writes the frame and (by default) fsyncs before returning, and the
@@ -94,8 +92,6 @@ struct LogReadResult
     std::uint64_t valid_bytes = 0;
     /** True when the file carried bytes past valid_bytes. */
     bool torn_tail = false;
-    std::uint32_t shard_index = 0;
-    std::uint32_t num_shards = 0;
 };
 
 /**
@@ -104,8 +100,9 @@ struct LogReadResult
  * @p visit in file order — replaying a large log never materializes a
  * second copy of every entry. @p visit returning false stops the scan
  * early. A missing file is ok with zero records (a fresh log); a
- * foreign or truncated header is a hard error (wrong directory, not a
- * crash); everything after the header recovers per the file comment.
+ * foreign, truncated or other-version header, or one naming any log
+ * but shard 0 of 1, is a hard error (wrong directory, not a crash);
+ * everything after the header recovers per the file comment.
  */
 LogReadResult readLog(
     const std::string& path,
@@ -129,8 +126,7 @@ class LogWriter
      * afresh. @p fsync_each_append: false batches durability to
      * explicit sync() calls (bulk imports, benches).
      */
-    Status open(const std::string& path, std::uint32_t shard_index,
-                std::uint32_t num_shards, std::uint64_t valid_bytes,
+    Status open(const std::string& path, std::uint64_t valid_bytes,
                 bool fsync_each_append = true);
 
     /** Frame + write @p payload (fsync per the open mode). The record

@@ -1,6 +1,5 @@
 #include "cachestore/store.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -14,16 +13,7 @@ namespace {
 
 constexpr const char* kManifestName = "MANIFEST";
 constexpr const char* kManifestHeader = "cosa-cachestore v1";
-/** The most shard logs a directory of the older sharded layout held. */
-constexpr int kMaxShards = 4096;
-
-std::string
-shardFileName(int index)
-{
-    char name[32];
-    std::snprintf(name, sizeof(name), "shard-%04d.log", index);
-    return name;
-}
+constexpr const char* kLogName = "shard-0000.log";
 
 /** The store's counter family for cache events (hit, miss, insert,
  *  evict). */
@@ -32,7 +22,7 @@ constexpr const char* kEventHelp = "Persistent schedule-cache events by kind";
 
 /** Crash-safe manifest write (temp + rename, like a compaction swap). */
 Status
-writeManifest(const std::string& path, int num_shards)
+writeManifest(const std::string& path)
 {
     const std::string tmp = path + ".tmp";
     {
@@ -41,7 +31,7 @@ writeManifest(const std::string& path, int num_shards)
             return Status{ErrorCode::kIoError,
                           "cachestore: cannot write " + tmp};
         out << kManifestHeader << "\n"
-            << "shards " << num_shards << "\n";
+            << "shards 1\n";
     }
     if (std::rename(tmp.c_str(), path.c_str()) != 0)
         return Status{ErrorCode::kIoError,
@@ -108,96 +98,67 @@ PersistentScheduleCache::openLocked()
                       "cachestore: cannot create " + config_.dir + ": " +
                           ec.message()};
 
-    // The manifest counts the directory's logs: 1 for every directory
-    // this code writes, K for one the older sharded layout wrote, which
-    // the replay below folds into one log.
+    // The manifest names the directory's one log. One of the older
+    // sharded layout names K > 1 and is refused before anything in the
+    // directory changes.
     const std::string manifest_path =
         (fs::path(config_.dir) / kManifestName).string();
-    int num_shards = 0;
     {
         std::ifstream in(manifest_path);
         if (in) {
             std::string header;
             std::string word;
+            int num_logs = 0;
             if (!std::getline(in, header) || header != kManifestHeader ||
-                !(in >> word >> num_shards) || word != "shards" ||
-                num_shards <= 0 || num_shards > kMaxShards)
+                !(in >> word >> num_logs) || word != "shards" ||
+                num_logs <= 0)
                 return Status{ErrorCode::kIoError,
                               "cachestore: " + manifest_path +
                                   " is not a valid manifest"};
+            if (num_logs != 1)
+                return Status{ErrorCode::kIoError,
+                              "cachestore: " + manifest_path + " names " +
+                                  std::to_string(num_logs) +
+                                  " shard logs, an older layout this "
+                                  "store does not read (remove the "
+                                  "directory to start an empty store)"};
+        } else {
+            Status written = writeManifest(manifest_path);
+            if (!written.ok())
+                return written;
         }
-    }
-    if (num_shards == 0) {
-        num_shards = 1;
-        Status written = writeManifest(manifest_path, num_shards);
-        if (!written.ok())
-            return written;
     }
 
-    // Replay every log the manifest lists, streaming one log's records
-    // straight out of the frame scan. The records of K logs are kept
-    // until all are read: the fold replays them in global seq order.
-    path_ = (fs::path(config_.dir) / shardFileName(0)).string();
-    std::uint64_t valid_bytes = 0;
-    std::uintmax_t on_disk = 0;
-    std::vector<std::pair<LogRecord, std::uint32_t>> legacy;
-    for (int i = 0; i < num_shards; ++i) {
-        const std::string path =
-            (fs::path(config_.dir) / shardFileName(i)).string();
-        // A stale `.tmp` is a compaction that crashed before its
-        // rename: the old generation is still the truth, the partial
-        // new one is garbage. Ignore + remove.
-        fs::remove(compactionTempPath(path), ec);
-        // Sizing hint so a big replay doesn't rehash/regrow its way up
-        // (entries run a few hundred bytes; overshooting a bit is just
-        // slack buckets).
-        const std::uintmax_t file_bytes = fs::file_size(path, ec);
-        if (!ec)
-            reserveLocked((on_disk += file_bytes) / 256 + 1);
-        const LogReadResult read = readLog(
-            path, [&](LogRecord&& record, std::uint32_t bytes) {
-                if (num_shards > 1)
-                    legacy.emplace_back(std::move(record), bytes);
-                else
-                    replayRecord(std::move(record), bytes);
-                return true;
-            });
-        if (!read.ok)
-            return Status{ErrorCode::kIoError, read.error};
-        // A log names its own index, and the manifest's count, or 1 for
-        // the folded log a crash left beside the old files.
-        const bool own_count =
-            read.num_shards == static_cast<std::uint32_t>(num_shards) ||
-            (i == 0 && read.num_shards == 1);
-        if (read.num_shards != 0 &&
-            (read.shard_index != static_cast<std::uint32_t>(i) ||
-             !own_count))
-            return Status{ErrorCode::kIoError,
-                          "cachestore: " + path + " is shard " +
-                              std::to_string(read.shard_index) + "/" +
-                              std::to_string(read.num_shards) +
-                              ", not part of this layout"};
-        counters_.records_skipped += read.records_skipped;
-        if (read.torn_tail) {
-            counters_.torn_tail_recovered = true;
-            warn("cachestore: ", path, ": torn tail recovered (",
-                 read.records_skipped, " bad record dropped)");
-        }
-        if (i == 0)
-            valid_bytes = read.valid_bytes;
-    }
-    if (num_shards > 1) {
-        StatusOr<std::uint64_t> folded =
-            foldShardsLocked(num_shards, manifest_path, std::move(legacy));
-        if (!folded.ok())
-            return folded.status();
-        valid_bytes = folded.value();
+    path_ = (fs::path(config_.dir) / kLogName).string();
+    // A stale `.tmp` is a compaction that crashed before its rename:
+    // the old generation is still the truth, the partial new one is
+    // garbage. Ignore + remove.
+    fs::remove(compactionTempPath(path_), ec);
+    // Sizing hint so a big replay doesn't rehash/regrow its way up
+    // (entries run a few hundred bytes; overshooting a bit is just
+    // slack buckets).
+    const std::uintmax_t file_bytes = fs::file_size(path_, ec);
+    if (!ec)
+        reserveLocked(file_bytes / 256 + 1);
+    // Replay straight out of the frame scan.
+    const LogReadResult read =
+        readLog(path_, [this](LogRecord&& record, std::uint32_t bytes) {
+            replayRecord(std::move(record), bytes);
+            return true;
+        });
+    if (!read.ok)
+        return Status{ErrorCode::kIoError, read.error};
+    counters_.records_skipped = read.records_skipped;
+    if (read.torn_tail) {
+        counters_.torn_tail_recovered = true;
+        warn("cachestore: ", path_, ": torn tail recovered (",
+             read.records_skipped, " bad record dropped)");
     }
     forEachLocked([this](const Entry& entry) {
         counters_.live_bytes += entry.record_bytes;
     });
 
-    Status opened = writer_.open(path_, 0, 1, valid_bytes,
+    Status opened = writer_.open(path_, read.valid_bytes,
                                  config_.fsync_each_append);
     if (!opened.ok())
         return opened;
@@ -228,48 +189,6 @@ PersistentScheduleCache::replayRecord(LogRecord&& record,
     restoreLocked(std::move(record.key), std::move(record.result),
                   std::move(record.layer), record.seq)
         .record_bytes = record_bytes;
-}
-
-StatusOr<std::uint64_t>
-PersistentScheduleCache::foldShardsLocked(
-    int num_shards, const std::string& manifest,
-    std::vector<std::pair<LogRecord, std::uint32_t>> records)
-{
-    namespace fs = std::filesystem;
-    // Each shard file ran in ascending seq, but the files interleave.
-    // A key's records share one seq per incarnation, so a stable sort
-    // keeps each key's history in order, and the replay restores the
-    // global first-insertion order, with recency following it, as a
-    // replay of the folded log will.
-    std::stable_sort(records.begin(), records.end(),
-                     [](const auto& a, const auto& b) {
-                         return a.first.seq < b.first.seq;
-                     });
-    for (auto& [record, bytes] : records)
-        replayRecord(std::move(record), bytes);
-
-    StatusOr<std::uint64_t> bytes =
-        compactLogFile(path_, livePayloadsLocked());
-    if (!bytes.ok())
-        return bytes;
-    // The folded log holds every live entry, so the other files are
-    // history. They go before the manifest names one log: a crash at
-    // any point reopens to the same entries.
-    for (int i = 1; i < num_shards; ++i) {
-        const fs::path old = fs::path(config_.dir) / shardFileName(i);
-        std::error_code ec;
-        fs::remove(old, ec);
-        if (ec)
-            return Status{ErrorCode::kIoError,
-                          "cachestore: cannot remove " + old.string() +
-                              ": " + ec.message()};
-    }
-    Status written = writeManifest(manifest, 1);
-    if (!written.ok())
-        return written;
-    inform("cachestore: folded ", num_shards, " shard logs of ",
-           config_.dir, " into one (", statsLocked().entries, " entries)");
-    return bytes;
 }
 
 void
@@ -375,7 +294,7 @@ PersistentScheduleCache::compactLocked()
         warn("cachestore: compaction of ", path_,
              " failed: ", folded.status().message(),
              " (old generation kept)");
-    Status reopened = writer_.open(path_, 0, 1, new_bytes,
+    Status reopened = writer_.open(path_, new_bytes,
                                    config_.fsync_each_append);
     if (!reopened.ok()) {
         warn("cachestore: reopen after compaction of ", path_,

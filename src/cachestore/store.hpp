@@ -14,23 +14,22 @@
  * Determinism contract (asserted bit-for-bit by the tests): a fixed
  * ScheduleRequest returns byte-identical results whether it runs on
  * the in-memory base cache or this store, freshly opened or reloaded,
- * before or after torn-tail recovery, and after folding a directory
- * written in the older sharded layout. The load-bearing piece: every
+ * and before or after torn-tail recovery. The load-bearing piece: every
  * entry carries a store-global monotonic sequence number (persisted in
  * its log record; an overwrite keeps the original), and replay restores
  * the entries in ascending seq — the exact first-insertion order the
  * base cache's index holds — so nearestNeighbor(), which exists only
  * in the base, sees the same candidates in the same order.
  *
- * This is the one persistent tier: cosad --cache-dir and the examples'
- * --cache-dir mount it, and its StoreConfig::capacity is the one cache
- * bound. The v3 text snapshot (snapshot.hpp) only converts to and from
- * it for `cosactl cache export|import`.
+ * This is the one persistent tier and the log its one on-disk format:
+ * cosad --cache-dir and the examples' --cache-dir mount it, and its
+ * StoreConfig::capacity is the one cache bound. The log is fixed-width
+ * little-endian and checksummed, so a store moves by copying its
+ * directory while no process has it open.
  */
 
 #include <functional>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "cachestore/compact.hpp"
@@ -92,11 +91,12 @@ class PersistentScheduleCache final
     /**
      * Mount @p config.dir: create it (with a manifest) when missing,
      * otherwise replay the log — recovering a torn tail per log.hpp —
-     * and resume appending. A directory in the older sharded layout is
-     * folded into one log first (docs/cache-store.md). Fails with
-     * kInvalidInput on an empty directory name or a negative capacity,
-     * and otherwise only on real IO errors or foreign files; crash
-     * damage recovers.
+     * and resume appending. Fails with kInvalidInput on an empty
+     * directory name or a negative capacity, and otherwise with
+     * kIoError only on real IO errors or foreign files; crash damage
+     * recovers. A MANIFEST naming more than one log (the older sharded
+     * layout) is a foreign file: open refuses it and touches nothing
+     * in the directory.
      */
     static StatusOr<std::shared_ptr<PersistentScheduleCache>> open(
         StoreConfig config);
@@ -127,11 +127,6 @@ class PersistentScheduleCache final
     Status openLocked(); //!< open()-time body (no concurrency yet)
     /** Apply one replayed record to the cache. */
     void replayRecord(LogRecord&& record, std::uint32_t record_bytes);
-    /** Replay the records of a K-shard directory in global seq order
-     *  and rewrite them as one log; returns the log's size. */
-    StatusOr<std::uint64_t> foldShardsLocked(
-        int num_shards, const std::string& manifest,
-        std::vector<std::pair<LogRecord, std::uint32_t>> records);
     /** The live entries' insert records, ascending seq. */
     std::vector<std::string> livePayloadsLocked() const;
     /** Policy check + inline fold or async dispatch. */

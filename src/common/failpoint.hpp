@@ -5,16 +5,16 @@
  * Deterministic, seed-keyed fault injection ("failpoints").
  *
  * A failpoint is a named site in the code — `simplex.factorize`,
- * `evaluator.evaluate`, `cache.save_write`, ... — where a fault can be
+ * `evaluator.evaluate`, `executor.task`, ... — where a fault can be
  * injected on demand for chaos testing. Failpoints are compiled in
  * always and cost one relaxed atomic load when none is armed, so they
- * can live permanently at solver/evaluator/cache/executor boundaries
+ * can live permanently at solver/evaluator/executor boundaries
  * (the same "off is free" discipline as trace spans).
  *
  * Arming, from the environment (read once, at first evaluation) or
  * programmatically via configure():
  *
- *   COSA_FAILPOINTS=simplex.factorize=0.05@42,cache.save_write=1
+ *   COSA_FAILPOINTS=simplex.factorize=0.05@42,evaluator.evaluate=1
  *
  * Each comma-separated term is `name=prob[@seed]`: `prob` in [0, 1] is
  * the per-evaluation trigger probability (1 = always), `seed` (default

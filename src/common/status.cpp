@@ -12,7 +12,6 @@ errorCodeName(ErrorCode code)
       case ErrorCode::kSingularBasis: return "singular_basis";
       case ErrorCode::kBudgetExhausted: return "budget_exhausted";
       case ErrorCode::kEvaluatorFault: return "evaluator_fault";
-      case ErrorCode::kCacheCorrupt: return "cache_corrupt";
       case ErrorCode::kIoError: return "io_error";
       case ErrorCode::kCancelled: return "cancelled";
       case ErrorCode::kInternal: return "internal";
@@ -62,7 +61,6 @@ httpStatusForError(ErrorCode code)
       case ErrorCode::kNumericFailure:
       case ErrorCode::kSingularBasis:
       case ErrorCode::kEvaluatorFault:
-      case ErrorCode::kCacheCorrupt:
       case ErrorCode::kIoError:
       case ErrorCode::kInternal: return 500;
     }

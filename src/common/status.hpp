@@ -50,8 +50,6 @@ enum class ErrorCode {
     kBudgetExhausted,
     /** The evaluation backend threw or returned garbage. */
     kEvaluatorFault,
-    /** A cache snapshot record failed its checksum or parse. */
-    kCacheCorrupt,
     /** File-system level failure (open/write/rename). */
     kIoError,
     /** The job was cancelled; not an error, never retried. */

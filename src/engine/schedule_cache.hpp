@@ -169,9 +169,9 @@ class ScheduleCache
 
     /**
      * Every live entry in first-insertion order (the order
-     * nearestNeighbor() scans). The snapshot is a deep copy taken under
-     * the lock — format converters (cachestore::exportSnapshot) iterate
-     * it without holding the cache up.
+     * nearestNeighbor() scans). The copy is deep and taken under the
+     * lock, so callers (tests, perfbench's store checks) iterate it
+     * without holding the cache up.
      */
     std::vector<ExportedEntry> exportEntries() const;
 

@@ -67,8 +67,8 @@ parsePriorityFlag(int argc, char** argv, int* a, JobPriority* priority)
 }
 
 // --- scheduler config key ------------------------------------------------
-// Byte-stable across releases so existing ScheduleCache snapshots and
-// cachestore directories keep hitting.
+// Byte-stable across releases so existing cachestore directories keep
+// hitting.
 
 namespace {
 

@@ -199,7 +199,7 @@ struct ScheduleRequest
 /**
  * Serialization of every scheduler tunable of @p request that can
  * change a solve's outcome — the third component of the cache key
- * (byte-stable across releases, so cache snapshots stay valid).
+ * (byte-stable across releases, so stored cache entries stay valid).
  */
 std::string schedulerConfigKey(const ScheduleRequest& request);
 

@@ -9,7 +9,6 @@
 #include "../engine/service_test_util.hpp"
 #include "engine/scheduler_service.hpp"
 #include "server/wire.hpp"
-#include "sharded_layout.hpp"
 
 namespace cosa {
 namespace {
@@ -17,8 +16,7 @@ namespace {
 // The store's acceptance bar: a fixed request produces *byte-identical*
 // wire results no matter which cache tier sits behind the request —
 // private in-memory map, fresh persistent store, warm reloaded store,
-// a store that just recovered a torn log tail, or one folded from a
-// directory of the older sharded layout.
+// or a store that just recovered a torn log tail.
 // resultsToJson is the canonical deterministic serialization, so
 // string equality here is bit-for-bit equality of every mapping and
 // every double in the response.
@@ -75,15 +73,13 @@ TEST(CachestoreInvariance, EveryTierProducesIdenticalWireBytes)
 
     // A fresh store behaves like the empty base cache.
     TempDir dir1("one");
-    std::vector<ScheduleCache::ExportedEntry> solved;
     {
         auto store = openStore(storeConfig(dir1.path()));
         ASSERT_NE(store, nullptr);
         EXPECT_EQ(runFixedRequest(store), baseline);
-        solved = store->exportEntries();
     }
 
-    // Reopening the same directory replays the logs; the warm store
+    // Reopening the same directory replays the log; the warm store
     // answers from disk yet serializes the same bytes.
     {
         auto warm = openStore(storeConfig(dir1.path()));
@@ -92,19 +88,6 @@ TEST(CachestoreInvariance, EveryTierProducesIdenticalWireBytes)
         EXPECT_EQ(runFixedRequest(warm), baseline);
         const auto stats = warm->stats();
         EXPECT_GT(stats.hits, 0); // it really answered from the cache
-    }
-
-    // The same solves written as a 4-shard directory of the older
-    // layout: the fold at open restores the global sequence order, and
-    // the folded store answers from disk with the same bytes.
-    TempDir legacy("legacy");
-    cachestore::test::writeShardedDir(legacy.path(), 4, solved);
-    {
-        auto folded = openStore(storeConfig(legacy.path()));
-        ASSERT_NE(folded, nullptr);
-        EXPECT_EQ(folded->size(), solved.size());
-        EXPECT_EQ(runFixedRequest(folded), baseline);
-        EXPECT_GT(folded->stats().hits, 0);
     }
 
     // Tear the tail off the warm log: recovery drops the damaged

@@ -86,6 +86,18 @@ sampleInsert(int i)
     return record;
 }
 
+/** A log file header with the given fields, as bytes. */
+std::string
+headerWith(std::uint32_t version, std::uint32_t shard_index,
+           std::uint32_t num_shards)
+{
+    std::string header = "cosaclog";
+    for (const std::uint32_t field : {version, shard_index, num_shards})
+        for (int b = 0; b < 4; ++b)
+            header.push_back(static_cast<char>((field >> (8 * b)) & 0xff));
+    return header;
+}
+
 /** What a streaming readLog() visited, with the scan's outcome. */
 struct Collected
 {
@@ -196,7 +208,7 @@ TEST(CachestoreLog, WriterProducesReplayableLog)
 {
     TempLog file("writer");
     LogWriter writer;
-    ASSERT_TRUE(writer.open(file.path(), 3, 8, 0, false).ok());
+    ASSERT_TRUE(writer.open(file.path(), 0, false).ok());
     std::vector<LogRecord> originals;
     for (int i = 0; i < 5; ++i) {
         originals.push_back(sampleInsert(i));
@@ -205,11 +217,15 @@ TEST(CachestoreLog, WriterProducesReplayableLog)
     ASSERT_TRUE(writer.sync().ok());
     writer.close();
 
+    // The header every store has written: version 1, shard 0 of 1.
+    std::string header(logHeaderBytes(), '\0');
+    std::ifstream(file.path(), std::ios::binary)
+        .read(header.data(), static_cast<std::streamsize>(header.size()));
+    EXPECT_EQ(header, headerWith(1, 0, 1));
+
     const Collected log = collect(file.path());
     const LogReadResult& read = log.read;
     ASSERT_TRUE(read.ok) << read.error;
-    EXPECT_EQ(read.shard_index, 3u);
-    EXPECT_EQ(read.num_shards, 8u);
     EXPECT_EQ(read.records_skipped, 0);
     EXPECT_FALSE(read.torn_tail);
     EXPECT_EQ(read.valid_bytes,
@@ -227,7 +243,7 @@ TEST(CachestoreLog, StreamingVisitorCanStopEarly)
 {
     TempLog file("stream");
     LogWriter writer;
-    ASSERT_TRUE(writer.open(file.path(), 0, 1, 0, false).ok());
+    ASSERT_TRUE(writer.open(file.path(), 0, false).ok());
     for (int i = 0; i < 6; ++i)
         ASSERT_TRUE(writer.append(encodeRecord(sampleInsert(i))).ok());
     writer.close();
@@ -253,7 +269,7 @@ expectTornTailRecovery(
 {
     TempLog file(name);
     LogWriter writer;
-    ASSERT_TRUE(writer.open(file.path(), 0, 1, 0, false).ok());
+    ASSERT_TRUE(writer.open(file.path(), 0, false).ok());
     std::uint64_t good_bytes = logHeaderBytes();
     for (int i = 0; i < 4; ++i) {
         const std::string payload = encodeRecord(sampleInsert(i));
@@ -275,8 +291,7 @@ expectTornTailRecovery(
     // then appends cleanly and replays without damage.
     LogWriter recovered;
     ASSERT_TRUE(
-        recovered.open(file.path(), 0, 1, log.read.valid_bytes, false)
-            .ok());
+        recovered.open(file.path(), log.read.valid_bytes, false).ok());
     ASSERT_TRUE(recovered.append(encodeRecord(sampleInsert(99))).ok());
     recovered.close();
     log = collect(file.path());
@@ -358,6 +373,25 @@ TEST(CachestoreLog, ForeignFileIsAHardError)
     EXPECT_FALSE(read.ok);
     EXPECT_NE(read.error.find("not a cosa cachestore shard log"),
               std::string::npos);
+
+    // Well-formed headers that are not this store's: another version,
+    // and shard 3 of an 8-log directory of the older sharded layout.
+    const struct
+    {
+        std::string header;
+        const char* error;
+    } kForeign[] = {
+        {headerWith(2, 0, 1), "unsupported shard log version 2"},
+        {headerWith(1, 3, 8), "names shard 3 of 8"},
+    };
+    for (const auto& foreign : kForeign) {
+        std::ofstream(file.path(), std::ios::binary | std::ios::trunc)
+            << foreign.header;
+        const LogReadResult other = collect(file.path()).read;
+        EXPECT_FALSE(other.ok) << foreign.error;
+        EXPECT_NE(other.error.find(foreign.error), std::string::npos)
+            << other.error;
+    }
 }
 
 } // namespace

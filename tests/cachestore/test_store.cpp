@@ -9,10 +9,8 @@
 #include <vector>
 
 #include "cachestore/compact.hpp"
-#include "cachestore/snapshot.hpp"
 #include "cachestore/store.hpp"
 #include "common/metrics.hpp"
-#include "sharded_layout.hpp"
 
 namespace cosa {
 namespace cachestore {
@@ -142,32 +140,6 @@ expectSameStore(ScheduleCache& a, ScheduleCache& b)
     }
 }
 
-/** 50 entries, then overwrites of every seventh. */
-std::vector<ScheduleCache::ExportedEntry>
-insertsWithOverwrites()
-{
-    std::vector<ScheduleCache::ExportedEntry> inserts;
-    for (int i = 0; i < 50; ++i)
-        inserts.push_back(makeEntry(i));
-    for (int i = 0; i < 50; i += 7) {
-        inserts.push_back(makeEntry(i));
-        inserts.back().result.eval.cycles *= 1.25;
-    }
-    return inserts;
-}
-
-/** A one-log store fed @p inserts in order. */
-std::shared_ptr<PersistentScheduleCache>
-oneLogStore(const std::string& dir,
-            const std::vector<ScheduleCache::ExportedEntry>& inserts)
-{
-    auto store = openOrDie(fastConfig(dir));
-    if (store)
-        for (const auto& e : inserts)
-            store->insert(e.key, e.result, e.layer);
-    return store;
-}
-
 TEST(CachestoreStore, InsertLookupPersistsAcrossReopen)
 {
     TempDir dir("reopen");
@@ -242,61 +214,23 @@ TEST(CachestoreStore, MatchesBaseCacheBitForBit)
     EXPECT_EQ(base->stats().neighbor_hits, store->stats().neighbor_hits);
 }
 
-TEST(CachestoreStore, LegacyShardedDirectoryFoldsIntoOneLog)
+TEST(CachestoreStore, ShardedLayoutIsRefusedAndLeftAlone)
 {
-    // The same inserts into a one-log store and into a 4-shard
-    // directory of the older layout.
-    const auto inserts = insertsWithOverwrites();
-    TempDir one_dir("fold_one");
-    auto one = oneLogStore(one_dir.path(), inserts);
-    ASSERT_NE(one, nullptr);
-    TempDir dir("fold_legacy");
-    test::writeShardedDir(dir.path(), 4, inserts);
-    {
-        auto folded = openOrDie(fastConfig(dir.path()));
-        ASSERT_NE(folded, nullptr);
-        expectSameStore(*one, *folded);
-    }
-    // Folded for good: one log under a one-log manifest, and a reopen
-    // replays it to the same store.
-    EXPECT_EQ(listDir(dir.path()),
-              (std::vector<std::string>{"MANIFEST", "shard-0000.log"}));
-    EXPECT_EQ(readAll(dir.path() + "/MANIFEST"),
-              "cosa-cachestore v1\nshards 1\n");
-    auto reopened = openOrDie(fastConfig(dir.path()));
-    ASSERT_NE(reopened, nullptr);
-    expectSameStore(*one, *reopened);
-}
+    // A MANIFEST of the older sharded layout names K > 1 logs: open
+    // refuses the directory as foreign and changes nothing in it.
+    TempDir dir("sharded");
+    std::filesystem::create_directories(dir.path());
+    const std::string manifest = "cosa-cachestore v1\nshards 4\n";
+    std::ofstream(dir.path() + "/MANIFEST", std::ios::binary) << manifest;
 
-TEST(CachestoreStore, CrashDuringFoldReopensToTheSameEntries)
-{
-    const auto inserts = insertsWithOverwrites();
-    TempDir one_dir("crash_one");
-    auto one = oneLogStore(one_dir.path(), inserts);
-    ASSERT_NE(one, nullptr);
-    // A fold that crashed after swapping in the folded shard-0000.log,
-    // while the 4-shard manifest and the other old files (all of them,
-    // or all but those already removed) are still in place.
-    TempDir folded_dir("crash_folded");
-    test::writeShardedDir(folded_dir.path(), 4, inserts);
-    ASSERT_NE(openOrDie(fastConfig(folded_dir.path())), nullptr);
-    for (const int removed : {0, 2}) {
-        TempDir dir("crash_legacy" + std::to_string(removed));
-        test::writeShardedDir(dir.path(), 4, inserts);
-        std::filesystem::copy_file(
-            folded_dir.path() + "/shard-0000.log",
-            dir.path() + "/shard-0000.log",
-            std::filesystem::copy_options::overwrite_existing);
-        for (int i = 1; i <= removed; ++i)
-            std::filesystem::remove(dir.path() + "/shard-000" +
-                                    std::to_string(i) + ".log");
-
-        auto recovered = openOrDie(fastConfig(dir.path()));
-        ASSERT_NE(recovered, nullptr);
-        expectSameStore(*one, *recovered);
-        EXPECT_EQ(listDir(dir.path()),
-                  (std::vector<std::string>{"MANIFEST", "shard-0000.log"}));
-    }
+    const auto opened = PersistentScheduleCache::open(fastConfig(dir.path()));
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), ErrorCode::kIoError);
+    EXPECT_NE(opened.status().message().find(dir.path() + "/MANIFEST"),
+              std::string::npos)
+        << opened.status().message();
+    EXPECT_EQ(readAll(dir.path() + "/MANIFEST"), manifest);
+    EXPECT_EQ(listDir(dir.path()), std::vector<std::string>{"MANIFEST"});
 }
 
 TEST(CachestoreStore, CapacityIsAnExactGlobalBound)
@@ -505,44 +439,6 @@ TEST(CachestoreStore, EachTierCountsInItsOwnEventFamily)
         EXPECT_EQ(tierEvents(own)[0], own_before[0] + 1) << own;
         EXPECT_EQ(tierEvents(other), other_before) << own;
     }
-}
-
-TEST(CachestoreStore, TextSnapshotRoundTripsBothWays)
-{
-    TempDir dir("text");
-    const std::string snapshot = dir.path() + "/snapshot.txt";
-    auto store = openOrDie(fastConfig(dir.path() + "/store"));
-    ASSERT_NE(store, nullptr);
-    for (int i = 0; i < 25; ++i) {
-        const auto e = makeEntry(i);
-        store->insert(e.key, e.result, e.layer);
-    }
-
-    // Store -> v3 text -> in-memory base cache.
-    const auto saved = exportSnapshot(*store, snapshot);
-    ASSERT_TRUE(saved.ok) << saved.error;
-    auto base = std::make_shared<ScheduleCache>();
-    const auto loaded = importSnapshot(snapshot, *base);
-    ASSERT_TRUE(loaded.ok) << loaded.error;
-    EXPECT_EQ(loaded.entries, saved.entries);
-    EXPECT_EQ(base->size(), store->size());
-    for (const auto& e : store->exportEntries()) {
-        const auto hit = base->lookup(e.key);
-        ASSERT_TRUE(hit.has_value());
-        expectSameResult(e.result, *hit);
-    }
-
-    // v3 text -> a fresh store; its re-export is byte-identical to the
-    // first.
-    auto imported = openOrDie(fastConfig(dir.path() + "/imported"));
-    ASSERT_NE(imported, nullptr);
-    const auto merged = importSnapshot(snapshot, *imported);
-    ASSERT_TRUE(merged.ok) << merged.error;
-    EXPECT_EQ(merged.entries, saved.entries);
-    EXPECT_EQ(imported->size(), store->size());
-    const std::string again = dir.path() + "/again.txt";
-    ASSERT_TRUE(exportSnapshot(*imported, again).ok);
-    EXPECT_EQ(readAll(again), readAll(snapshot));
 }
 
 TEST(CachestoreStore, CompactionBoundsLogUnderChurn)

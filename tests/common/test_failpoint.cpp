@@ -47,12 +47,12 @@ TEST_F(FailpointTest, ParsesSpecAndRejectsMalformedOnes)
 
 TEST_F(FailpointTest, ProbabilityOneAlwaysFiresAndCounts)
 {
-    ASSERT_TRUE(failpoint::configure("cache.save_write=1").ok());
+    ASSERT_TRUE(failpoint::configure("evaluator.evaluate=1").ok());
     for (int i = 0; i < 10; ++i)
-        EXPECT_TRUE(failpoint::shouldTrigger("cache.save_write"));
-    EXPECT_EQ(failpoint::triggerCount("cache.save_write"), 10);
+        EXPECT_TRUE(failpoint::shouldTrigger("evaluator.evaluate"));
+    EXPECT_EQ(failpoint::triggerCount("evaluator.evaluate"), 10);
     // Unarmed points on the same registry stay silent.
-    EXPECT_FALSE(failpoint::shouldTrigger("cache.load_entry"));
+    EXPECT_FALSE(failpoint::shouldTrigger("executor.task"));
 }
 
 TEST_F(FailpointTest, DecisionStreamIsDeterministicPerSeed)

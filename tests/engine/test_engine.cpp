@@ -345,8 +345,8 @@ TEST(NetworkScheduling, SchedulerConfigPartitionsCache)
 
 TEST(NetworkScheduling, DefaultSchedulerConfigKeyIsByteStable)
 {
-    // Every stored cachestore record and text snapshot keys on these
-    // bytes; a change here turns all of them into misses.
+    // Every stored cachestore record keys on these bytes; a change
+    // here turns all of them into misses.
     EXPECT_EQ(schedulerConfigKey(ScheduleRequest{}),
               "CoSA/0/wh1/cosa(0,1,1,1,0.050000000000000003,[],30,25000,"
               "0.0050000000000000001,9.9999999999999995e-07,2000000,1,1)");

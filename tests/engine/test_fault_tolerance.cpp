@@ -2,14 +2,10 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "cachestore/snapshot.hpp"
 #include "common/failpoint.hpp"
 #include "engine/executor.hpp"
 #include "engine/scheduler_service.hpp"
@@ -18,9 +14,6 @@
 
 namespace cosa {
 namespace {
-
-using cachestore::exportSnapshot;
-using cachestore::importSnapshot;
 
 /** Disarm around every test so no armed failpoint leaks across tests. */
 class FaultTolerance : public ::testing::Test
@@ -378,172 +371,6 @@ TEST_F(FaultTolerance, ModelRejectsNonFiniteCoefficients)
     EXPECT_EQ(result.status, solver::Status::NumericalError);
     EXPECT_FALSE(result.fault.ok());
     EXPECT_EQ(result.fault.code(), ErrorCode::kNumericFailure);
-}
-
-// --- crash-safe cache IO -------------------------------------------------
-
-class TempFile
-{
-  public:
-    explicit TempFile(const std::string& name)
-        : path_("cosa_fault_test_" + name + ".txt")
-    {
-        std::remove(path_.c_str());
-        std::remove((path_ + ".tmp").c_str());
-    }
-    ~TempFile()
-    {
-        std::remove(path_.c_str());
-        std::remove((path_ + ".tmp").c_str());
-    }
-    const std::string& path() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-/** A cache with @p n distinct found entries. */
-void
-fillCache(ScheduleCache* cache, int n)
-{
-    for (int i = 0; i < n; ++i) {
-        const LayerSpec layer =
-            LayerSpec::fromLabel("1_7_32_" + std::to_string(16 + i) + "_1");
-        SearchResult result;
-        result.found = true;
-        result.eval.valid = true;
-        result.eval.cycles = 100.0 + i;
-        result.scheduler = "Random";
-        cache->insert({layer.canonicalKey(), "arch", "sched", "eval"},
-                      result, layer);
-    }
-}
-
-std::string
-readAll(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
-}
-
-TEST_F(FaultTolerance, SaveFailpointLeavesExistingSnapshotIntact)
-{
-    TempFile file("atomic_save");
-    ScheduleCache cache;
-    fillCache(&cache, 2);
-    ASSERT_TRUE(exportSnapshot(cache, file.path()).ok);
-    const std::string original = readAll(file.path());
-
-    // A write fault mid-save must fail the save *and* leave the
-    // previous snapshot byte-identical (temp file + atomic rename).
-    ScheduleCache bigger;
-    fillCache(&bigger, 5);
-    ASSERT_TRUE(failpoint::configure("cache.save_write=1").ok());
-    const auto faulted = exportSnapshot(bigger, file.path());
-    EXPECT_FALSE(faulted.ok);
-    EXPECT_FALSE(faulted.error.empty());
-    failpoint::disarmAll();
-
-    EXPECT_EQ(readAll(file.path()), original);
-    EXPECT_FALSE(std::ifstream(file.path() + ".tmp").good());
-    ScheduleCache reloaded;
-    const auto io = importSnapshot(file.path(), reloaded);
-    EXPECT_TRUE(io.ok);
-    EXPECT_EQ(io.entries, 2);
-}
-
-TEST_F(FaultTolerance, BitFlippedRecordIsSkippedOnLoad)
-{
-    TempFile file("bitflip");
-    ScheduleCache cache;
-    fillCache(&cache, 3);
-    ASSERT_TRUE(exportSnapshot(cache, file.path()).ok);
-
-    // Flip one digit inside the second record's scalars: the line
-    // still parses, but the record's checksum no longer matches.
-    std::string text = readAll(file.path());
-    std::size_t scalars = text.find("eval.scalars ");
-    ASSERT_NE(scalars, std::string::npos);
-    scalars = text.find("eval.scalars ", scalars + 1);
-    ASSERT_NE(scalars, std::string::npos);
-    const std::size_t digit = scalars + std::string("eval.scalars ").size();
-    text[digit] = text[digit] == '9' ? '8' : '9';
-    // Delete the last record's checksum line: a record that cannot be
-    // verified is skipped, not trusted.
-    const std::size_t sum = text.rfind("sum ");
-    ASSERT_NE(sum, std::string::npos);
-    text.erase(sum, text.find('\n', sum) + 1 - sum);
-    {
-        std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
-        out << text;
-    }
-
-    ScheduleCache survivor;
-    const auto io = importSnapshot(file.path(), survivor);
-    EXPECT_TRUE(io.ok) << io.error;
-    EXPECT_EQ(io.entries, 1);
-    EXPECT_EQ(io.skipped, 2);
-    EXPECT_EQ(survivor.stats().entries, 1);
-}
-
-TEST_F(FaultTolerance, TruncatedSnapshotKeepsThePrefix)
-{
-    TempFile file("truncated");
-    ScheduleCache cache;
-    fillCache(&cache, 3);
-    ASSERT_TRUE(exportSnapshot(cache, file.path()).ok);
-
-    // Cut the file in the middle of the last record — a crash during a
-    // pre-atomic-rename writer, or a torn copy.
-    std::string text = readAll(file.path());
-    const std::size_t last_entry = text.rfind("entry\n");
-    ASSERT_NE(last_entry, std::string::npos);
-    text.resize(last_entry + 20);
-    {
-        std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
-        out << text;
-    }
-
-    ScheduleCache survivor;
-    const auto io = importSnapshot(file.path(), survivor);
-    EXPECT_TRUE(io.ok) << io.error;
-    EXPECT_EQ(io.entries, 2);
-    EXPECT_EQ(io.skipped, 1);
-    EXPECT_EQ(survivor.stats().entries, 2);
-}
-
-TEST_F(FaultTolerance, LoadEntryFailpointSkipsDeterministically)
-{
-    TempFile file("load_fp");
-    ScheduleCache cache;
-    fillCache(&cache, 4);
-    ASSERT_TRUE(exportSnapshot(cache, file.path()).ok);
-
-    ASSERT_TRUE(failpoint::configure("cache.load_entry=1").ok());
-    ScheduleCache empty;
-    const auto io = importSnapshot(file.path(), empty);
-    EXPECT_TRUE(io.ok);
-    EXPECT_EQ(io.entries, 0);
-    EXPECT_EQ(io.skipped, 4);
-    EXPECT_EQ(empty.stats().entries, 0);
-}
-
-TEST_F(FaultTolerance, SaveCreatesMissingParentDirectories)
-{
-    const std::string dir = "cosa_fault_test_dir";
-    const std::string path = dir + "/nested/cache.txt";
-    ScheduleCache cache;
-    fillCache(&cache, 1);
-    const auto saved = exportSnapshot(cache, path);
-    EXPECT_TRUE(saved.ok) << saved.error;
-    ScheduleCache reloaded;
-    EXPECT_TRUE(importSnapshot(path, reloaded).ok);
-    EXPECT_EQ(reloaded.stats().entries, 1);
-    std::remove(path.c_str());
-    std::remove((dir + "/nested").c_str());
-    std::remove(dir.c_str());
 }
 
 } // namespace

@@ -17,30 +17,19 @@
  *                     CI smoke diff compares wire results against
  *   cache stats       the daemon's persistent-cache tier stats
  *                     (GET /v1/cache/stats; 404 without --cache-dir)
- *   cache export DIR FILE
- *                     open the store directory DIR locally and write
- *                     its live entries as a v3 text snapshot (DIR must
- *                     hold a store: export creates nothing)
- *   cache import FILE DIR
- *                     merge a v3 text snapshot into the store directory
- *                     DIR (created when missing)
  *
- * cache export/import run locally against the store directory — stop
- * any daemon using it first. The API key may also come from
- * COSAD_API_KEY. Exit status is 0 on a 2xx answer, 1 otherwise (error
- * bodies print to stderr).
+ * A cache store moves as its directory: copy it while no daemon uses
+ * it. The API key may also come from COSAD_API_KEY. Exit status is 0
+ * on a 2xx answer, 1 otherwise (error bodies print to stderr).
  */
 
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
-#include "cachestore/snapshot.hpp"
-#include "cachestore/store.hpp"
 #include "common/flag_value.hpp"
 #include "common/logging.hpp"
 #include "server/client.hpp"
@@ -141,48 +130,6 @@ runLocal(const std::string& text)
     return 0;
 }
 
-/** `cache export|import`: store directory <-> v3 text snapshot, run
- *  locally (no daemon may be using the directory). */
-int
-runCacheCopy(const std::string& verb, const std::string& dir,
-             const std::string& file)
-{
-    // Opening a store creates a missing one, which only import wants.
-    if (verb == "export" &&
-        !std::filesystem::exists(std::filesystem::path(dir) / "MANIFEST"))
-        fatal("cannot export '", dir, "': not a cache store (no MANIFEST)");
-    cachestore::StoreConfig config;
-    config.dir = dir;
-    // Bulk path: batch durability to the final syncAll().
-    config.fsync_each_append = false;
-    StatusOr<std::shared_ptr<cachestore::PersistentScheduleCache>> store =
-        cachestore::PersistentScheduleCache::open(std::move(config));
-    if (!store.ok())
-        fatal("cannot open cache dir '", dir, "': ",
-              store.status().message());
-    if (verb == "export") {
-        const cachestore::IoResult saved =
-            cachestore::exportSnapshot(*store.value(), file);
-        if (!saved.ok)
-            fatal("export failed: ", saved.error);
-        std::cout << "exported " << saved.entries << " entries to "
-                  << file << "\n";
-        return 0;
-    }
-    const cachestore::IoResult loaded =
-        cachestore::importSnapshot(file, *store.value());
-    if (!loaded.ok)
-        fatal("import failed: ", loaded.error);
-    const Status synced = store.value()->syncAll();
-    if (!synced.ok())
-        fatal("import sync failed: ", synced.message());
-    std::cout << "imported " << loaded.entries << " entries into " << dir;
-    if (loaded.skipped > 0)
-        std::cout << " (" << loaded.skipped << " corrupt records skipped)";
-    std::cout << "\n";
-    return 0;
-}
-
 } // namespace
 
 int
@@ -236,18 +183,10 @@ main(int argc, char** argv)
     if (command == "local")
         return runLocal(readAll(arg("a request file")));
     if (command == "cache") {
-        const std::string verb = arg("a verb (stats|export|import)");
+        const std::string verb = arg("a verb (stats)");
         if (verb == "stats")
             return report(client.request("GET", "/v1/cache/stats", ""));
-        if (verb == "export") {
-            const std::string dir = arg("a cache directory");
-            return runCacheCopy(verb, dir, arg("an output file"));
-        }
-        if (verb == "import") {
-            const std::string file = arg("a snapshot file");
-            return runCacheCopy(verb, arg("a cache directory"), file);
-        }
-        fatal("unknown cache verb '", verb, "' (stats|export|import)");
+        fatal("unknown cache verb '", verb, "' (stats)");
     }
     if (command == "watch") {
         const std::uint64_t id = parseId(arg("a job id"));
