@@ -1,6 +1,7 @@
 #include "common/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -66,7 +67,6 @@ struct Tracer::ThreadLog
     std::vector<Event> events;    //!< bounded by `capacity`
     std::int64_t capacity = 0;
     std::int64_t dropped = 0;     //!< events rejected because full
-    std::int64_t sample_seq = 0;  //!< per-thread span sequence number
     int tid = 0;                  //!< stable export thread id (1-based)
 };
 
@@ -87,25 +87,30 @@ Tracer::Tracer()
             setOutputPath(value);
         }
     }
-    if (const char* env = std::getenv("COSA_TRACE_SAMPLE"); env && *env)
-        setSampleEveryN(std::strtoll(env, nullptr, 10));
     if (const char* env = std::getenv("COSA_TRACE_DETAIL"); env && *env) {
         const std::string value(env);
         setFineDetail(value == "fine" || value == "1");
     }
-    if (const char* env = std::getenv("COSA_TRACE_BUFFER"); env && *env)
-        setBufferCapacity(std::strtoll(env, nullptr, 10));
+    if (const char* env = std::getenv("COSA_TRACE_BUFFER"); env && *env) {
+        // Like COSA_LOG_LEVEL, a bad value warns and keeps the default:
+        // the tracer is built lazily, possibly on an executor worker.
+        const char* const end = env + std::strlen(env);
+        std::int64_t capacity = 0;
+        const auto [ptr, ec] = std::from_chars(env, end, capacity);
+        if (ec == std::errc() && ptr == end && capacity >= 16) {
+            setBufferCapacity(capacity);
+        } else {
+            warn("trace: COSA_TRACE_BUFFER '", env,
+                 "' is not a whole number >= 16; keeping ",
+                 bufferCapacity(), " events per thread");
+        }
+    }
 }
 
 Tracer& Tracer::global()
 {
     static Tracer* instance = new Tracer; // leaked: survives static dtors
     return *instance;
-}
-
-void Tracer::setSampleEveryN(std::int64_t n)
-{
-    sample_every_n_.store(n < 1 ? 1 : n, std::memory_order_relaxed);
 }
 
 void Tracer::setBufferCapacity(std::int64_t capacity)
@@ -289,7 +294,6 @@ void Tracer::clear()
         std::lock_guard<std::mutex> log_lock(log->mutex);
         log->events.clear();
         log->dropped = 0;
-        log->sample_seq = 0;
     }
 }
 
@@ -298,18 +302,6 @@ Span::Span(const char* name, const char* cat, bool fine)
     Tracer& tracer = Tracer::global();
     if (!tracer.enabled()) return;
     if (fine && !tracer.fineDetail()) return;
-
-    // 1-of-N sampling: count every eligible span the thread opens,
-    // record only the Nth. The sequence advances whether or not the
-    // span records, so sampled traces are a strided subset of full ones.
-    Tracer::ThreadLog& log = tracer.threadLog();
-    const std::int64_t n = tracer.sampleEveryN();
-    std::int64_t seq;
-    {
-        std::lock_guard<std::mutex> lock(log.mutex);
-        seq = log.sample_seq++;
-    }
-    if (n > 1 && seq % n != 0) return;
 
     name_ = name;
     cat_ = cat;

@@ -10,8 +10,8 @@
  *  1. *Determinism*: tracing must never perturb results. Spans only
  *     read the steady clock and append plain records to per-thread
  *     buffers — no instrumented code path branches on trace state, so
- *     results and pivot sequences are bit-identical with tracing on,
- *     off, or sampled (asserted by tests/engine/test_observability).
+ *     results and pivot sequences are bit-identical with tracing on or
+ *     off (asserted by tests/engine/test_observability).
  *  2. *Off is free*: a disabled `Span` costs one relaxed atomic load
  *     and a branch. Instrumentation can therefore stay in hot-ish
  *     paths (per-LP-solve, per-factorization) permanently.
@@ -34,9 +34,10 @@
  * Environment switches (read once, at first use of the global tracer):
  *   COSA_TRACE=<path>     enable tracing; write Chrome trace JSON to
  *                         <path> at process exit ("1" = enable only).
- *   COSA_TRACE_SAMPLE=<N> record every Nth span per thread (default 1).
  *   COSA_TRACE_DETAIL=fine  also record fine-detail spans.
- *   COSA_TRACE_BUFFER=<N> per-thread event capacity (default 65536).
+ *   COSA_TRACE_BUFFER=<N> per-thread event capacity, a whole number
+ *                         >= 16 (default 65536; any other value warns
+ *                         once and keeps the default).
  *
  * See docs/observability.md for the span taxonomy.
  */
@@ -94,13 +95,6 @@ class Tracer
         return fine_.load(std::memory_order_relaxed);
     }
 
-    /** Record every @p n th span per thread (1 = all, the default). */
-    void setSampleEveryN(std::int64_t n);
-    std::int64_t sampleEveryN() const
-    {
-        return sample_every_n_.load(std::memory_order_relaxed);
-    }
-
     /** Per-thread event capacity (floor 16); applies to buffers
      *  created after the call. */
     void setBufferCapacity(std::int64_t capacity);
@@ -137,9 +131,8 @@ class Tracer
     /** Write chromeTraceJson() to @p path; false on I/O failure. */
     bool writeChromeTrace(const std::string& path) const;
 
-    /** Drop every buffered event, the drop counters and the sampling
-     *  sequences (buffers stay registered). Test / between-phases
-     *  helper. */
+    /** Drop every buffered event and the drop counters (buffers stay
+     *  registered). Test / between-phases helper. */
     void clear();
 
   private:
@@ -148,14 +141,11 @@ class Tracer
     Tracer();
     ~Tracer() = delete; // immortal by construction
 
-    friend class Span;
-
     /** The calling thread's buffer (registered on first use). */
     ThreadLog& threadLog();
 
     std::atomic<bool> enabled_{false};
     std::atomic<bool> fine_{false};
-    std::atomic<std::int64_t> sample_every_n_{1};
     std::atomic<std::int64_t> buffer_capacity_{65536};
 
     mutable std::mutex* registry_mutex_; //!< guards logs_ and path

@@ -152,11 +152,6 @@ class ScheduleJob
         /** Completion subscribers; drained (and cleared) by the
          *  epilogue under `mutex`. */
         std::vector<std::function<void()>> done_listeners;
-        /** Unique problems in the batch; -1 until canonicalization ran.
-         *  Service introspection (SchedulerService::listJobs). */
-        std::atomic<std::int64_t> total_unique{-1};
-        /** Problems completed so far (frontier order). */
-        std::atomic<std::int64_t> completed_unique{0};
     };
 
   private:

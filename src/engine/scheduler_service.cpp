@@ -477,17 +477,14 @@ struct SchedulerService::JobPhase
 
 struct SchedulerService::JobRecord
 {
-    std::uint64_t id = 0;
     ScheduleRequest request;
     std::shared_ptr<ScheduleJob::State> state;
     std::shared_ptr<JobPhase> phase; //!< set by jobPrologue
     double submit_time = 0.0;
-    double start_time = 0.0;
     /** Submit instant on the trace clock, so the queue-wait span can be
-     *  emitted retroactively when the job starts. */
+     *  emitted retroactively when the prologue starts. */
     std::int64_t submit_trace_us = 0;
     std::atomic<bool> deadline_expired{false};
-    bool running = false;
     /** Set by jobEpilogue (single continuation): at least one layer
      *  was served by the degradation ladder / left failed. */
     bool degraded = false;
@@ -501,9 +498,6 @@ SchedulerService::SchedulerService(ServiceConfig config)
         const unsigned hw = std::thread::hardware_concurrency();
         config_.num_threads = hw == 0 ? 1 : static_cast<int>(hw);
     }
-    if (config_.max_inflight_jobs == 0)
-        config_.max_inflight_jobs = 1; // a service that can run nothing
-                                       // would queue jobs forever
     executor_ = std::make_unique<Executor>(config_.num_threads);
     // Live-state gauges refresh at render time, not on every mutation.
     // The gauge cells are process-global: with several services alive,
@@ -518,24 +512,8 @@ SchedulerService::~SchedulerService()
     publishGauges(); // final snapshot now that renders can't call in
     std::unique_lock<std::mutex> lock(mutex_);
     shutting_down_ = true;
-    // Cooperative shutdown, per the header contract: queued jobs are
-    // cancelled (they still start, observe the flag and skip their
-    // solves, so their handles resolve), running jobs finish normally
-    // and keep their full results; the service waits for the last
-    // runner to report in.
-    for (auto& tier : queued_) {
-        for (const auto& record : tier)
-            record->state->cancel.store(true, std::memory_order_relaxed);
-    }
-    drained_cv_.wait(lock, [&] {
-        if (!running_.empty())
-            return false;
-        for (const auto& tier : queued_) {
-            if (!tier.empty())
-                return false;
-        }
-        return true;
-    });
+    // Every admitted job finishes normally and keeps its full results.
+    drained_cv_.wait(lock, [&] { return completed_ == submitted_; });
     lock.unlock();
     executor_.reset(); // nothing pending; joins the worker crew
 }
@@ -580,120 +558,45 @@ SchedulerService::submit(ScheduleRequest request,
     if (on_progress)
         record->state->listeners.push_back(std::move(on_progress));
 
-    std::lock_guard<std::mutex> lock(mutex_);
     const auto tier = static_cast<std::size_t>(record->request.priority);
-    std::int64_t queued_now = 0;
-    for (const auto& q : queued_)
-        queued_now += static_cast<std::int64_t>(q.size());
-    const auto inflight_now = static_cast<std::int64_t>(running_.size());
-    if (shutting_down_) {
-        ++rejected_;
-        metrics::MetricsRegistry::global()
-            .counter("cosa_service_jobs_rejected_total",
-                     "Jobs refused at admission",
-                     {{"tenant", record->request.tenant},
-                      {"reason", "shutting_down"}})
-            .inc();
-        Rejected rejected;
-        rejected.reason = Rejected::Reason::ShuttingDown;
-        rejected.queued_jobs = queued_now;
-        rejected.inflight_jobs = inflight_now;
-        rejected.message = "service is shutting down";
-        return rejected;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (shutting_down_) {
+            ++rejected_;
+            metrics::MetricsRegistry::global()
+                .counter("cosa_service_jobs_rejected_total",
+                         "Jobs refused at admission",
+                         {{"tenant", record->request.tenant},
+                          {"reason", "shutting_down"}})
+                .inc();
+            return Rejected{"service is shutting down"};
+        }
+        record->submit_time = wallTimeSec();
+        record->submit_trace_us = trace::Tracer::nowMicros();
+        ++submitted_;
+        ++tier_counters_[tier].submitted;
+        ++tier_counters_[tier].queued_now;
     }
-    const bool slot_free = config_.max_inflight_jobs < 0 ||
-                           inflight_now < config_.max_inflight_jobs;
-    if (!slot_free && config_.max_queued_jobs >= 0 &&
-        queued_now >= config_.max_queued_jobs) {
-        ++rejected_;
-        metrics::MetricsRegistry::global()
-            .counter("cosa_service_jobs_rejected_total",
-                     "Jobs refused at admission",
-                     {{"tenant", record->request.tenant},
-                      {"reason", "queue_full"}})
-            .inc();
-        Rejected rejected;
-        rejected.reason = Rejected::Reason::QueueFull;
-        rejected.queued_jobs = queued_now;
-        rejected.inflight_jobs = inflight_now;
-        std::ostringstream oss;
-        oss << "admission queue full (" << queued_now << " queued, "
-            << inflight_now << " inflight, max_queued_jobs="
-            << config_.max_queued_jobs << ")";
-        rejected.message = oss.str();
-        return rejected;
-    }
-
-    record->id = next_job_id_++;
-    record->submit_time = wallTimeSec();
-    record->submit_trace_us = trace::Tracer::nowMicros();
-    ++submitted_;
-    ++tier_counters_[tier].submitted;
     tenantTierCounter("cosa_service_jobs_submitted_total", "Jobs admitted",
                       record->request.tenant, record->request.priority)
         .inc();
-    if (slot_free)
-        startLocked(record);
-    else
-        queued_[tier].push_back(record);
-    return ScheduleJob(record->state);
-}
-
-void
-SchedulerService::startLocked(const std::shared_ptr<JobRecord>& record)
-{
-    record->running = true;
-    record->start_time = wallTimeSec();
-    const auto tier = static_cast<std::size_t>(record->request.priority);
-    const double wait = record->start_time - record->submit_time;
-    tier_counters_[tier].total_queue_wait_sec += wait;
-    tier_counters_[tier].max_queue_wait_sec =
-        std::max(tier_counters_[tier].max_queue_wait_sec, wait);
-    metrics::MetricsRegistry::global()
-        .histogram("cosa_service_queue_wait_seconds",
-                   "Admission-to-start wait per job",
-                   {{"tenant", record->request.tenant},
-                    {"tier", jobPriorityName(record->request.priority)}})
-        .observe(wait);
-    // Retroactive span: [submit, start) was a queue wait.
-    trace::Tracer& tracer = trace::Tracer::global();
-    if (tracer.enabled()) {
-        const std::int64_t now_us = trace::Tracer::nowMicros();
-        tracer.record("job.queue_wait", "service", record->submit_trace_us,
-                      now_us - record->submit_trace_us,
-                      record->request.tag);
-    }
-    running_.push_back(record);
     // No thread is spawned: the job's prologue is one executor task at
     // the job's own tier/weight, and everything after it is
-    // continuations. (submit() is safe from here even though the caller
-    // holds mutex_ — the executor has its own lock and never calls back
-    // into the service synchronously.)
+    // continuations. The executor's tiers and fair share are the one
+    // queue a job waits in.
     Executor::TaskSetOptions options;
     options.tier = record->request.priority;
     options.weight = record->request.weight;
     executor_->submit(
         1, [this, record](std::size_t) { jobPrologue(record); }, options);
-}
-
-std::shared_ptr<SchedulerService::JobRecord>
-SchedulerService::popNextQueuedLocked()
-{
-    for (auto& queue : queued_) {
-        if (!queue.empty()) {
-            std::shared_ptr<JobRecord> next = queue.front();
-            queue.pop_front();
-            return next;
-        }
-    }
-    return nullptr;
+    return ScheduleJob(record->state);
 }
 
 void
 SchedulerService::onJobFinished(const std::shared_ptr<JobRecord>& record)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    running_.erase(std::find(running_.begin(), running_.end(), record));
+    --inflight_;
     ++completed_;
     const std::string& tenant = record->request.tenant;
     const auto tier = static_cast<std::size_t>(record->request.priority);
@@ -733,53 +636,7 @@ SchedulerService::onJobFinished(const std::shared_ptr<JobRecord>& record)
                           tenant, record->request.priority)
             .inc();
     }
-    // Start the next queued job in the slot this one vacated.
-    if (config_.max_inflight_jobs < 0 ||
-        static_cast<std::int64_t>(running_.size()) <
-            config_.max_inflight_jobs) {
-        if (std::shared_ptr<JobRecord> next = popNextQueuedLocked())
-            startLocked(next);
-    }
     drained_cv_.notify_all();
-}
-
-std::vector<JobInfo>
-SchedulerService::listJobs() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const double now = wallTimeSec();
-    std::vector<JobInfo> jobs;
-    auto add = [&](const std::shared_ptr<JobRecord>& record) {
-        JobInfo info;
-        info.id = record->id;
-        info.tag = record->request.tag;
-        info.tenant = record->request.tenant;
-        info.priority = record->request.priority;
-        info.weight = record->request.weight;
-        info.running = record->running;
-        info.queued_sec =
-            (record->running ? record->start_time : now) -
-            record->submit_time;
-        info.running_sec =
-            record->running ? now - record->start_time : 0.0;
-        info.total_unique =
-            record->state->total_unique.load(std::memory_order_relaxed);
-        info.completed_unique =
-            record->state->completed_unique.load(std::memory_order_relaxed);
-        info.deadline_sec = record->request.deadline_sec;
-        info.cancel_requested =
-            record->state->cancel.load(std::memory_order_relaxed);
-        jobs.push_back(std::move(info));
-    };
-    for (const auto& record : running_)
-        add(record);
-    for (const auto& queue : queued_) {
-        for (const auto& record : queue)
-            add(record);
-    }
-    std::sort(jobs.begin(), jobs.end(),
-              [](const JobInfo& a, const JobInfo& b) { return a.id < b.id; });
-    return jobs;
 }
 
 ServiceStats
@@ -795,15 +652,14 @@ SchedulerService::stats() const
         stats.deadline_expired = deadline_expired_;
         stats.degraded = degraded_;
         stats.failed = failed_;
-        stats.inflight_now = static_cast<std::int64_t>(running_.size());
+        stats.inflight_now = inflight_;
         for (int t = 0; t < kNumJobPriorities; ++t) {
             const auto tier = static_cast<std::size_t>(t);
             stats.tiers[tier].submitted = tier_counters_[tier].submitted;
             stats.tiers[tier].completed = tier_counters_[tier].completed;
             stats.tiers[tier].degraded = tier_counters_[tier].degraded;
             stats.tiers[tier].failed = tier_counters_[tier].failed;
-            stats.tiers[tier].queued_now =
-                static_cast<std::int64_t>(queued_[tier].size());
+            stats.tiers[tier].queued_now = tier_counters_[tier].queued_now;
             stats.tiers[tier].total_queue_wait_sec =
                 tier_counters_[tier].total_queue_wait_sec;
             stats.tiers[tier].max_queue_wait_sec =
@@ -831,7 +687,7 @@ SchedulerService::publishGauges() const
             {"tier", jobPriorityName(static_cast<JobPriority>(t))}};
         registry
             .gauge("cosa_service_queued_jobs",
-                   "Jobs waiting for an admission slot", labels)
+                   "Submitted jobs waiting for a worker", labels)
             .set(static_cast<double>(snapshot.tiers[tier].queued_now));
         registry
             .gauge("cosa_executor_pending_tasks",
@@ -877,9 +733,35 @@ SchedulerService::jobPrologue(const std::shared_ptr<JobRecord>& record)
 {
     const ScheduleRequest& req = record->request;
     const std::vector<Workload>& workloads = req.workloads;
-    const std::shared_ptr<ScheduleJob::State>& state = record->state;
     auto phase = std::make_shared<JobPhase>();
     phase->start = wallTimeSec();
+
+    // The job leaves the queue: submit -> here is the time it waited
+    // for a worker.
+    const auto tier = static_cast<std::size_t>(req.priority);
+    const double wait = phase->start - record->submit_time;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        TierCounters& counters = tier_counters_[tier];
+        --counters.queued_now;
+        ++inflight_;
+        counters.total_queue_wait_sec += wait;
+        counters.max_queue_wait_sec =
+            std::max(counters.max_queue_wait_sec, wait);
+    }
+    metrics::MetricsRegistry::global()
+        .histogram("cosa_service_queue_wait_seconds",
+                   "Wait for a worker per job (submit to prologue start)",
+                   {{"tenant", req.tenant},
+                    {"tier", jobPriorityName(req.priority)}})
+        .observe(wait);
+    trace::Tracer& tracer = trace::Tracer::global();
+    if (tracer.enabled()) {
+        tracer.record("job.queue_wait", "service", record->submit_trace_us,
+                      trace::Tracer::nowMicros() - record->submit_trace_us,
+                      req.tag);
+    }
+
     phase->deadline_at =
         req.deadline_sec > 0.0 ? record->submit_time + req.deadline_sec
                                : 0.0;
@@ -915,9 +797,6 @@ SchedulerService::jobPrologue(const std::shared_ptr<JobRecord>& record)
             phase->instances.push_back({n, l, unique, deduplicated});
         }
     }
-    state->total_unique.store(
-        static_cast<std::int64_t>(phase->unique_layers.size()),
-        std::memory_order_relaxed);
     canonicalize_span.end();
 
     // --- 2. memoize: probe the cache once per unique problem; misses
@@ -1048,8 +927,6 @@ SchedulerService::completeProblem(const std::shared_ptr<JobRecord>& record,
                     s->cancel.store(true, std::memory_order_relaxed);
             };
         state->events.push_back(event);
-        state->completed_unique.store(phase.cum_completed,
-                                      std::memory_order_relaxed);
         for (const auto& listener : state->listeners)
             listener(state->events.back());
         ++phase.frontier;
@@ -1161,9 +1038,9 @@ SchedulerService::jobEpilogue(const std::shared_ptr<JobRecord>& record)
     }
 
     // Accounting first, handle-resolution second: a thread returning
-    // from wait() must observe this job already counted and its slot
-    // vacated (stats().completed includes it), exactly as the old
-    // thread-join wait() guaranteed.
+    // from wait() must observe this job already counted
+    // (stats().completed includes it), exactly as the old thread-join
+    // wait() guaranteed.
     record->phase.reset(); // the pipeline state dies with the job
     onJobFinished(record);
     {

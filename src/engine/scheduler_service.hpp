@@ -14,35 +14,31 @@
  * share weight, optional deadline — and `submit(ScheduleRequest)` is
  * the one entry point.
  *
- * Scheduling semantics:
+ * Scheduling semantics — the executor is the one scheduler of jobs:
  *  - strict priority tiers (`JobPriority`): no Batch task is
  *    dispatched while an Interactive job has a claimable task;
  *    running solves always finish (preemption at task boundaries);
- *  - FIFO within a tier for *admission*: when `max_inflight_jobs`
- *    bounds concurrency, queued jobs start in submit order within the
- *    best nonempty tier;
- *  - weighted fair share across running same-tier jobs at per-layer-
- *    task granularity (`ScheduleRequest::weight`, stride scheduling);
- *  - admission control: beyond `max_inflight_jobs` jobs queue, beyond
- *    `max_queued_jobs` submissions are rejected with a typed
- *    `Rejected` outcome instead of a handle;
+ *  - weighted fair share across same-tier jobs at per-layer-task
+ *    granularity (`ScheduleRequest::weight`, stride scheduling);
  *  - deadlines: a job whose `deadline_sec` elapses (measured from
  *    submit, queue wait included) is auto-cancelled cooperatively —
  *    exactly like `ScheduleJob::cancel()`, the solved prefix keeps its
  *    results and the rest is flagged.
  *
- * Tiers are strict for dispatch and admission alike: a sustained
- * Interactive flood postpones Batch work until it drains. Dispatch
- * order never reaches a result (see the determinism contract below).
+ * submit() admits every job while the service lives; bounds on
+ * admission belong to the caller (cosad's per-tenant quota). Tiers are
+ * strict: a sustained Interactive flood postpones Batch work until it
+ * drains. Dispatch order never reaches a result (see the determinism
+ * contract below).
  *
  * Execution model (threadless queued jobs): a job never owns a thread.
  * submit() enqueues a *prologue* task (canonicalize + memoize) on the
- * shared executor; the prologue submits the per-layer solve task set;
- * the set's completion continuation runs the *epilogue* (scatter,
- * aggregate, finish the handle, start the next queued job). A queued
- * or waiting job is therefore just heap state — 1000 queued jobs hold
- * zero runner threads, and `ScheduleJob::wait()` is a condition wait
- * on the handle, not a join.
+ * shared executor at the job's tier and weight; the prologue submits
+ * the per-layer solve task set; the set's completion continuation runs
+ * the *epilogue* (scatter, aggregate, finish the handle). A job is
+ * queued until its prologue starts, and a queued or waiting job is
+ * just heap state — 1000 queued jobs hold zero runner threads, and
+ * `ScheduleJob::wait()` is a condition wait on the handle, not a join.
  *
  * Determinism under multi-tenancy: a fixed `ScheduleRequest` produces
  * a bit-identical `NetworkResult` (mappings, evaluations, counters) at
@@ -70,14 +66,13 @@
  * firewall is pass-through and results are bit-identical to the
  * pre-firewall engine.
  *
- * Introspection: `listJobs()` snapshots every queued/running job;
- * `stats()` reports queue depths, per-priority queue-wait times and
- * the executor's task/steal counters.
+ * Introspection: `stats()` reports queue depths, per-priority queue
+ * waits (submit -> prologue start: the time a job waits for a worker)
+ * and the executor's task/steal counters.
  */
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -182,7 +177,8 @@ struct ScheduleRequest
      * are bit-identical at any setting.
      */
     int max_solve_retries = 2;
-    /** Display label for listJobs(); defaults to the first workload's
+    /** Display label: the detail of the job's trace spans and the
+     *  `tag` of cosad's job listing. Defaults to the first workload's
      *  name. */
     std::string tag;
     /**
@@ -203,22 +199,17 @@ struct ScheduleRequest
  */
 std::string schedulerConfigKey(const ScheduleRequest& request);
 
-/** Why a submission was not admitted. */
+/** Why a submission was not admitted: the service is being
+ *  destroyed. */
 struct Rejected
 {
-    enum class Reason {
-        QueueFull,    //!< max_queued_jobs reached
-        ShuttingDown, //!< service is being destroyed
-    };
-    Reason reason = Reason::QueueFull;
-    std::int64_t queued_jobs = 0;   //!< queue depth at rejection
-    std::int64_t inflight_jobs = 0; //!< running jobs at rejection
     std::string message;
 };
 
 /**
- * Outcome of SchedulerService::submit(): an admitted job handle or a
- * typed rejection. Move-only (it may own the job).
+ * Outcome of SchedulerService::submit(): an admitted job handle or,
+ * while the service is being destroyed, a rejection. Move-only (it
+ * may own the job).
  */
 class SubmitResult
 {
@@ -245,33 +236,11 @@ class SubmitResult
     std::optional<Rejected> rejected_;
 };
 
-/** Service-wide limits and executor sizing. */
+/** Executor sizing of a service. */
 struct ServiceConfig
 {
     /** Shared executor width; 0 = hardware concurrency. */
     int num_threads = 0;
-    /** Jobs allowed to wait for an inflight slot; < 0 = unlimited.
-     *  Submissions beyond it are rejected (QueueFull). */
-    std::int64_t max_queued_jobs = -1;
-    /** Jobs running concurrently; < 0 = unlimited. Excess queues. */
-    std::int64_t max_inflight_jobs = -1;
-};
-
-/** One live (queued or running) job, as listJobs() reports it. */
-struct JobInfo
-{
-    std::uint64_t id = 0;
-    std::string tag;
-    std::string tenant;
-    JobPriority priority = JobPriority::Normal;
-    double weight = 1.0;
-    bool running = false;     //!< false = still queued
-    double queued_sec = 0.0;  //!< submit -> start (or now if queued)
-    double running_sec = 0.0; //!< start -> now (0 while queued)
-    std::int64_t total_unique = -1; //!< -1 until canonicalization ran
-    std::int64_t completed_unique = 0;
-    double deadline_sec = 0.0; //!< requested deadline (0 = none)
-    bool cancel_requested = false;
 };
 
 /** Aggregate service counters (monotonic unless noted). */
@@ -291,8 +260,10 @@ struct ServiceStats
     /** Completed jobs with at least one layer left unscheduled by a
      *  fault (LayerOutcome::kFailed). */
     std::int64_t failed = 0;
-    std::int64_t queued_now = 0;   //!< snapshot
-    std::int64_t inflight_now = 0; //!< snapshot
+    /** Submitted jobs whose prologue has not started (snapshot). */
+    std::int64_t queued_now = 0;
+    /** Started, unfinished jobs (snapshot). */
+    std::int64_t inflight_now = 0;
 
     /** Per-priority-tier accounting. */
     struct TierStats
@@ -301,8 +272,9 @@ struct ServiceStats
         std::int64_t completed = 0;
         std::int64_t degraded = 0; //!< see ServiceStats::degraded
         std::int64_t failed = 0;   //!< see ServiceStats::failed
-        std::int64_t queued_now = 0; //!< snapshot
-        /** Summed submit->start queue wait of started jobs. */
+        std::int64_t queued_now = 0; //!< snapshot, see ServiceStats
+        /** Summed queue wait (submit -> prologue start) of started
+         *  jobs: the time they waited for a worker. */
         double total_queue_wait_sec = 0.0;
         double max_queue_wait_sec = 0.0;
         /** Claimable solve tasks on the executor right now. */
@@ -324,12 +296,11 @@ struct ServiceStats
 };
 
 /**
- * The multi-tenant scheduling service. Thread-safe: submit/listJobs/
- * stats may race freely. The service must outlive every ScheduleJob
- * it admitted; destruction cancels queued jobs cooperatively, waits
- * for running ones, then drains and joins the executor. Do not submit
- * from inside a solve task (the workers are the resource being
- * requested).
+ * The multi-tenant scheduling service. Thread-safe: submit/stats may
+ * race freely. The service must outlive every ScheduleJob it admitted;
+ * destruction waits for every admitted job to finish, then joins the
+ * executor. Do not submit from inside a solve task (the workers are
+ * the resource being requested).
  */
 class SchedulerService
 {
@@ -341,14 +312,13 @@ class SchedulerService
     SchedulerService& operator=(const SchedulerService&) = delete;
 
     /**
-     * Admit @p request (or reject it). @p on_progress is installed
-     * before the job can start, so it observes every event live.
+     * Admit @p request and enqueue its prologue at the request's tier;
+     * rejected only while the service is being destroyed. @p
+     * on_progress is installed before the job can start, so it
+     * observes every event live.
      */
     SubmitResult submit(ScheduleRequest request,
                         ScheduleJob::ProgressCallback on_progress = {});
-
-    /** Snapshot of every queued or running job, in submission order. */
-    std::vector<JobInfo> listJobs() const;
 
     /** Aggregate counters + executor stats. */
     ServiceStats stats() const;
@@ -375,10 +345,9 @@ class SchedulerService
     Executor& executor() { return *executor_; }
 
     /**
-     * The process-wide default service (hardware-width executor,
-     * unlimited admission): what in-process callers that need no limits
-     * of their own (the quickstart, the benches) submit to, so their
-     * queries share one worker crew and are never rejected.
+     * The process-wide default service (hardware-width executor):
+     * what in-process callers (the quickstart, the benches) submit to,
+     * so their queries share one worker crew.
      */
     static SchedulerService& defaultService();
 
@@ -388,16 +357,12 @@ class SchedulerService
 
     /** Fill evaluator/objective defaults and the private cache. */
     void normalize(ScheduleRequest& request) const;
-    /** Move @p record to Running and enqueue its prologue task on the
-     *  shared executor (no thread is spawned — the job advances as
-     *  executor continuations). Caller holds mutex_. */
-    void startLocked(const std::shared_ptr<JobRecord>& record);
-    /** Job-finished accounting + start next queued job. Runs on the
-     *  worker that completed the job's last continuation. */
+    /** Job-finished accounting. Runs on the worker that completed the
+     *  job's last continuation. */
     void onJobFinished(const std::shared_ptr<JobRecord>& record);
     /** Phase 1+2 (canonicalize, memoize) as a single executor task;
-     *  ends by submitting the solve task set whose completion
-     *  continuation is jobEpilogue(). */
+     *  it first ends the job's queue wait, and ends by submitting the
+     *  solve task set whose completion continuation is jobEpilogue(). */
     void jobPrologue(const std::shared_ptr<JobRecord>& record);
     /** One per-layer solve task of the job's solve set. */
     void jobSolveTask(const std::shared_ptr<JobRecord>& record,
@@ -409,10 +374,6 @@ class SchedulerService
      *  progress events. */
     void completeProblem(const std::shared_ptr<JobRecord>& record,
                          std::size_t u);
-    /** Pop the queued job to start next: FIFO within the best
-     *  nonempty tier. Caller holds mutex_; null when every queue is
-     *  empty. */
-    std::shared_ptr<JobRecord> popNextQueuedLocked();
     /** Refresh this service's registry gauges (queue depths, in-flight
      *  jobs, executor counters); the registered collector callback. */
     void publishGauges() const;
@@ -426,11 +387,6 @@ class SchedulerService
     mutable std::mutex mutex_;
     std::condition_variable drained_cv_; //!< signaled as jobs finish
     bool shutting_down_ = false;
-    std::uint64_t next_job_id_ = 1;
-    /** FIFO admission queues, one per tier. */
-    std::array<std::deque<std::shared_ptr<JobRecord>>, kNumJobPriorities>
-        queued_;
-    std::vector<std::shared_ptr<JobRecord>> running_;
 
     // Counters behind stats().
     std::int64_t submitted_ = 0;
@@ -440,9 +396,11 @@ class SchedulerService
     std::int64_t deadline_expired_ = 0;
     std::int64_t degraded_ = 0;
     std::int64_t failed_ = 0;
+    std::int64_t inflight_ = 0;
     struct TierCounters
     {
         std::int64_t submitted = 0;
+        std::int64_t queued_now = 0;
         std::int64_t completed = 0;
         std::int64_t degraded = 0;
         std::int64_t failed = 0;

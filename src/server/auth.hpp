@@ -6,7 +6,7 @@
  *
  * A tenant is a named principal with an API key and two quota knobs:
  * a token-bucket submission rate (requests/sec with a burst) and a
- * max-inflight-jobs cap. Keys arrive as `Authorization: Bearer <key>`
+ * cap on its unfinished jobs. Keys arrive as `Authorization: Bearer <key>`
  * or `X-Api-Key: <key>`.
  *
  * Configuration comes from a JSON file (--tenants file.json):

@@ -694,14 +694,10 @@ Daemon::handleSubmit(const HandlerTask& task, const std::string& tenant)
         });
     if (!submitted.accepted()) {
         registry_.release(tenant);
-        const Rejected& rejected = submitted.rejection();
-        return reply(
-            503,
-            errorBody(rejected.reason == Rejected::Reason::QueueFull
-                          ? "queue_full"
-                          : "shutting_down",
-                      rejected.message),
-            {{"Retry-After", "1"}});
+        return reply(503,
+                     errorBody("shutting_down",
+                               submitted.rejection().message),
+                     {{"Retry-After", "1"}});
     }
     const auto job = std::make_shared<ScheduleJob>(submitted.takeJob());
     entry->job = job;

@@ -18,8 +18,8 @@
  * are the engine's continuation-driven ScheduleJob (queued jobs are
  * heap state), and stream completion rides ScheduleJob::onDone. The
  * thread census is exactly: 1 event loop + num_handler_threads +
- * the engine's fixed executor crew. That crew admits and dispatches
- * jobs in strict priority tiers (a request's "priority"), and the
+ * the engine's fixed executor crew. That crew runs jobs in strict
+ * priority tiers (a request's "priority"), and the
  * persistent cache's online compaction rides it as a Batch-tier task.
  *
  * Routes (see docs/serving-daemon.md for the wire reference):
@@ -73,7 +73,7 @@ struct DaemonConfig
     /** Finished jobs retained for GET and late events calls, each as
      *  its compact record (oldest evicted beyond this). */
     std::size_t max_finished_jobs = 1024;
-    /** Engine sizing/limits (executor width, admission). */
+    /** Engine sizing (executor width). */
     ServiceConfig service;
     /** Auth + quota; empty = open mode. */
     std::vector<TenantSpec> tenants;

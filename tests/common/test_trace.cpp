@@ -19,7 +19,6 @@ class TraceTest : public ::testing::Test
         Tracer& tracer = Tracer::global();
         tracer.setEnabled(false);
         tracer.setFineDetail(false);
-        tracer.setSampleEveryN(1);
         tracer.setBufferCapacity(65536);
         tracer.clear();
     }
@@ -78,22 +77,6 @@ TEST_F(TraceTest, FineSpansRequireFineDetail)
     EXPECT_EQ(tracer.recordedEvents(), 1);
 }
 
-TEST_F(TraceTest, SamplingRecordsAStridedSubset)
-{
-    Tracer& tracer = Tracer::global();
-    tracer.setEnabled(true);
-    tracer.setSampleEveryN(3);
-
-    // A fresh thread starts its sampling sequence at zero, so 9
-    // eligible spans record exactly spans 0, 3 and 6.
-    std::thread worker([] {
-        for (int i = 0; i < 9; ++i)
-            Span span("test.sampled", "test");
-    });
-    worker.join();
-    EXPECT_EQ(tracer.recordedEvents(), 3);
-}
-
 TEST_F(TraceTest, ConcurrentThreadsEachKeepTheirOwnBuffer)
 {
     Tracer& tracer = Tracer::global();
@@ -142,7 +125,7 @@ TEST_F(TraceTest, FullBufferDropsInsteadOfGrowing)
               std::string::npos);
 }
 
-TEST_F(TraceTest, ClearResetsEventsDropsAndSampling)
+TEST_F(TraceTest, ClearResetsEventsAndDrops)
 {
     Tracer& tracer = Tracer::global();
     tracer.setEnabled(true);

@@ -62,7 +62,6 @@ TEST(ThreadlessJobs, ThousandQueuedJobsHoldNoRunnerThreads)
 {
     ServiceConfig config;
     config.num_threads = 2;
-    config.max_inflight_jobs = 2;
     SchedulerService service{config};
 
     // Warm up: one job end-to-end, so every lazily-created service
@@ -73,10 +72,16 @@ TEST(ThreadlessJobs, ThousandQueuedJobsHoldNoRunnerThreads)
 
     std::vector<ScheduleJob> jobs;
     jobs.reserve(1002);
-    // Two slow jobs pin the inflight slots so the rest must queue
-    // (sized to outlast the 1000-submission loop below).
-    jobs.push_back(service.submit(tinyRequest(300, 40000)).takeJob());
-    jobs.push_back(service.submit(tinyRequest(301, 40000)).takeJob());
+    // Two slow Interactive jobs hold both workers, so by strict tiers
+    // the Normal flood queues in the executor (sized to outlast the
+    // 1000-submission loop below). Normal blockers would not do: at
+    // equal tiers, stride scheduling lets the tiny prologues run first.
+    jobs.push_back(
+        service.submit(tinyRequest(300, 40000, JobPriority::Interactive))
+            .takeJob());
+    jobs.push_back(
+        service.submit(tinyRequest(301, 40000, JobPriority::Interactive))
+            .takeJob());
     for (int i = 0; i < 1000; ++i)
         jobs.push_back(service.submit(tinyRequest(32 + i, 1)).takeJob());
 
@@ -180,14 +185,13 @@ TEST(ThreadlessJobs, ExecutorStrictTiersServeFloodFirst)
         << "strict tiers serve the whole flood first";
 }
 
-// Service-level strict tiers: the admission queue admits a queued Batch
-// job only after every queued Interactive job, so it finishes last.
-TEST(ThreadlessJobs, ServiceAdmitsBatchJobLast)
+// Service-level strict tiers: the executor runs a Batch job's tasks
+// only after every Interactive job's, so it finishes last.
+TEST(ThreadlessJobs, ServiceFinishesBatchJobLast)
 {
     constexpr int kFlood = 25;
     ServiceConfig config;
     config.num_threads = 1;
-    config.max_inflight_jobs = 1;
     SchedulerService service{config};
 
     std::mutex order_mutex;
@@ -200,7 +204,7 @@ TEST(ThreadlessJobs, ServiceAdmitsBatchJobLast)
     };
 
     std::vector<ScheduleJob> jobs;
-    // Blocker holds the single inflight slot while the queue fills.
+    // Blocker holds the single worker while the flood is submitted.
     jobs.push_back(service.submit(tinyRequest(200, 3000)).takeJob());
     track(jobs.back(), "blocker");
     jobs.push_back(

@@ -3,22 +3,23 @@
  * cosad — the scheduling engine as a standalone network daemon.
  *
  *   cosad [--host H] [--port P] [--threads N] [--handlers N]
- *         [--tenants FILE] [--max-queued N] [--max-inflight N]
- *         [--cache-dir DIR] [--cache-capacity N]
+ *         [--tenants FILE] [--cache-dir DIR] [--cache-capacity N]
  *
  * --port 0 (the default) binds an ephemeral port and prints it, which
  * is what the smoke tests use. --tenants points at the JSON tenant
  * config (see docs/serving-daemon.md); the COSAD_TENANTS environment
  * variable overrides file entries of the same name. With no tenants
  * configured the daemon runs open (single "default" tenant, no
- * quota). --cache-dir mounts the persistent schedule cache
- * (docs/cache-store.md) so solves survive restarts; --cache-capacity
- * N >= 0 bounds its LRU entry count exactly (0 = unbounded) and needs
- * --cache-dir. Jobs are
- * admitted and dispatched in strict priority tiers (a request's
- * "priority"): no Batch task starts while Interactive or Normal work
- * can run. Numeric flags parse strictly; a bad value exits 1 naming
- * the flag. SIGINT/SIGTERM shut down cleanly.
+ * quota); a tenant's quota is the daemon's one admission bound.
+ * --threads N >= 0 sizes the engine's executor (0 = hardware width),
+ * --handlers N >= 1 the request handler pool. --cache-dir mounts the
+ * persistent schedule cache (docs/cache-store.md) so solves survive
+ * restarts; --cache-capacity N >= 0 bounds its LRU entry count
+ * exactly (0 = unbounded) and needs --cache-dir. Jobs run in strict
+ * priority tiers (a request's "priority"): no Batch task starts while
+ * Interactive or Normal work can run. Numeric flags parse strictly; a
+ * bad value exits 1 naming the flag. SIGINT/SIGTERM shut down
+ * cleanly.
  */
 
 #include <csignal>
@@ -62,17 +63,11 @@ main(int argc, char** argv)
         } else if (want("--port")) {
             config.port = flagValue(argv, a, 0, 65535);
         } else if (want("--threads")) {
-            config.service.num_threads = flagValue<int>(argv, a);
+            config.service.num_threads = flagValue(argv, a, 0);
         } else if (want("--handlers")) {
-            config.num_handler_threads = flagValue<int>(argv, a);
+            config.num_handler_threads = flagValue(argv, a, 1);
         } else if (want("--tenants")) {
             tenants_file = argv[++a];
-        } else if (want("--max-queued")) {
-            config.service.max_queued_jobs =
-                flagValue<std::int64_t>(argv, a);
-        } else if (want("--max-inflight")) {
-            config.service.max_inflight_jobs =
-                flagValue<std::int64_t>(argv, a);
         } else if (want("--cache-dir")) {
             config.cache_dir = argv[++a];
         } else if (want("--cache-capacity")) {
